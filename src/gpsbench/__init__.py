@@ -9,7 +9,7 @@ by pixel repetition.
 
 __version__ = "0.1.0"
 
-from .assembly import ReconstructedImage, draw_replay_batch, grid_concat, upsample
+from .assembly import draw_replay_batch, grid_concat, upsample
 from .bench import (
     AccuracyMatrix,
     Dataset,
@@ -34,19 +34,18 @@ from .errors import (
     NumericalError,
     StateError,
 )
-from .imaging import GridSpec, Image, Rng, load_gpsi, load_ppm, save_gpsi, save_ppm
+from .imaging import GridSpec, Rng, as_pixels, load_gpsi, load_ppm, save_gpsi, save_ppm
 from .learner import (
     ModelParams,
     Prototype,
     TrainStepReport,
     init_params,
     load_params,
-    ncm_classify,
     ncm_prototypes,
     save_params,
     train_step,
 )
-from .sampler import GpsSample, expected_surrogate, gps_sample
+from .sampler import expected_surrogate, gps_sample
 
 __all__ = [
     "AccuracyMatrix",
@@ -56,9 +55,7 @@ __all__ = [
     "ExperimentConfig",
     "FormatError",
     "GpsError",
-    "GpsSample",
     "GridSpec",
-    "Image",
     "MODE_FULL",
     "MODE_GPS",
     "ModelParams",
@@ -66,7 +63,6 @@ __all__ = [
     "OnlineConfig",
     "PixelBudget",
     "Prototype",
-    "ReconstructedImage",
     "ReplayBuffer",
     "Rng",
     "RunResult",
@@ -74,6 +70,7 @@ __all__ = [
     "SyntheticSpec",
     "TaskStream",
     "TrainStepReport",
+    "as_pixels",
     "average_end_accuracy",
     "draw_replay_batch",
     "expected_surrogate",
@@ -87,7 +84,6 @@ __all__ = [
     "load_gpsi",
     "load_params",
     "load_ppm",
-    "ncm_classify",
     "ncm_prototypes",
     "parse_config",
     "run_online",

@@ -8,95 +8,57 @@ constant block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .buffer import MODE_GPS, ReplayBuffer
-from .imaging import Image, Rng
-from .sampler import GpsSample
+from .imaging import Rng
 
 
-@dataclass(frozen=True)
-class ReconstructedImage:
-    """A tiled composite of factor^2 same-class surrogates, in grid order.
+def grid_concat(parts, factor: int) -> np.ndarray:
+    """Tile factor^2 surrogates into one image: part k fills cell (k // factor, k % factor).
 
-    `constituents` records the source slot indices; block (i, j) of the grid
-    holds constituent number i*factor + j verbatim.
-    """
-
-    image: Image
-    constituents: tuple[int, ...]
-
-    @property
-    def label(self):
-        return self.image.label
-
-
-def grid_concat(parts: list[GpsSample], factor: int,
-                slot_indices: tuple[int, ...] | None = None) -> ReconstructedImage:
-    """Tile factor^2 same-class surrogates into one composite image.
-
-    Part k lands in grid cell (k // factor, k % factor).
+    `parts` has shape (..., factor^2, side, side, C) and the result
+    (..., factor*side, factor*side, C): leading axes are kept, so one call
+    tiles a whole batch of groups.
     """
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    if len(parts) != factor * factor:
-        raise ValueError(f"expected {factor * factor} parts, got {len(parts)}")
-    first = parts[0]
-    for p in parts:
-        if p.factor != factor:
-            raise ValueError(
-                f"part sampled at factor {p.factor} cannot tile a "
-                f"factor-{factor} grid"
-            )
-    for p in parts[1:]:
-        if p.data.shape != first.data.shape:
-            raise ValueError(
-                f"mixed part shapes: {p.data.shape} vs {first.data.shape}"
-            )
-        if p.label != first.label:
-            raise ValueError(f"mixed labels: {p.label} vs {first.label}")
-    side = first.side
-    out = np.empty((factor * side, factor * side, first.channels), dtype=np.uint8)
-    for k, part in enumerate(parts):
-        i, j = divmod(k, factor)
-        out[i * side : (i + 1) * side, j * side : (j + 1) * side] = part.data
-    if slot_indices is None:
-        slot_indices = tuple(range(len(parts)))
-    return ReconstructedImage(Image(out, first.label), tuple(slot_indices))
+    parts = np.asarray(parts)
+    if parts.ndim < 4 or parts.shape[-4] != factor * factor:
+        raise ValueError(f"expected {factor * factor} parts of shape (side, side, C), "
+                         f"got an array of shape {parts.shape}")
+    *lead, _, height, width, channels = parts.shape
+    # (g, i, j, y, x, c) -> (g, i, y, j, x, c): block (i, j) holds part i*factor + j
+    grid = parts.reshape(-1, factor, factor, height, width, channels)
+    grid = grid.transpose(0, 1, 3, 2, 4, 5)
+    return grid.reshape(*lead, factor * height, factor * width, channels)
 
 
-def upsample(sample: GpsSample) -> Image:
-    """Expand each surrogate pixel into a factor x factor constant block."""
-    f = sample.factor
-    data = np.repeat(np.repeat(sample.data, f, axis=0), f, axis=1)
-    return Image(data, sample.label)
+def upsample(pixels: np.ndarray, factor: int) -> np.ndarray:
+    """Expand each pixel of a (..., side, side, C) array into a factor x factor constant block."""
+    return np.repeat(np.repeat(pixels, factor, axis=-3), factor, axis=-2)
 
 
-def draw_replay_batch(buf: ReplayBuffer, batch_size: int, rng: Rng) -> list[ReconstructedImage]:
-    """Draw up to batch_size reconstructed images from a gps-mode buffer.
+def draw_replay_batch(buf: ReplayBuffer, batch_size: int, rng: Rng) -> np.ndarray:
+    """Draw up to batch_size slot groups, one per replay image, from a gps-mode buffer.
 
     Per class: shuffle its slot indices, cut into consecutive groups of
     factor^2, drop the incomplete tail. All complete groups form one pool;
-    min(batch_size, pool) groups are drawn uniformly without replacement and
-    concatenated. Groups re-randomize on every call.
+    min(batch_size, pool) groups are drawn uniformly without replacement.
+    Returns an (n, factor^2) array of slot indices in grid order, so
+    `grid_concat(buf.slab[groups], buf.factor)` tiles the n replay images
+    and `buf.labels[groups[:, 0]]` labels them. Groups re-randomize on
+    every call.
     """
     if buf.mode != MODE_GPS:
         raise ValueError("replay reconstruction requires a gps-mode buffer")
     group_size = buf.factor ** 2
-    pool = []
-    for label in buf.classes_present():
-        indices = rng.shuffled(buf.indices_for_class(label))
-        for start in range(0, len(indices) - group_size + 1, group_size):
-            pool.append(tuple(indices[start : start + group_size]))
-    if not pool:
-        return []
-    take = min(batch_size, len(pool))
-    chosen = rng.choose(len(pool), take)
-    batch = []
-    for g in chosen:
-        slots = pool[g]
-        parts = [buf.slots[s] for s in slots]
-        batch.append(grid_concat(parts, buf.factor, slot_indices=slots))
-    return batch
+    pool = [np.empty((0, group_size), dtype=np.intp)]
+    for slots in buf.class_slots().values():
+        indices = rng.shuffled(slots)
+        complete = len(indices) - len(indices) % group_size
+        pool.append(indices[:complete].reshape(-1, group_size))
+    pool = np.concatenate(pool)
+    if not len(pool):
+        return pool
+    return pool[rng.choose(len(pool), min(batch_size, len(pool)))]

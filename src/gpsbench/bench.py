@@ -15,35 +15,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import learner as L
-from .assembly import draw_replay_batch
+from .assembly import draw_replay_batch, grid_concat
 from .buffer import MODE_GPS, ReplayBuffer
 from .errors import ConfigError, FormatError, NumericalError, StateError
-from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Image, Rng
+from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Rng
 from .sampler import gps_sample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
 
 HEAD_NCM = "ncm"
 HEAD_SOFTMAX = "softmax"
+HEADS = (HEAD_NCM, HEAD_SOFTMAX)
+REPLAY_UNITS = ("samples", "images")
+
+
+def _check(ok, message):
+    if not ok:
+        raise ConfigError(message)
 
 
 @dataclass
 class Dataset:
-    """Labeled train/test images from one source."""
+    """Labeled train/test images from one source.
 
-    train: list[Image]
-    test: list[Image]
+    Each split is an (N, r, r, C) uint8 pixel array and a length-N integer
+    label vector.
+    """
+
+    train_pixels: np.ndarray
+    train_labels: np.ndarray
+    test_pixels: np.ndarray
+    test_labels: np.ndarray
 
     def class_ids(self):
-        return sorted({img.label for img in self.train})
+        return np.unique(self.train_labels).tolist()
 
 
 @dataclass
 class TaskStream:
-    """Ordered tasks with mutually disjoint class sets and per-task test sets."""
+    """Ordered tasks with mutually disjoint class sets and per-task test sets.
 
-    train_tasks: list[list[Image]]
-    test_tasks: list[list[Image]]
+    Tasks are index vectors into the dataset's train and test arrays, so
+    each pixel is stored once; train indices are in stream order.
+    """
+
+    dataset: Dataset
+    train_tasks: list[np.ndarray]
+    test_tasks: list[np.ndarray]
     class_sets: list[frozenset[int]]
 
     @property
@@ -60,9 +78,11 @@ class TaskStream:
             if seen & classes:
                 raise ValueError(f"task {t} shares classes {seen & classes} with earlier tasks")
             seen |= classes
-            for img in self.train_tasks[t] + self.test_tasks[t]:
-                if img.label not in classes:
-                    raise ValueError(f"task {t} holds an image labeled {img.label}")
+            labels = np.concatenate([self.dataset.train_labels[self.train_tasks[t]],
+                                     self.dataset.test_labels[self.test_tasks[t]]])
+            stray = set(labels.tolist()) - classes
+            if stray:
+                raise ValueError(f"task {t} holds images labeled {sorted(stray)}")
 
 
 class AccuracyMatrix:
@@ -129,18 +149,16 @@ class SyntheticSpec:
     pattern_baseline: float = 32.0
 
     def __post_init__(self):
-        if self.num_classes < 1:
-            raise ConfigError(f"num_classes must be >= 1, got {self.num_classes}")
-        if self.resolution < 1:
-            raise ConfigError(f"resolution must be >= 1, got {self.resolution}")
-        if self.channels not in (1, 3):
-            raise ConfigError(f"channels must be 1 or 3, got {self.channels}")
-        if self.noise_amplitude < 0:
-            raise ConfigError(f"noise amplitude must be >= 0, got {self.noise_amplitude}")
-        if not 0.0 <= self.pattern_baseline <= 255.0:
-            raise ConfigError(
-                f"pattern baseline must lie in [0, 255], got {self.pattern_baseline}"
-            )
+        for name in ("num_classes", "resolution", "train_per_class", "test_per_class"):
+            value = getattr(self, name)
+            _check(value >= 1, f"{name} must be >= 1, got {value}")
+        _check(self.channels in (1, 3), f"channels must be 1 or 3, got {self.channels}")
+        noise, contrast = self.noise_amplitude, self.pattern_contrast
+        _check(math.isfinite(noise) and noise >= 0,
+               f"noise_amplitude must be finite and >= 0, got {noise}")
+        _check(math.isfinite(contrast), f"pattern_contrast must be finite, got {contrast}")
+        _check(0.0 <= self.pattern_baseline <= 255.0,
+               f"pattern_baseline must lie in [0, 255], got {self.pattern_baseline}")
 
 
 # Low spatial frequencies only, so class evidence survives patch sampling.
@@ -169,24 +187,23 @@ def class_pattern(spec: SyntheticSpec, label) -> np.ndarray:
 def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
     """Seeded noisy samples around each class pattern; train/test drawn separately."""
     patterns = [class_pattern(spec, c) for c in range(spec.num_classes)]
+    shape = patterns[0].shape
 
     def draw(count, noise_rng):
-        images = []
-        for c in range(spec.num_classes):
-            for _ in range(count):
-                noisy = patterns[c] + spec.noise_amplitude * noise_rng.normal(patterns[c].shape)
-                arr = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
-                images.append(Image(arr, c))
-        return images
+        # One noise draw per image keeps the float64 temporaries image-sized.
+        pixels = np.empty((spec.num_classes * count, *shape), dtype=np.uint8)
+        for k in range(len(pixels)):
+            noisy = patterns[k // count] + spec.noise_amplitude * noise_rng.normal(shape)
+            pixels[k] = np.clip(np.rint(noisy), 0, 255)
+        return pixels, np.repeat(np.arange(spec.num_classes), count)
 
-    train = draw(spec.train_per_class, rng.split(0))
-    test = draw(spec.test_per_class, rng.split(1))
-    return Dataset(train, test)
+    return Dataset(*draw(spec.train_per_class, rng.split(0)),
+                   *draw(spec.test_per_class, rng.split(1)))
 
 
-def load_cifar100(path) -> list[Image]:
-    """Parse one CIFAR-100 binary file: per record, coarse byte + fine byte + 3072
-    channel-planar bytes. The fine label becomes the class id."""
+def load_cifar100(path):
+    """Parse one CIFAR-100 binary file into (pixels, labels): per record, coarse
+    byte + fine byte + 3072 channel-planar bytes. The fine label becomes the class id."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) % CIFAR_RECORD_BYTES != 0:
@@ -194,13 +211,12 @@ def load_cifar100(path) -> list[Image]:
             f"file length {len(data)} is not a multiple of {CIFAR_RECORD_BYTES}"
         )
     records = np.frombuffer(data, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    labels = records[:, 1]
     pixels = records[:, 2:].reshape(-1, 3, 32, 32).transpose(0, 2, 3, 1)
-    return [Image(pixels[i].copy(), int(labels[i])) for i in range(len(records))]
+    return np.ascontiguousarray(pixels), records[:, 1].astype(np.int64)
 
 
 def load_cifar100_dataset(train_path, test_path) -> Dataset:
-    return Dataset(load_cifar100(train_path), load_cifar100(test_path))
+    return Dataset(*load_cifar100(train_path), *load_cifar100(test_path))
 
 
 def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> TaskStream:
@@ -212,16 +228,15 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
             f"need {needed} classes for {task_count} tasks x {classes_per_task}, "
             f"dataset has {len(classes)}"
         )
-    order = rng.shuffled(classes)
+    order = rng.shuffled(classes).tolist()
     train_tasks, test_tasks, class_sets = [], [], []
     for t in range(task_count):
-        chosen = frozenset(order[t * classes_per_task : (t + 1) * classes_per_task])
-        train = [img for img in dataset.train if img.label in chosen]
-        test = [img for img in dataset.test if img.label in chosen]
+        chosen = order[t * classes_per_task : (t + 1) * classes_per_task]
+        train = np.flatnonzero(np.isin(dataset.train_labels, chosen))
         train_tasks.append(rng.shuffled(train))
-        test_tasks.append(test)
-        class_sets.append(chosen)
-    stream = TaskStream(train_tasks, test_tasks, class_sets)
+        test_tasks.append(np.flatnonzero(np.isin(dataset.test_labels, chosen)))
+        class_sets.append(frozenset(chosen))
+    stream = TaskStream(dataset, train_tasks, test_tasks, class_sets)
     stream.check_invariants()
     return stream
 
@@ -243,14 +258,14 @@ class OnlineConfig:
     normalize_embeddings: bool = False
 
     def __post_init__(self):
-        if self.stream_batch < 1:
-            raise ConfigError(f"stream_batch must be >= 1, got {self.stream_batch}")
-        if self.replay_batch < 0:
-            raise ConfigError(f"replay_batch must be >= 0, got {self.replay_batch}")
-        if self.replay_units not in ("samples", "images"):
-            raise ConfigError(f"replay_units must be 'samples' or 'images', got {self.replay_units!r}")
-        if self.head not in (HEAD_NCM, HEAD_SOFTMAX):
-            raise ConfigError(f"head must be 'ncm' or 'softmax', got {self.head!r}")
+        _check(self.stream_batch >= 1, f"stream_batch must be >= 1, got {self.stream_batch}")
+        _check(self.replay_batch >= 0, f"replay_batch must be >= 0, got {self.replay_batch}")
+        _check(self.replay_units in REPLAY_UNITS,
+               f"replay_units must be one of {REPLAY_UNITS}, got {self.replay_units!r}")
+        lr, weight = self.learning_rate, self.replay_weight
+        _check(math.isfinite(lr) and lr > 0, f"learning_rate must be finite and > 0, got {lr}")
+        _check(math.isfinite(weight), f"replay_weight must be finite, got {weight}")
+        _check(self.head in HEADS, f"head must be one of {HEADS}, got {self.head!r}")
 
 
 @dataclass
@@ -263,40 +278,40 @@ class RunResult:
     buffer: ReplayBuffer = None
 
 
-def _replay_images(buf, cfg, replay_rng):
+def _replay_batch(buf, cfg, replay_rng):
+    """(pixels, labels) of one replay batch, or None when nothing is replayed."""
     if buf is None or cfg.replay_batch == 0:
-        return []
+        return None
     if buf.mode == MODE_GPS:
-        group_size = buf.factor ** 2
+        groups = cfg.replay_batch
         if cfg.replay_units == "samples":
-            groups = cfg.replay_batch // group_size
-        else:
-            groups = cfg.replay_batch
+            groups //= buf.factor ** 2
         if groups == 0:
-            return []
-        return [g.image for g in draw_replay_batch(buf, groups, replay_rng)]
+            return None
+        groups = draw_replay_batch(buf, groups, replay_rng)
+        return grid_concat(buf.slab[groups], buf.factor), buf.labels[groups[:, 0]]
     occupied = buf.occupied_indices
-    if not occupied:
-        return []
+    if not len(occupied):
+        return None
     take = min(cfg.replay_batch, len(occupied))
-    chosen = replay_rng.choose(len(occupied), take)
-    return [buf.slots[occupied[i]] for i in chosen]
+    chosen = occupied[replay_rng.choose(len(occupied), take)]
+    return buf.slab[chosen], buf.labels[chosen]
 
 
 def _evaluate_row(matrix, t, stream, params, buf, cfg):
+    ds = stream.dataset
     if cfg.head == HEAD_NCM:
         prototypes = L.ncm_prototypes(params, buf, normalize=cfg.normalize_embeddings)
     for i in range(t + 1):
         test = stream.test_tasks[i]
-        if not test:
+        if not len(test):
             raise StateError(f"task {i} has an empty test set")
-        truth = np.array([img.label for img in test])
         if cfg.head == HEAD_NCM:
-            preds = L.classify_batch(prototypes, params, test,
+            preds = L.classify_batch(prototypes, params, ds.test_pixels[test],
                                      normalize=cfg.normalize_embeddings)
         else:
-            preds = L.softmax_classify_batch(params, test)
-        matrix.set(t, i, float(np.mean(preds == truth)))
+            preds = L.softmax_classify_batch(params, ds.test_pixels[test])
+        matrix.set(t, i, float(np.mean(preds == ds.test_labels[test])))
 
 
 def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | None,
@@ -307,6 +322,7 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
     compress (gps mode) and offer each incoming image. On a numerical
     failure the partial result is attached to the raised error.
     """
+    ds = stream.dataset
     if cfg.head == HEAD_NCM and buf is None:
         raise ConfigError("ncm head requires a replay buffer; use head=softmax")
     if buf is not None and buf.mode == MODE_GPS and buf.budget.resolution % buf.factor:
@@ -322,22 +338,23 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
     for t, task in enumerate(stream.train_tasks):
         for start in range(0, len(task), cfg.stream_batch):
             batch = task[start : start + cfg.stream_batch]
-            replay = _replay_images(buf, cfg, replay_rng)
+            replay = _replay_batch(buf, cfg, replay_rng)
             try:
-                L.train_step(params, batch, replay, cfg.replay_weight,
-                             cfg.learning_rate, step=result.step_count)
+                L.train_step(params, (ds.train_pixels[batch], ds.train_labels[batch]),
+                             replay, cfg.replay_weight, cfg.learning_rate,
+                             step=result.step_count)
             except NumericalError as exc:
                 exc.partial_result = result
                 raise
             result.step_count += 1
-            for img in batch:
+            for i in batch:
                 visits[position] += 1
                 if buf is not None:
+                    pixels = ds.train_pixels[i]
                     if buf.mode == MODE_GPS:
-                        item = gps_sample(img, buf.factor, rng.split(DOMAIN_STREAM, position))
-                    else:
-                        item = img
-                    buf.offer(item)
+                        pixels = gps_sample(pixels, buf.factor,
+                                            rng.split(DOMAIN_STREAM, position))
+                    buf.offer(pixels, ds.train_labels[i])
                     result.offer_count += 1
                 position += 1
         _evaluate_row(matrix, t, stream, params, buf, cfg)

@@ -1,25 +1,29 @@
-"""Pixel-budget replay buffer with reservoir updates and a class-index map.
+"""Pixel-budget replay buffer with reservoir updates over one uint8 slab.
 
 The budget is counted in stored pixel positions: a buffer worth K
 full-resolution r x r images holds K * r^2 pixels. In surrogate mode the
 same budget buys factor^2 times as many slots, each holding a compressed
-exemplar of side floor(r / factor).
+exemplar of side floor(r / factor). Exemplars live in one
+(slots, side, side, C) array beside a label vector in which -1 marks an
+empty slot; the per-class index is computed from the labels on demand.
 """
 
 from __future__ import annotations
 
-import bisect
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .imaging import Image, Rng
-from .sampler import GpsSample
+from .imaging import GridSpec, Rng
 
 SNAPSHOT_MAGIC = b"GPSB"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+# magic, version, mode code, factor, budget image count, budget resolution,
+# channels, seen count; then the rng state, the labels as <i4 and the slab.
+_HEADER = struct.Struct("<4sHBHIIBQ")
 
 MODE_FULL = "full"
 MODE_GPS = "gps"
@@ -45,46 +49,45 @@ class PixelBudget:
         return self.image_count * self.resolution ** 2
 
 
+def _geometry(budget: PixelBudget, mode: str, factor: int, channels: int):
+    """(factor, exemplar side, slot count) of a buffer; ConfigError if impossible."""
+    if mode not in _MODE_CODES:
+        raise ConfigError(f"unknown buffer mode {mode!r}: expected 'full' or 'gps'")
+    if channels not in (1, 3):
+        raise ConfigError(f"channel count must be 1 or 3, got {channels}")
+    if mode == MODE_FULL:
+        return 1, budget.resolution, budget.image_count
+    grid = GridSpec(factor, budget.resolution)
+    return factor, grid.side, budget.image_count * factor ** 2
+
+
 class ReplayBuffer:
     """Fixed-slot exemplar store under a pixel budget, reservoir-managed.
 
-    In "full" mode slots hold r x r Images; in "gps" mode they hold
+    In "full" mode slots hold r x r images; in "gps" mode they hold
     surrogates of side floor(r/factor), and there are factor^2 times as
-    many slots for the same budget. Single-writer: confine each buffer to
-    one worker.
+    many slots for the same budget. `slab[i]` is slot i's pixels and
+    `labels[i]` its class, or -1 while the slot is empty. Single-writer:
+    confine each buffer to one worker.
     """
 
     def __init__(self, budget: PixelBudget, mode: str, rng: Rng, factor: int = 1,
                  channels: int = 3):
-        if mode not in _MODE_CODES:
-            raise ConfigError(f"unknown buffer mode {mode!r}: expected 'full' or 'gps'")
-        if mode == MODE_GPS:
-            if factor < 1:
-                raise ConfigError(f"factor must be >= 1, got {factor}")
-            if budget.resolution // factor < 1:
-                raise ConfigError(
-                    f"factor {factor} exceeds resolution {budget.resolution}"
-                )
-        else:
-            factor = 1
-        if channels not in (1, 3):
-            raise ConfigError(f"channel count must be 1 or 3, got {channels}")
+        factor, side, slot_count = _geometry(budget, mode, factor, channels)
         self.budget = budget
         self.mode = mode
         self.factor = factor
         self.channels = channels
         self.rng = rng
-        self.slot_count = budget.image_count * (factor ** 2 if mode == MODE_GPS else 1)
-        self.slots: list[Image | GpsSample | None] = [None] * self.slot_count
+        self.slot_count = slot_count
+        self.slab = np.zeros((slot_count, side, side, channels), dtype=np.uint8)
+        self.labels = np.full(slot_count, -1, dtype=np.int32)
         self.seen_count = 0
-        self._class_index: dict[int, list[int]] = {}
 
     @property
     def exemplar_side(self):
         """Side length every stored exemplar must have."""
-        if self.mode == MODE_GPS:
-            return self.budget.resolution // self.factor
-        return self.budget.resolution
+        return self.slab.shape[1]
 
     @property
     def occupied_count(self):
@@ -92,147 +95,108 @@ class ReplayBuffer:
 
     @property
     def occupied_indices(self):
-        return [i for i, s in enumerate(self.slots) if s is not None]
+        return np.flatnonzero(self.labels >= 0)
 
     @property
     def occupied_pixels(self):
-        return sum(s.pixel_count for s in self.slots if s is not None)
+        return self.occupied_count * self.exemplar_side ** 2
 
-    def _check_item(self, item):
-        if self.mode == MODE_GPS:
-            if not isinstance(item, GpsSample):
-                raise ValueError(f"gps-mode buffer stores surrogates, got {type(item).__name__}")
-            if item.factor != self.factor:
-                raise ValueError(
-                    f"surrogate factor {item.factor} does not match buffer factor {self.factor}"
-                )
-        else:
-            if not isinstance(item, Image):
-                raise ValueError(f"full-mode buffer stores images, got {type(item).__name__}")
-            if not item.is_square():
-                raise ValueError(f"exemplar must be square, got {item.height}x{item.width}")
-        side = item.data.shape[0]
-        if side != self.exemplar_side:
-            raise ValueError(
-                f"exemplar side {side} does not match buffer side {self.exemplar_side}"
-            )
-        if item.channels != self.channels:
-            raise ValueError(
-                f"exemplar has {item.channels} channels, buffer expects {self.channels}"
-            )
-        if item.label is None:
-            raise ValueError("exemplar must carry a label")
-
-    def offer(self, item):
-        """Reservoir update: returns (accepted, evicted_item_or_None).
+    def offer(self, pixels: np.ndarray, label: int):
+        """Reservoir update: returns (accepted, evicted label or None).
 
         The first slot_count offers always land; offer n+1 is kept with
         probability slot_count / (n+1), replacing a uniformly random slot.
         """
-        self._check_item(item)
+        if pixels.shape != self.slab.shape[1:] or pixels.dtype != np.uint8:
+            raise ValueError(
+                f"exemplar must be a {self.slab.shape[1:]} uint8 array, "
+                f"got {pixels.shape} {pixels.dtype}"
+            )
+        label = int(label)
+        if label < 0:
+            raise ValueError(f"label must be a non-negative integer, got {label}")
+        evicted = None
         if self.seen_count < self.slot_count:
             slot = self.seen_count
-            self.slots[slot] = item
-            self._index_add(item.label, slot)
-            self.seen_count += 1
-            return True, None
-        draw = self.rng.integer(0, self.seen_count + 1)
+        else:
+            slot = self.rng.integer(0, self.seen_count + 1)
+            if slot >= self.slot_count:
+                self.seen_count += 1
+                return False, None
+            evicted = int(self.labels[slot])
         self.seen_count += 1
-        if draw >= self.slot_count:
-            return False, None
-        evicted = self.slots[draw]
-        self._index_remove(evicted.label, draw)
-        self.slots[draw] = item
-        self._index_add(item.label, draw)
+        self.slab[slot] = pixels
+        self.labels[slot] = label
         return True, evicted
-
-    def _index_add(self, label, slot):
-        lst = self._class_index.setdefault(label, [])
-        bisect.insort(lst, slot)
-
-    def _index_remove(self, label, slot):
-        lst = self._class_index[label]
-        lst.remove(slot)
-        if not lst:
-            del self._class_index[label]
 
     def indices_for_class(self, label):
         """Occupied slot indices holding the given class, ascending. Empty if absent."""
-        return list(self._class_index.get(label, ()))
+        return np.flatnonzero(self.labels == label)
 
-    def classes_present(self):
-        return sorted(self._class_index)
+    def class_slots(self):
+        """{class: its occupied slot indices, ascending}, ascending by class."""
+        by_class = np.argsort(self.labels, kind="stable")
+        by_class = by_class[self.labels[by_class] >= 0]
+        classes, starts = np.unique(self.labels[by_class], return_index=True)
+        return dict(zip(classes.tolist(), np.split(by_class, starts[1:])))
 
     def class_counts(self):
-        return {c: len(v) for c, v in sorted(self._class_index.items())}
+        """{class: exemplar count}, ascending by class."""
+        return {c: len(slots) for c, slots in self.class_slots().items()}
+
+    def classes_present(self):
+        return list(self.class_slots())
 
     # --- snapshot / restore ---
 
     def snapshot(self) -> bytes:
-        """Serialize slots, counters, class index basis, and rng state."""
-        parts = [SNAPSHOT_MAGIC, struct.pack("<H", SNAPSHOT_VERSION)]
-        parts.append(struct.pack("<BHIIB", _MODE_CODES[self.mode], self.factor,
-                                 self.budget.image_count, self.budget.resolution,
-                                 self.channels))
-        parts.append(struct.pack("<Q", self.seen_count))
-        parts.append(self.rng.state_bytes())
-        for slot in self.slots:
-            if slot is None:
-                parts.append(b"\x00")
-            else:
-                parts.append(b"\x01")
-                parts.append(struct.pack("<I", slot.label))
-                parts.append(np.ascontiguousarray(slot.data).tobytes())
-        return b"".join(parts)
+        """Serialize header, rng state, labels and slab (format version 2)."""
+        header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _MODE_CODES[self.mode],
+                              self.factor, self.budget.image_count,
+                              self.budget.resolution, self.channels, self.seen_count)
+        return b"".join([header, self.rng.state_bytes(),
+                         self.labels.astype("<i4").tobytes(), self.slab.tobytes()])
 
     @classmethod
     def restore(cls, blob: bytes) -> "ReplayBuffer":
+        """Rebuild a buffer from `snapshot` output; FormatError on any malformed blob.
+
+        The blob length is checked against the header before anything is
+        allocated, so a hostile header cannot request a huge buffer.
+        """
         if blob[:4] != SNAPSHOT_MAGIC:
             raise FormatError(f"bad snapshot magic {blob[:4]!r}: expected {SNAPSHOT_MAGIC!r}")
-        pos = 4
-        try:
-            (version,) = struct.unpack_from("<H", blob, pos)
-            pos += 2
-            if version != SNAPSHOT_VERSION:
-                raise FormatError(f"unsupported snapshot version {version}")
-            mode_code, factor, image_count, resolution, channels = struct.unpack_from(
-                "<BHIIB", blob, pos
+        if len(blob) < _HEADER.size:
+            raise FormatError(f"truncated snapshot header: need {_HEADER.size} bytes")
+        (_, version, mode_code, factor, image_count, resolution, channels,
+         seen_count) = _HEADER.unpack_from(blob)
+        if version != SNAPSHOT_VERSION:
+            raise FormatError(
+                f"unsupported snapshot version {version}: expected {SNAPSHOT_VERSION}"
             )
-            pos += 12
-            (seen_count,) = struct.unpack_from("<Q", blob, pos)
-            pos += 8
-        except struct.error as exc:
-            raise FormatError(f"truncated snapshot header: {exc}") from exc
         if mode_code not in _MODE_NAMES:
             raise FormatError(f"unknown mode code {mode_code}")
-        rng, used = Rng.from_state_bytes(blob, pos)
-        pos += used
-        buf = cls(PixelBudget(image_count, resolution), _MODE_NAMES[mode_code], rng,
-                  factor=factor if mode_code == 1 else 1, channels=channels)
+        mode = _MODE_NAMES[mode_code]
+        try:
+            budget = PixelBudget(image_count, resolution)
+            factor, side, slot_count = _geometry(budget, mode, factor, channels)
+        except ConfigError as exc:
+            raise FormatError(f"invalid snapshot header: {exc}") from None
+        rng, used = Rng.from_state_bytes(blob, _HEADER.size)
+        labels_at = _HEADER.size + used
+        slab_at = labels_at + 4 * slot_count
+        shape = (slot_count, side, side, channels)
+        expected = slab_at + math.prod(shape)
+        if len(blob) < expected:
+            raise FormatError(f"truncated snapshot: expected {expected} bytes, got {len(blob)}")
+        if len(blob) > expected:
+            raise FormatError(f"snapshot has {len(blob) - expected} trailing bytes")
+        labels = np.frombuffer(blob, dtype="<i4", count=slot_count, offset=labels_at)
+        occupied = min(seen_count, slot_count)
+        if (labels[:occupied] < 0).any() or (labels[occupied:] != -1).any():
+            raise FormatError(f"slot labels disagree with seen count {seen_count}")
+        buf = cls(budget, mode, rng, factor=factor, channels=channels)
         buf.seen_count = seen_count
-        side = buf.exemplar_side
-        payload_len = side * side * channels
-        for slot in range(buf.slot_count):
-            flag = blob[pos : pos + 1]
-            if not flag:
-                raise FormatError(f"truncated snapshot: missing slot {slot}")
-            pos += 1
-            if flag == b"\x00":
-                continue
-            if flag != b"\x01":
-                raise FormatError(f"corrupt slot flag {flag!r} at slot {slot}")
-            if pos + 4 + payload_len > len(blob):
-                raise FormatError(f"truncated snapshot: slot {slot} payload incomplete")
-            (label,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            data = np.frombuffer(blob, dtype=np.uint8, count=payload_len, offset=pos)
-            pos += payload_len
-            arr = data.reshape(side, side, channels).copy()
-            if buf.mode == MODE_GPS:
-                buf.slots[slot] = GpsSample(arr, label, factor, resolution)
-            else:
-                buf.slots[slot] = Image(arr, label)
-            buf._index_add(label, slot)
-        if pos != len(blob):
-            raise FormatError(f"snapshot has {len(blob) - pos} trailing bytes")
+        buf.labels[:] = labels
+        buf.slab[:] = np.frombuffer(blob, dtype=np.uint8, offset=slab_at).reshape(shape)
         return buf

@@ -22,13 +22,11 @@ from . import learner as L
 from .assembly import grid_concat
 from .bench import (
     Dataset,
-    OnlineConfig,
     average_end_accuracy,
     generate_synthetic,
     load_cifar100_dataset,
     run_online,
     split_tasks,
-    SyntheticSpec,
 )
 from .buffer import MODE_GPS, PixelBudget, ReplayBuffer
 from .config import ExperimentConfig, config_to_dict, load_config
@@ -52,10 +50,11 @@ def _load_image_dir(root, test_fraction, rng):
     root = Path(root)
     if not root.is_dir():
         raise ConfigError(f"image_dir {root} is not a directory")
-    train, test = [], []
     class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
     if not class_dirs:
         raise ConfigError(f"image_dir {root} contains no class subdirectories")
+    shape = None
+    train, test = [], []  # per class: (pixels, label)
     for d in class_dirs:
         try:
             label = int(d.name)
@@ -66,49 +65,34 @@ def _load_image_dir(root, test_fraction, rng):
         files = sorted(d.glob("*.ppm"))
         if not files:
             raise ConfigError(f"class directory {d} holds no .ppm files")
-        images = [load_ppm(f).with_label(label) for f in files]
-        images = rng.split(label).shuffled(images)
-        n_test = max(1, int(round(len(images) * test_fraction)))
-        if n_test >= len(images):
+        images = [load_ppm(f) for f in files]
+        shape = shape or images[0].shape
+        for f, img in zip(files, images):
+            if img.shape != shape:
+                raise ConfigError(f"mixed image sizes: {f} is {img.shape[0]}x{img.shape[1]}, "
+                                  f"expected {shape[0]}x{shape[1]}")
+        pixels = rng.split(label).shuffled(images)
+        n_test = max(1, int(round(len(pixels) * test_fraction)))
+        if n_test >= len(pixels):
             raise ConfigError(
-                f"class {label}: {len(images)} images cannot support a test split"
+                f"class {label}: {len(pixels)} images cannot support a test split"
             )
-        test.extend(images[:n_test])
-        train.extend(images[n_test:])
-    return Dataset(train, test)
+        test.append((pixels[:n_test], label))
+        train.append((pixels[n_test:], label))
+
+    def stack(parts):
+        return (np.concatenate([pixels for pixels, _ in parts]),
+                np.concatenate([np.full(len(pixels), label) for pixels, label in parts]))
+
+    return Dataset(*stack(train), *stack(test))
 
 
 def build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     if config.dataset == "synthetic":
-        spec = SyntheticSpec(
-            num_classes=config.synthetic_classes,
-            resolution=config.synthetic_resolution,
-            channels=config.synthetic_channels,
-            train_per_class=config.synthetic_train_per_class,
-            test_per_class=config.synthetic_test_per_class,
-            noise_amplitude=config.synthetic_noise,
-            pattern_seed=config.synthetic_pattern_seed,
-            pattern_contrast=config.synthetic_contrast,
-            pattern_baseline=config.synthetic_baseline,
-        )
-        return generate_synthetic(spec, rng)
+        return generate_synthetic(config.synthetic_spec(), rng)
     if config.dataset == "cifar100":
         return load_cifar100_dataset(config.cifar_train_path, config.cifar_test_path)
     return _load_image_dir(config.image_dir, config.image_test_fraction, rng)
-
-
-def _dataset_geometry(dataset: Dataset):
-    """Common (resolution, channels) of all images; mixed shapes are an error."""
-    first = dataset.train[0]
-    resolution = require_square(first)
-    for img in dataset.train + dataset.test:
-        if img.height != resolution or img.width != resolution:
-            raise ConfigError(
-                f"mixed image sizes: {img.height}x{img.width} vs {resolution}x{resolution}"
-            )
-        if img.channels != first.channels:
-            raise ConfigError("mixed channel counts in dataset")
-    return resolution, first.channels
 
 
 def run_one_seed(config: ExperimentConfig, seed: int):
@@ -117,7 +101,8 @@ def run_one_seed(config: ExperimentConfig, seed: int):
     dataset = build_dataset(config, root.split(DOMAIN_DATA))
     stream = split_tasks(dataset, config.tasks, config.classes_per_task,
                          root.split(DOMAIN_TASK_SPLIT))
-    resolution, channels = _dataset_geometry(dataset)
+    resolution = require_square(dataset.train_pixels[0])
+    channels = dataset.train_pixels.shape[3]
     num_classes = max(max(cs) for cs in stream.class_sets) + 1
     params = L.init_params(resolution, channels, config.hidden_units,
                            config.embedding_units, num_classes,
@@ -127,19 +112,10 @@ def run_one_seed(config: ExperimentConfig, seed: int):
         budget = PixelBudget(config.budget_images, resolution)
         buf = ReplayBuffer(budget, config.buffer_mode, root.split(DOMAIN_BUFFER),
                            factor=config.factor, channels=channels)
-    online = OnlineConfig(
-        stream_batch=config.stream_batch,
-        replay_batch=config.replay_batch,
-        replay_units=config.replay_units,
-        learning_rate=config.learning_rate,
-        replay_weight=config.replay_weight,
-        head=config.head,
-        normalize_embeddings=config.normalize_embeddings,
-    )
     status = "ok"
     failure = None
     try:
-        result = run_online(stream, params, buf, online, root)
+        result = run_online(stream, params, buf, config.online_config(), root)
     except NumericalError as exc:
         result = exc.partial_result
         status = "numerical_failure"
@@ -288,8 +264,7 @@ def cmd_compress(input_path, factor, seed, output_path) -> int:
     image = load_ppm(input_path)
     resolution = require_square(image)
     grid = GridSpec(factor, resolution)
-    sample = gps_sample(image.with_label(0), factor, Rng(seed))
-    save_ppm(output_path, sample.to_image())
+    save_ppm(output_path, gps_sample(image, factor, Rng(seed)))
     print(
         f"resolution={resolution} surrogate_side={grid.side} factor={factor} "
         f"ratio={factor * factor} dropped_pixels={grid.dropped_pixels}"
@@ -304,8 +279,7 @@ def cmd_reconstruct(snapshot_path, class_id, seed, output_path) -> int:
     group_size = buf.factor ** 2
     rng = Rng(seed)
     if class_id is None:
-        candidates = [c for c in buf.classes_present()
-                      if len(buf.indices_for_class(c)) >= group_size]
+        candidates = [c for c, n in buf.class_counts().items() if n >= group_size]
         if not candidates:
             raise EmptyStateError(
                 f"no class holds {group_size} exemplars; nothing to reconstruct"
@@ -317,10 +291,9 @@ def cmd_reconstruct(snapshot_path, class_id, seed, output_path) -> int:
             f"class {class_id} holds {len(indices)} exemplars, need {group_size}"
         )
     chosen = rng.shuffled(indices)[:group_size]
-    parts = [buf.slots[i] for i in chosen]
-    recon = grid_concat(parts, buf.factor, slot_indices=chosen)
-    save_ppm(output_path, recon.image)
-    print(f"class={class_id} side={recon.image.height} slots={list(recon.constituents)}")
+    image = grid_concat(buf.slab[chosen], buf.factor)
+    save_ppm(output_path, image)
+    print(f"class={class_id} side={image.shape[0]} slots={chosen.tolist()}")
     return 0
 
 

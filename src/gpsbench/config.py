@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .bench import HEAD_NCM, OnlineConfig, SyntheticSpec
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
@@ -57,7 +58,33 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     out_dir: str = "runs"
 
+    def synthetic_spec(self) -> SyntheticSpec:
+        return SyntheticSpec(
+            num_classes=self.synthetic_classes,
+            resolution=self.synthetic_resolution,
+            channels=self.synthetic_channels,
+            train_per_class=self.synthetic_train_per_class,
+            test_per_class=self.synthetic_test_per_class,
+            noise_amplitude=self.synthetic_noise,
+            pattern_seed=self.synthetic_pattern_seed,
+            pattern_contrast=self.synthetic_contrast,
+            pattern_baseline=self.synthetic_baseline,
+        )
+
+    def online_config(self) -> OnlineConfig:
+        return OnlineConfig(
+            stream_batch=self.stream_batch,
+            replay_batch=self.replay_batch,
+            replay_units=self.replay_units,
+            learning_rate=self.learning_rate,
+            replay_weight=self.replay_weight,
+            head=self.head,
+            normalize_embeddings=self.normalize_embeddings,
+        )
+
     def validate(self):
+        """Check this config's own fields, then build the library dataclasses,
+        which check the synthetic and training fields."""
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported: expected {SCHEMA_VERSION}"
@@ -75,40 +102,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"image_test_fraction must lie in (0, 1), got {self.image_test_fraction}"
             )
-        for name in ("synthetic_classes", "synthetic_resolution",
-                     "synthetic_train_per_class", "synthetic_test_per_class",
-                     "tasks", "classes_per_task", "budget_images", "factor",
-                     "stream_batch", "hidden_units", "embedding_units"):
+        for name in ("tasks", "classes_per_task", "budget_images", "factor",
+                     "hidden_units", "embedding_units"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
-        if self.replay_batch < 0:
-            raise ConfigError(f"replay_batch must be >= 0, got {self.replay_batch}")
-        if self.synthetic_channels not in (1, 3):
-            raise ConfigError(f"synthetic_channels must be 1 or 3, got {self.synthetic_channels}")
-        if self.synthetic_noise < 0:
-            raise ConfigError(f"synthetic_noise must be >= 0, got {self.synthetic_noise}")
-        if not 0.0 <= self.synthetic_baseline <= 255.0:
-            raise ConfigError(
-                f"synthetic_baseline must lie in [0, 255], got {self.synthetic_baseline}"
-            )
         if self.buffer_mode not in BUFFER_MODES:
             raise ConfigError(f"buffer_mode must be one of {BUFFER_MODES}, got {self.buffer_mode!r}")
-        if self.replay_units not in ("samples", "images"):
-            raise ConfigError(
-                f"replay_units must be 'samples' or 'images', got {self.replay_units!r}"
-            )
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.head not in ("ncm", "softmax"):
-            raise ConfigError(f"head must be 'ncm' or 'softmax', got {self.head!r}")
-        if self.head == "ncm" and self.buffer_mode == "none":
+        if self.head == HEAD_NCM and self.buffer_mode == "none":
             raise ConfigError("head = ncm requires a buffer; set head = softmax or enable a buffer")
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list of integers")
         for s in self.seeds:
             if s < 0:
                 raise ConfigError(f"seeds must be non-negative, got {s}")
+        self.synthetic_spec()
+        self.online_config()
         return self
 
 

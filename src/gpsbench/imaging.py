@@ -1,7 +1,9 @@
-"""Dense 8-bit images, grid geometry, deterministic randomness, and file I/O.
+"""Pixel arrays, grid geometry, deterministic randomness, and file I/O.
 
-Everything downstream (sampling, buffering, training) builds on the three
-types defined here: `Image`, `GridSpec`, and `Rng`.
+An image is a C-contiguous (height, width, channels) uint8 array with 1 or 3
+channels; a batch of images stacks them as (n, height, width, channels).
+Everything downstream (sampling, buffering, training) builds on these arrays
+and on the two types defined here: `GridSpec` and `Rng`.
 """
 
 from __future__ import annotations
@@ -14,64 +16,6 @@ import numpy as np
 from .errors import ConfigError, FormatError
 
 GPSI_MAGIC = b"GPSI"
-
-
-@dataclass(frozen=True)
-class Image:
-    """A height x width x channels raster of 8-bit values, optionally labeled.
-
-    `data` is a C-contiguous uint8 array of shape (height, width, channels),
-    i.e. row-major with interleaved channels. Channel count is 1 or 3.
-    """
-
-    data: np.ndarray
-    label: int | None = None
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        if arr.dtype != np.uint8:
-            if arr.size and (arr.min() < 0 or arr.max() > 255):
-                raise ValueError(
-                    f"channel values must lie in [0, 255], got range "
-                    f"[{arr.min()}, {arr.max()}]"
-                )
-            arr = arr.astype(np.uint8)
-        arr = np.ascontiguousarray(arr)
-        if arr.ndim == 2:
-            arr = arr[:, :, np.newaxis]
-        if arr.ndim != 3:
-            raise ValueError(f"image data must be HxWxC, got shape {self.data.shape}")
-        if arr.shape[2] not in (1, 3):
-            raise ValueError(f"channel count must be 1 or 3, got {arr.shape[2]}")
-        if self.label is not None and self.label < 0:
-            raise ValueError(f"label must be a non-negative integer, got {self.label}")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def height(self):
-        return self.data.shape[0]
-
-    @property
-    def width(self):
-        return self.data.shape[1]
-
-    @property
-    def channels(self):
-        return self.data.shape[2]
-
-    @property
-    def pixel_count(self):
-        """Number of pixel positions (not channel values)."""
-        return self.height * self.width
-
-    def is_square(self):
-        return self.height == self.width
-
-    def with_label(self, label):
-        return Image(self.data, label)
-
-    def same_pixels(self, other):
-        return self.data.shape == other.data.shape and np.array_equal(self.data, other.data)
 
 
 @dataclass(frozen=True)
@@ -163,10 +107,13 @@ class Rng:
         return self._gen.uniform(low, high, size=shape)
 
     def shuffled(self, items):
-        """New list with the items in shuffled order."""
-        items = list(items)
-        self._gen.shuffle(items)
-        return items
+        """New array with the items (rows of an array) in shuffled order.
+
+        A list and an array of the same length get the same permutation.
+        """
+        out = np.array(items)
+        self._gen.shuffle(out)
+        return out
 
     def choose(self, n, k):
         """k distinct indices from range(n), uniformly without replacement."""
@@ -223,6 +170,40 @@ class Rng:
         return rng, pos - offset
 
 
+def as_pixels(data):
+    """Check an image and return it as a C-contiguous (H, W, C) uint8 array.
+
+    2-D input gains a single channel axis. Integer data in [0, 255] is
+    converted; floats, out-of-range values and channel counts other than 1
+    or 3 raise ValueError instead of being coerced.
+    """
+    arr = np.asarray(data)
+    if arr.ndim == 2:
+        arr = arr[:, :, np.newaxis]
+    if arr.ndim != 3:
+        raise ValueError(f"image data must be HxWxC, got shape {arr.shape}")
+    if arr.shape[2] not in (1, 3):
+        raise ValueError(f"channel count must be 1 or 3, got {arr.shape[2]}")
+    if arr.dtype != np.uint8:
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"image data must be integers, got dtype {arr.dtype}")
+        if arr.size and (arr.min() < 0 or arr.max() > 255):
+            raise ValueError(
+                f"channel values must lie in [0, 255], got range "
+                f"[{arr.min()}, {arr.max()}]"
+            )
+        arr = arr.astype(np.uint8)
+    return np.ascontiguousarray(arr)
+
+
+def require_square(pixels):
+    """Raise ConfigError unless the (H, W, C) image is square; returns its side length."""
+    height, width = pixels.shape[:2]
+    if height != width:
+        raise ConfigError(f"input must be square, got {height}x{width}")
+    return height
+
+
 # --- PPM (P6) I/O, bit-exact ---
 
 
@@ -247,7 +228,7 @@ def _read_ppm_token(data, pos):
 
 
 def load_ppm(path):
-    """Read a binary PPM (P6, maxval 255) file into a 3-channel Image."""
+    """Read a binary PPM (P6, maxval 255) file into an (H, W, 3) uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P6":
@@ -271,19 +252,18 @@ def load_ppm(path):
         raise FormatError(
             f"truncated pixel data: expected {height * width * 3} bytes, got {len(payload)}"
         )
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return Image(arr)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
 
 
-def save_ppm(path, image):
-    """Write an Image as binary PPM (P6). Single-channel input is replicated to RGB."""
-    arr = image.data
+def save_ppm(path, pixels):
+    """Write an image as binary PPM (P6). Single-channel input is replicated to RGB."""
+    arr = as_pixels(pixels)
     if arr.shape[2] == 1:
         arr = np.repeat(arr, 3, axis=2)
-    header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
+    header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(arr).tobytes())
+        fh.write(arr.tobytes())
 
 
 # --- raw tensor container for fixtures ---
@@ -302,21 +282,12 @@ def load_gpsi(path):
     payload = data[16:]
     if len(payload) != expected:
         raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
-    arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-    return Image(arr)
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
 
 
-def save_gpsi(path, image):
+def save_gpsi(path, pixels):
+    arr = as_pixels(pixels)
     with open(path, "wb") as fh:
         fh.write(GPSI_MAGIC)
-        fh.write(struct.pack("<III", image.height, image.width, image.channels))
-        fh.write(np.ascontiguousarray(image.data).tobytes())
-
-
-def require_square(image):
-    """Raise ConfigError unless the image is square; returns its side length."""
-    if not image.is_square():
-        raise ConfigError(
-            f"input must be square, got {image.height}x{image.width}"
-        )
-    return image.height
+        fh.write(struct.pack("<III", *arr.shape))
+        fh.write(arr.tobytes())

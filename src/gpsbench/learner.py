@@ -4,7 +4,10 @@ The network is a two-layer MLP: pixels in [0,1] -> hidden (ReLU) ->
 embedding (affine) -> class logits (affine). Training takes one SGD step on
    mean_ce(stream batch) + replay_weight * mean_ce(replay batch)
 per call. Inference offers the softmax head or nearest-class-mean over
-buffered exemplars (upsampled first when the buffer holds surrogates).
+buffered exemplars, upsampled by the buffer's factor to the model resolution.
+
+Batches are (n, side, side, C) uint8 pixel arrays; a labeled batch is a
+(pixels, labels) pair.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import upsample
-from .buffer import MODE_GPS, ReplayBuffer
+from .buffer import ReplayBuffer
 from .errors import EmptyStateError, FormatError, NumericalError
-from .imaging import Image, Rng
+from .imaging import Rng
 
 CHECKPOINT_MAGIC = b"GPSM"
 
@@ -92,22 +95,16 @@ def init_params(input_side, channels, hidden_units, embedding_units, num_classes
     )
 
 
-def _to_matrix(params: ModelParams, images) -> np.ndarray:
-    """Stack images into an (n, input_dim) matrix of [0,1] reals, row-major."""
+def _to_matrix(params: ModelParams, pixels) -> np.ndarray:
+    """Flatten an (n, side, side, C) batch into an (n, input_dim) matrix of [0,1] reals."""
+    expected = (params.input_side, params.input_side, params.channels)
+    if pixels.shape[1:] != expected:
+        raise ValueError(f"input images of shape {pixels.shape[1:]} do not match "
+                         f"model input {expected}")
     dtype = params.W1.dtype
-    rows = np.empty((len(images), params.input_dim), dtype=dtype)
-    for k, img in enumerate(images):
-        if img.height != params.input_side or img.width != params.input_side:
-            raise ValueError(
-                f"input side {img.height}x{img.width} does not match model "
-                f"resolution {params.input_side}"
-            )
-        if img.channels != params.channels:
-            raise ValueError(
-                f"input has {img.channels} channels, model expects {params.channels}"
-            )
-        rows[k] = img.data.reshape(-1).astype(dtype) / dtype.type(255)
-    return rows
+    X = pixels.reshape(len(pixels), -1).astype(dtype)
+    X /= dtype.type(255)
+    return X
 
 
 def _forward_matrix(params: ModelParams, X):
@@ -119,21 +116,12 @@ def _forward_matrix(params: ModelParams, X):
     return h_pre, h, emb, logits
 
 
-def embed_batch(params: ModelParams, images) -> np.ndarray:
-    X = _to_matrix(params, images)
-    return _forward_matrix(params, X)[2]
+def embed_batch(params: ModelParams, pixels) -> np.ndarray:
+    return _forward_matrix(params, _to_matrix(params, pixels))[2]
 
 
-def logits_batch(params: ModelParams, images) -> np.ndarray:
-    X = _to_matrix(params, images)
-    return _forward_matrix(params, X)[3]
-
-
-def forward(params: ModelParams, image: Image):
-    """Embedding vector and class logits for one image. Deterministic."""
-    X = _to_matrix(params, [image])
-    _, _, emb, logits = _forward_matrix(params, X)
-    return emb[0], logits[0]
+def logits_batch(params: ModelParams, pixels) -> np.ndarray:
+    return _forward_matrix(params, _to_matrix(params, pixels))[3]
 
 
 def softmax(logits):
@@ -154,24 +142,30 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
                step=None) -> TrainStepReport:
     """One in-place SGD step on the combined stream + weighted replay loss.
 
-    `replay_batch` may be empty; with replay_weight == 0 the replay pass is
-    skipped entirely, so the update is bit-identical to a stream-only step.
+    Both batches are (pixels, labels) pairs. `replay_batch` may be None or
+    hold no rows; with replay_weight == 0 the replay pass is skipped
+    entirely, so the update is bit-identical to a stream-only step.
     """
-    if not stream_batch:
+    stream_pixels, stream_labels = stream_batch
+    if not len(stream_labels):
         raise ValueError("stream batch must be non-empty")
-    use_replay = bool(replay_batch) and replay_weight != 0.0
-    images = list(stream_batch) + (list(replay_batch) if use_replay else [])
-    labels = np.array([img.label for img in images], dtype=np.intp)
+    use_replay = (replay_batch is not None and len(replay_batch[1]) > 0
+                  and replay_weight != 0.0)
+    if use_replay:
+        pixels = np.concatenate([stream_pixels, replay_batch[0]])
+        labels = np.concatenate([stream_labels, replay_batch[1]]).astype(np.intp)
+    else:
+        pixels, labels = stream_pixels, np.asarray(stream_labels, dtype=np.intp)
     if labels.min() < 0 or labels.max() >= params.num_classes:
         raise ValueError(
             f"labels must lie in [0, {params.num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
     dtype = params.W1.dtype
-    n_stream = len(stream_batch)
-    n_replay = len(images) - n_stream
+    n_stream = len(stream_labels)
+    n_replay = len(labels) - n_stream
 
-    X = _to_matrix(params, images)
+    X = _to_matrix(params, pixels)
     h_pre, h, emb, logits = _forward_matrix(params, X)
     losses = _cross_entropy(logits, labels)
     stream_loss = float(losses[:n_stream].mean())
@@ -185,7 +179,7 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
 
     # d(combined)/d(logits): softmax minus one-hot, row-weighted so that each
     # term contributes the mean over its own batch.
-    weights = np.empty(len(images), dtype=dtype)
+    weights = np.empty(len(labels), dtype=dtype)
     weights[:n_stream] = dtype.type(1.0) / dtype.type(n_stream)
     if n_replay:
         weights[n_stream:] = dtype.type(replay_weight) / dtype.type(n_replay)
@@ -226,56 +220,45 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer,
                    normalize=False) -> list[Prototype]:
     """Mean embedding per buffered class, ascending by class id.
 
-    Surrogate exemplars are upsampled to the model resolution first. With
-    `normalize`, each embedding is scaled to unit length before averaging.
+    Exemplars are upsampled by the buffer's factor (the identity in full
+    mode) to the model resolution first. With `normalize`, each embedding
+    is scaled to unit length before averaging.
     """
-    classes = buf.classes_present()
-    if not classes:
+    class_slots = buf.class_slots()
+    if not class_slots:
         raise EmptyStateError("cannot build prototypes from an empty buffer")
     prototypes = []
-    for label in classes:
-        exemplars = [buf.slots[i] for i in buf.indices_for_class(label)]
-        if buf.mode == MODE_GPS:
-            images = [upsample(s) for s in exemplars]
-        else:
-            images = exemplars
+    for label, slots in class_slots.items():
+        images = upsample(buf.slab[slots], buf.factor)
         emb = _maybe_normalize(embed_batch(params, images), normalize)
         prototypes.append(Prototype(label, emb.mean(axis=0), len(images)))
     return prototypes
 
 
-def classify_embedding(prototypes: list[Prototype], embedding) -> int:
-    """Label of the Euclidean-nearest prototype; ties go to the smallest label."""
+def classify_embedding(prototypes: list[Prototype], embeddings) -> np.ndarray:
+    """Label of the Euclidean-nearest prototype for each row of an (n, d) matrix.
+
+    Distance ties go to the smallest class id.
+    """
     if not prototypes:
         raise EmptyStateError("need at least one prototype")
     ordered = sorted(prototypes, key=lambda p: p.label)
     means = np.stack([p.mean_embedding for p in ordered])
-    d2 = ((means - embedding) ** 2).sum(axis=1)
-    return ordered[int(np.argmin(d2))].label
-
-
-def ncm_classify(prototypes: list[Prototype], params: ModelParams, image: Image,
-                 normalize=False) -> int:
-    emb, _ = forward(params, image)
-    return classify_embedding(prototypes, _maybe_normalize(emb, normalize))
-
-
-def classify_batch(prototypes: list[Prototype], params: ModelParams, images,
-                   normalize=False) -> np.ndarray:
-    """Vectorized NCM labels for many images (same tie rule as ncm_classify)."""
-    if not prototypes:
-        raise EmptyStateError("need at least one prototype")
-    ordered = sorted(prototypes, key=lambda p: p.label)
-    means = np.stack([p.mean_embedding for p in ordered])
-    emb = _maybe_normalize(embed_batch(params, images), normalize)
-    d2 = ((emb[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    d2 = ((embeddings[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
     labels = np.array([p.label for p in ordered])
     return labels[np.argmin(d2, axis=1)]
 
 
-def softmax_classify_batch(params: ModelParams, images) -> np.ndarray:
+def classify_batch(prototypes: list[Prototype], params: ModelParams, pixels,
+                   normalize=False) -> np.ndarray:
+    """NCM labels for an (n, side, side, C) batch."""
+    emb = _maybe_normalize(embed_batch(params, pixels), normalize)
+    return classify_embedding(prototypes, emb)
+
+
+def softmax_classify_batch(params: ModelParams, pixels) -> np.ndarray:
     """Argmax-logit labels; ties go to the smallest class id."""
-    return np.argmax(logits_batch(params, images), axis=1)
+    return np.argmax(logits_batch(params, pixels), axis=1)
 
 
 # --- checkpoint I/O ---

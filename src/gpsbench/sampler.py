@@ -8,73 +8,33 @@ structure at 1/factor^2 of the pixel count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .imaging import GridSpec, Image, Rng, require_square
+from .imaging import GridSpec, Rng, require_square
 
 
-@dataclass(frozen=True)
-class GpsSample:
-    """A compressed side x side x C surrogate plus label and provenance."""
-
-    data: np.ndarray
-    label: int
-    factor: int
-    source_resolution: int
-
-    def __post_init__(self):
-        expected = self.source_resolution // self.factor
-        if self.data.shape[0] != expected or self.data.shape[1] != expected:
-            raise ValueError(
-                f"surrogate side {self.data.shape[0]}x{self.data.shape[1]} does not match "
-                f"floor({self.source_resolution}/{self.factor}) = {expected}"
-            )
-
-    @property
-    def side(self):
-        return self.data.shape[0]
-
-    @property
-    def channels(self):
-        return self.data.shape[2]
-
-    @property
-    def pixel_count(self):
-        return self.side * self.side
-
-    def to_image(self):
-        return Image(self.data, self.label)
-
-
-def gps_sample(image: Image, factor: int, rng: Rng) -> GpsSample:
-    """Sample one pixel per grid patch to form a compact surrogate.
+def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
+    """Sample one pixel per grid patch of an (r, r, C) image into a (side, side, C) surrogate.
 
     Offsets (u, v) are drawn independently per patch, jointly across
     channels, so color coherence is preserved. The input is unchanged.
     """
-    resolution = require_square(image)
-    grid = GridSpec(factor, resolution)
-    if image.label is None:
-        raise ValueError("image must carry a label to be sampled")
+    grid = GridSpec(factor, require_square(pixels))
     side, f = grid.side, grid.factor
     if f == 1:
-        return GpsSample(image.data.copy(), image.label, 1, resolution)
+        return pixels.copy()
     offsets = rng.integers(0, f, (2, side, side))
     rows = np.arange(side)[:, None] * f + offsets[0]
     cols = np.arange(side)[None, :] * f + offsets[1]
-    picked = image.data[rows, cols]
-    return GpsSample(np.ascontiguousarray(picked), image.label, f, resolution)
+    return pixels[rows, cols]
 
 
-def expected_surrogate(image: Image, factor: int) -> np.ndarray:
+def expected_surrogate(pixels: np.ndarray, factor: int) -> np.ndarray:
     """Per-patch mean raster: the expectation of gps_sample over its randomness.
 
     Returns a float64 side x side x C array; used as a statistical oracle.
     """
-    resolution = require_square(image)
-    grid = GridSpec(factor, resolution)
+    grid = GridSpec(factor, require_square(pixels))
     side, f = grid.side, grid.factor
-    covered = image.data[: side * f, : side * f].astype(np.float64)
-    return covered.reshape(side, f, side, f, image.channels).mean(axis=(1, 3))
+    covered = pixels[: side * f, : side * f].astype(np.float64)
+    return covered.reshape(side, f, side, f, pixels.shape[2]).mean(axis=(1, 3))

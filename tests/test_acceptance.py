@@ -8,6 +8,8 @@ and the no-buffer control ~0.20, so the sign test (7) and the 15-point gap
 (8) have wide margins.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -30,14 +32,19 @@ from gpsbench.imaging import (
     DOMAIN_MODEL_INIT,
     DOMAIN_TASK_SPLIT,
     GridSpec,
-    Image,
     Rng,
 )
-from gpsbench.sampler import GpsSample, gps_sample
+from gpsbench.sampler import gps_sample
 
 
-def random_image(rng, r, label=0):
-    return Image(rng.integers(0, 256, (r, r, 3)).astype(np.uint8), label=label)
+def random_image(rng, r):
+    return rng.integers(0, 256, (r, r, 3)).astype(np.uint8)
+
+
+def labeled_batch(rng, count, r, num_classes):
+    """(pixels, labels) of `count` random images labeled k % num_classes."""
+    pixels = np.stack([random_image(rng.split(k), r) for k in range(count)])
+    return pixels, np.arange(count) % num_classes
 
 
 def test_criterion_01_structural_laws():
@@ -50,7 +57,7 @@ def test_criterion_01_structural_laws():
                 continue
             img = random_image(root.split(0, f, r), r)
             s = gps_sample(img, f, root.split(1, f, r))
-            assert s.side == r // f
+            assert s.shape[:2] == (r // f, r // f)
 
     # patch membership of every sampled pixel
     for trial in range(10):
@@ -59,53 +66,44 @@ def test_criterion_01_structural_laws():
         img = random_image(root.split(4, trial), r)
         s = gps_sample(img, f, root.split(5, trial))
         g = GridSpec(f, r)
-        for i in range(s.side):
-            for j in range(s.side):
+        for i in range(g.side):
+            for j in range(g.side):
                 r0, r1, c0, c1 = g.patch_bounds(i, j)
-                patch = img.data[r0:r1, c0:c1].reshape(-1, 3)
-                assert any(np.array_equal(s.data[i, j], px) for px in patch)
+                patch = img[r0:r1, c0:c1].reshape(-1, 3)
+                assert any(np.array_equal(s[i, j], px) for px in patch)
 
     # f = 1 identity
     for trial in range(20):
         img = random_image(root.split(6, trial), 16)
         s = gps_sample(img, 1, root.split(7, trial))
-        np.testing.assert_array_equal(s.data, img.data)
+        np.testing.assert_array_equal(s, img)
 
     # grid_concat placement: constant quadrants land row-major
-    parts = [
-        GpsSample(np.full((2, 2, 3), v, dtype=np.uint8), label=0, factor=2,
-                  source_resolution=4)
-        for v in (10, 20, 30, 40)
-    ]
-    tiled = grid_concat(parts, 2).image.data
+    parts = [np.full((2, 2, 3), v, dtype=np.uint8) for v in (10, 20, 30, 40)]
+    tiled = grid_concat(parts, 2)
     assert (tiled[:2, :2] == 10).all() and (tiled[:2, 2:] == 20).all()
     assert (tiled[2:, :2] == 30).all() and (tiled[2:, 2:] == 40).all()
 
     # upsample repetition law
-    one = GpsSample(np.full((1, 1, 3), 9, dtype=np.uint8), label=0, factor=3,
-                    source_resolution=3)
-    assert (upsample(one).data == 9).all()
+    one = np.full((1, 1, 3), 9, dtype=np.uint8)
+    assert (upsample(one, 3) == 9).all()
     for trial in range(10):
         f = int(root.split(8, trial).integer(2, 5))
         side = int(root.split(9, trial).integer(1, 6))
-        y = GpsSample(
-            root.split(10, trial).integers(0, 256, (side, side, 3)).astype(np.uint8),
-            label=0, factor=f, source_resolution=side * f)
-        up = upsample(y).data
+        y = root.split(10, trial).integers(0, 256, (side, side, 3)).astype(np.uint8)
+        up = upsample(y, f)
         for i in range(side):
             for j in range(side):
-                assert (up[f * i:f * (i + 1), f * j:f * (j + 1)] == y.data[i, j]).all()
+                assert (up[f * i:f * (i + 1), f * j:f * (j + 1)] == y[i, j]).all()
 
     # round trip: gps_sample(upsample(y)) == y bit-exactly, 100 seeds per factor
     for f in (2, 3, 4):
         for seed in range(100):
             rng = root.split(11, f, seed)
             side = int(rng.integer(1, 9))
-            y = GpsSample(
-                rng.split(0).integers(0, 256, (side, side, 3)).astype(np.uint8),
-                label=1, factor=f, source_resolution=side * f)
-            again = gps_sample(upsample(y), f, rng.split(1))
-            np.testing.assert_array_equal(again.data, y.data)
+            y = rng.split(0).integers(0, 256, (side, side, 3)).astype(np.uint8)
+            again = gps_sample(upsample(y, f), f, rng.split(1))
+            np.testing.assert_array_equal(again, y)
 
 
 def test_criterion_02_budget_arithmetic():
@@ -118,21 +116,21 @@ def test_criterion_02_budget_arithmetic():
     # pixel budget honored under a 10^4-offer fuzz sequence
     buf = ReplayBuffer(budget, MODE_GPS, rng.split(2), factor=2)
     for k in range(10_000):
-        img = random_image(rng.split(3, k), 32, label=k % 9)
-        buf.offer(gps_sample(img, 2, rng.split(4, k)))
+        img = random_image(rng.split(3, k), 32)
+        buf.offer(gps_sample(img, 2, rng.split(4, k)), k % 9)
         assert buf.occupied_pixels <= budget.capacity_pixels
 
 
 def test_criterion_03_reservoir_statistics():
     m, n, trials = 10, 100, 10_000
     counts = np.zeros(n)
-    blank = Image(np.zeros((4, 4, 3), dtype=np.uint8), 0)
+    blank = np.zeros((4, 4, 3), dtype=np.uint8)
     for t in range(trials):
         buf = ReplayBuffer(PixelBudget(m, 4), MODE_FULL, Rng(t))
         for k in range(n):
-            buf.offer(blank.with_label(k))
-        for s in buf.slots:
-            counts[s.label] += 1
+            buf.offer(blank, k)
+        for label in buf.labels.tolist():
+            counts[label] += 1
     freq = counts / trials
     p = m / n
     se = np.sqrt(p * (1 - p) / trials)
@@ -144,27 +142,25 @@ def test_criterion_03_reservoir_statistics():
         buf = ReplayBuffer(PixelBudget(5, 8), MODE_GPS, rng.split(trial),
                            factor=2)
         for k in range(int(rng.split(trial, 0).integer(1, 150))):
-            img = random_image(rng.split(trial, 1, k), 8, label=k % 6)
-            buf.offer(gps_sample(img, 2, rng.split(trial, 2, k)))
+            img = random_image(rng.split(trial, 1, k), 8)
+            buf.offer(gps_sample(img, 2, rng.split(trial, 2, k)), k % 6)
         recomputed = {}
-        for slot, item in enumerate(buf.slots):
-            if item is not None:
-                recomputed.setdefault(item.label, []).append(slot)
-        assert {c: buf.indices_for_class(c) for c in buf.classes_present()} \
-            == recomputed
+        for slot, label in enumerate(buf.labels.tolist()):
+            if label >= 0:
+                recomputed.setdefault(label, []).append(slot)
+        assert {c: buf.indices_for_class(c).tolist()
+                for c in buf.classes_present()} == recomputed
 
 
 def _numeric_gradients(params, stream, replay, lam, eps):
     def loss(p):
-        X = L._to_matrix(p, stream)
+        X = L._to_matrix(p, stream[0])
         value = float(L._cross_entropy(
-            L._forward_matrix(p, X)[3],
-            np.array([im.label for im in stream])).mean())
-        if replay and lam != 0.0:
-            Xr = L._to_matrix(p, replay)
+            L._forward_matrix(p, X)[3], stream[1]).mean())
+        if replay is not None and lam != 0.0:
+            Xr = L._to_matrix(p, replay[0])
             value += lam * float(L._cross_entropy(
-                L._forward_matrix(p, Xr)[3],
-                np.array([im.label for im in replay])).mean())
+                L._forward_matrix(p, Xr)[3], replay[1]).mean())
         return value
 
     grads = {}
@@ -187,10 +183,8 @@ def test_criterion_04_gradient_correctness():
             rng = Rng(104)
             params = L.init_params(2, 3, 4, 3, 3, rng.split(1), dtype=dtype)
             params.b1 += dtype(0.05)
-            stream = [random_image(rng.split(2, k), 2, label=k % 3)
-                      for k in range(5)]
-            replay = [random_image(rng.split(3, k), 2, label=k % 3)
-                      for k in range(3)]
+            stream = labeled_batch(rng.split(2), 5, 2, 3)
+            replay = labeled_batch(rng.split(3), 3, 2, 3)
             stepped = params.copy()
             L.train_step(stepped, stream, replay, lam, 1.0)
             reference = params.copy()
@@ -209,12 +203,12 @@ def test_criterion_04_gradient_correctness():
 
     # lambda = 0 step is bit-identical to a stream-only step
     rng = Rng(105)
-    stream = [random_image(rng.split(0, k), 2, label=k % 2) for k in range(6)]
-    replay = [random_image(rng.split(1, k), 2, label=k % 2) for k in range(4)]
+    stream = labeled_batch(rng.split(0), 6, 2, 2)
+    replay = labeled_batch(rng.split(1), 4, 2, 2)
     a = L.init_params(2, 3, 8, 4, 2, rng.split(2))
     b = a.copy()
     L.train_step(a, stream, replay, 0.0, 0.1)
-    L.train_step(b, stream, [], 1.0, 0.1)
+    L.train_step(b, stream, None, 1.0, 0.1)
     for ta, tb in zip(a.tensors(), b.tensors()):
         np.testing.assert_array_equal(ta, tb)
 
@@ -225,15 +219,15 @@ def test_criterion_05_ncm_oracle_equivalence():
         params = L.init_params(8, 3, 16, 8, 4, rng.split(0))
         buf = ReplayBuffer(PixelBudget(4, 8), MODE_GPS, rng.split(1), factor=2)
         for k in range(100):
-            img = random_image(rng.split(2, k), 8, label=k % 4)
-            buf.offer(gps_sample(img, 2, rng.split(3, k)))
+            img = random_image(rng.split(2, k), 8)
+            buf.offer(gps_sample(img, 2, rng.split(3, k)), k % 4)
 
         protos = L.ncm_prototypes(params, buf)
         sums, counts = {}, {}
-        for item in buf.slots:
-            emb = L.embed_batch(params, [upsample(item)])[0].astype(np.float64)
-            sums[item.label] = sums.get(item.label, 0.0) + emb
-            counts[item.label] = counts.get(item.label, 0) + 1
+        for item, label in zip(buf.slab, buf.labels.tolist()):
+            emb = L.embed_batch(params, upsample(item, 2)[None])[0].astype(np.float64)
+            sums[label] = sums.get(label, 0.0) + emb
+            counts[label] = counts.get(label, 0) + 1
         assert sorted(p.label for p in protos) == sorted(sums)
         for p in protos:
             np.testing.assert_allclose(
@@ -241,10 +235,10 @@ def test_criterion_05_ncm_oracle_equivalence():
                 sums[p.label] / counts[p.label], atol=1e-6)
             assert p.support == counts[p.label]
 
-        queries = [random_image(rng.split(4, k), 8, label=0) for k in range(15)]
+        queries, _ = labeled_batch(rng.split(4), 15, 8, 1)
         preds = L.classify_batch(protos, params, queries)
         for q, pred in zip(queries, preds):
-            emb = L.embed_batch(params, [q])[0]
+            emb = L.embed_batch(params, q[None])[0]
             scan = [(float(((emb - p.mean_embedding) ** 2).sum()), p.label)
                     for p in protos]
             best = min(d for d, _ in scan)
@@ -255,7 +249,8 @@ def test_criterion_05_ncm_oracle_equivalence():
         L.Prototype(6, np.array([2.0, 0.0], dtype=np.float32), 1),
         L.Prototype(3, np.array([-2.0, 0.0], dtype=np.float32), 1),
     ]
-    assert L.classify_embedding(protos, np.zeros(2, dtype=np.float32)) == 3
+    query = np.zeros((1, 2), dtype=np.float32)
+    assert L.classify_embedding(protos, query).tolist() == [3]
 
 
 def test_criterion_06_metric_correctness():
@@ -328,24 +323,58 @@ def test_criterion_09_scope_exclusions_documented():
     assert "desk scale" in text or "desk-scale" in text
 
 
+CRITERION_10_CONFIG = (
+    "dataset = synthetic\n"
+    "synthetic_classes = 6\n"
+    "synthetic_resolution = 16\n"
+    "synthetic_train_per_class = 20\n"
+    "synthetic_test_per_class = 5\n"
+    "tasks = 3\n"
+    "classes_per_task = 2\n"
+    "budget_images = 8\n"
+    "stream_batch = 5\n"
+    "replay_batch = 16\n"
+    "seeds = 0,1\n"
+)
+
+
 def test_criterion_10_determinism(tmp_path):
     config = tmp_path / "exp.cfg"
-    config.write_text(
-        "dataset = synthetic\n"
-        "synthetic_classes = 6\n"
-        "synthetic_resolution = 16\n"
-        "synthetic_train_per_class = 20\n"
-        "synthetic_test_per_class = 5\n"
-        "tasks = 3\n"
-        "classes_per_task = 2\n"
-        "budget_images = 8\n"
-        "stream_batch = 5\n"
-        "replay_batch = 16\n"
-        "seeds = 0,1\n"
-    )
+    config.write_text(CRITERION_10_CONFIG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["run", "--config", str(config), "--out", str(out_a)]) == 0
     assert cli_main(["run", "--config", str(config), "--out", str(out_b)]) == 0
     for seed in (0, 1):
         name = f"seed_{seed}_matrix.csv"
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+# sha256 of the outputs of the criterion-10 config, recorded before the data
+# path moved from per-image objects to arrays. A change to any random stream
+# or to the arithmetic of a run shows up here and must update these on
+# purpose. The matrices are all 1.0 on this small config, so the buffer
+# report (per-class exemplar counts) pins the random streams as well.
+GOLDEN_SHA256 = {
+    "seed_0_matrix.csv": "b2ceac3c77174a5e272f223be10f0990cc6b5a0235e1e2640e812418aea667ed",
+    "seed_1_matrix.csv": "b2ceac3c77174a5e272f223be10f0990cc6b5a0235e1e2640e812418aea667ed",
+    "seed_0_buffer.gpsb": "346b93069f409f10fc7de36ffe48d0a6243be1860828d6f6fbbfa7493c29d3bd",
+    "seed_1_buffer.gpsb": "289a4d9a20b30d480aa5d4de38e90d567da9dd9c5f9f6a627b9dc2cb39a03014",
+}
+
+
+def test_golden_outputs_of_criterion_10_config(tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(CRITERION_10_CONFIG)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 0
+    got = {}
+    for name in GOLDEN_SHA256:
+        if name.endswith(".gpsb"):
+            # the snapshot format may change; its inspect-buffer report may not
+            capsys.readouterr()
+            assert cli_main(["inspect-buffer", str(out / name)]) == 0
+            data = capsys.readouterr().out.encode()
+        else:
+            data = (out / name).read_bytes()
+        got[name] = hashlib.sha256(data).hexdigest()
+    assert got == GOLDEN_SHA256

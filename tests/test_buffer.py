@@ -1,18 +1,20 @@
+import struct
+
 import numpy as np
 import pytest
 
 from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
 from gpsbench.errors import ConfigError, FormatError
-from gpsbench.imaging import Image, Rng
+from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample
 
 
-def full_image(rng, r=8, label=0):
-    return Image(rng.integers(0, 256, (r, r, 3)).astype(np.uint8), label=label)
+def full_image(rng, r=8):
+    return rng.integers(0, 256, (r, r, 3)).astype(np.uint8)
 
 
-def surrogate(rng, r=8, f=2, label=0):
-    return gps_sample(full_image(rng, r, label), f, rng.split(7))
+def surrogate(rng, r=8, f=2):
+    return gps_sample(full_image(rng, r), f, rng.split(7))
 
 
 class TestSlotArithmetic:
@@ -38,8 +40,7 @@ class TestSlotArithmetic:
         rng = Rng(1)
         buf = ReplayBuffer(budget, MODE_GPS, rng.split(0), factor=2, channels=3)
         for k in range(10_000):
-            item = surrogate(rng.split(1, k), r=32, f=2, label=k % 7)
-            buf.offer(item)
+            buf.offer(surrogate(rng.split(1, k), r=32, f=2), k % 7)
             assert buf.occupied_pixels <= budget.capacity_pixels
         assert buf.occupied_count == buf.slot_count
 
@@ -53,23 +54,24 @@ class TestReservoir:
         rng = Rng(2)
         buf = ReplayBuffer(PixelBudget(4, 8), MODE_FULL, rng.split(0))
         for k in range(4):
-            accepted, evicted = buf.offer(full_image(rng.split(k), label=k))
+            accepted, evicted = buf.offer(full_image(rng.split(k)), k)
             assert accepted and evicted is None
-        assert [s.label for s in buf.slots] == [0, 1, 2, 3]
+        assert buf.labels.tolist() == [0, 1, 2, 3]
 
     def test_rejection_keeps_slots(self):
         rng = Rng(3)
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
-        buf.offer(full_image(rng.split(1), label=0))
-        buf.offer(full_image(rng.split(2), label=1))
-        before = [s.label for s in buf.slots]
+        buf.offer(full_image(rng.split(1)), 0)
+        buf.offer(full_image(rng.split(2)), 1)
+        before = buf.slab.copy(), buf.labels.tolist()
         for k in range(20):
-            accepted, evicted = buf.offer(full_image(rng.split(3, k), label=5))
+            accepted, evicted = buf.offer(full_image(rng.split(3, k)), 5)
             if not accepted:
                 assert evicted is None
-                assert [s.label for s in buf.slots] == before
+                np.testing.assert_array_equal(buf.slab, before[0])
+                assert buf.labels.tolist() == before[1]
                 return
-            before = [s.label for s in buf.slots]
+            before = buf.slab.copy(), buf.labels.tolist()
 
     def test_inclusion_frequency_matches_reservoir_law(self):
         # m = 10 slots, n = 100 offers, 1e4 trials: every item retained with
@@ -77,14 +79,13 @@ class TestReservoir:
         # the label so survivors are identifiable
         m, n, trials = 10, 100, 10_000
         counts = np.zeros(n)
-        item = Image(np.zeros((4, 4, 3), dtype=np.uint8), 0)
+        item = np.zeros((4, 4, 3), dtype=np.uint8)
         for t in range(trials):
             buf = ReplayBuffer(PixelBudget(m, 4), MODE_FULL, Rng(t))
             for k in range(n):
-                buf.offer(item.with_label(k))
+                buf.offer(item, k)
             assert buf.occupied_count == m
-            for s in buf.slots:
-                counts[s.label] += 1
+            counts[buf.labels] += 1
         freq = counts / trials
         p = m / n
         se = np.sqrt(p * (1 - p) / trials)
@@ -96,7 +97,7 @@ class TestReservoir:
         rng = Rng(4)
         buf = ReplayBuffer(PixelBudget(3, 8), MODE_FULL, rng.split(0))
         for k in range(50):
-            buf.offer(full_image(rng.split(k), label=0))
+            buf.offer(full_image(rng.split(k)), 0)
         assert buf.seen_count == 50
 
 
@@ -105,40 +106,47 @@ class TestItemValidation:
         rng = Rng(5)
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
         with pytest.raises(ValueError):
-            buf.offer(surrogate(rng.split(1)))
+            buf.offer(surrogate(rng.split(1)), 0)
 
     def test_gps_mode_rejects_full_images(self):
         rng = Rng(6)
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_GPS, rng.split(0), factor=2)
         with pytest.raises(ValueError):
-            buf.offer(full_image(rng.split(1)))
+            buf.offer(full_image(rng.split(1)), 0)
 
     def test_gps_mode_rejects_factor_mismatch(self):
         rng = Rng(7)
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_GPS, rng.split(0), factor=2)
         with pytest.raises(ValueError):
-            buf.offer(surrogate(rng.split(1), r=8, f=4))
+            buf.offer(surrogate(rng.split(1), r=8, f=4), 0)
 
     def test_wrong_side_rejected(self):
         rng = Rng(8)
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
         with pytest.raises(ValueError):
-            buf.offer(full_image(rng.split(1), r=16))
+            buf.offer(full_image(rng.split(1), r=16), 0)
 
     def test_unlabeled_rejected(self):
+        # -1 is the empty-slot marker, so no exemplar may carry it
         rng = Rng(9)
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
         with pytest.raises(ValueError):
-            buf.offer(Image(np.zeros((8, 8, 3), dtype=np.uint8)))
+            buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), -1)
+
+    def test_non_uint8_rejected(self):
+        rng = Rng(12)
+        buf = ReplayBuffer(PixelBudget(2, 8), MODE_GPS, rng.split(0), factor=2)
+        with pytest.raises(ValueError, match="uint8"):
+            buf.offer(np.zeros((4, 4, 3), dtype=np.float64), 0)
 
 
 class TestClassIndex:
     def recompute(self, buf):
         index = {}
-        for slot, item in enumerate(buf.slots):
-            if item is not None:
-                index.setdefault(item.label, []).append(slot)
-        return {label: sorted(slots) for label, slots in index.items()}
+        for slot, label in enumerate(buf.labels.tolist()):
+            if label >= 0:
+                index.setdefault(label, []).append(slot)
+        return index
 
     def test_index_matches_recomputation_under_fuzz(self):
         rng = Rng(10)
@@ -148,22 +156,25 @@ class TestClassIndex:
             n_offers = int(rng.split(trial, 1).integer(1, 200))
             for k in range(n_offers):
                 label = int(rng.split(trial, 2, k).integer(0, 5))
-                buf.offer(surrogate(rng.split(trial, 3, k), label=label))
+                buf.offer(surrogate(rng.split(trial, 3, k)), label)
                 expected = self.recompute(buf)
-                got = {c: buf.indices_for_class(c) for c in buf.classes_present()}
+                got = {c: buf.indices_for_class(c).tolist()
+                       for c in buf.classes_present()}
                 assert got == expected
+                slots = {c: s.tolist() for c, s in buf.class_slots().items()}
+                assert slots == expected
 
     def test_class_counts(self):
         rng = Rng(11)
         buf = ReplayBuffer(PixelBudget(4, 8), MODE_FULL, rng.split(0))
         for label in (2, 2, 5, 7):
-            buf.offer(full_image(rng.split(label, buf.seen_count), label=label))
+            buf.offer(full_image(rng.split(label, buf.seen_count)), label)
         assert buf.class_counts() == {2: 2, 5: 1, 7: 1}
         assert buf.classes_present() == [2, 5, 7]
 
     def test_missing_class_returns_empty(self):
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, Rng(0))
-        assert buf.indices_for_class(3) == []
+        assert buf.indices_for_class(3).tolist() == []
 
 
 class TestSnapshot:
@@ -171,7 +182,7 @@ class TestSnapshot:
         rng = Rng(seed)
         buf = ReplayBuffer(PixelBudget(5, 8), MODE_GPS, rng.split(0), factor=2)
         for k in range(n_offers):
-            buf.offer(surrogate(rng.split(1, k), label=k % 4))
+            buf.offer(surrogate(rng.split(1, k)), k % 4)
         return buf, rng
 
     def test_round_trip_preserves_contents(self):
@@ -181,11 +192,8 @@ class TestSnapshot:
         assert restored.slot_count == buf.slot_count
         assert restored.seen_count == buf.seen_count
         assert restored.factor == buf.factor
-        for a, b in zip(buf.slots, restored.slots):
-            assert (a is None) == (b is None)
-            if a is not None:
-                assert a.label == b.label
-                np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(restored.labels, buf.labels)
+        np.testing.assert_array_equal(restored.slab, buf.slab)
         assert restored.class_counts() == buf.class_counts()
 
     def test_round_trip_preserves_future_decisions(self):
@@ -193,11 +201,11 @@ class TestSnapshot:
         buf, rng = self.fill(1)
         restored = ReplayBuffer.restore(buf.snapshot())
         for k in range(200):
-            item = surrogate(rng.split(2, k), label=k % 4)
-            a1, _ = buf.offer(item)
-            a2, _ = restored.offer(item)
+            item = surrogate(rng.split(2, k))
+            a1, _ = buf.offer(item, k % 4)
+            a2, _ = restored.offer(item, k % 4)
             assert a1 == a2
-        assert [s.label for s in buf.slots] == [s.label for s in restored.slots]
+        assert buf.labels.tolist() == restored.labels.tolist()
 
     def test_snapshot_of_restore_is_identical_bytes(self):
         buf, _ = self.fill(2)
@@ -207,11 +215,10 @@ class TestSnapshot:
     def test_partial_buffer_round_trip(self):
         rng = Rng(3)
         buf = ReplayBuffer(PixelBudget(5, 8), MODE_FULL, rng.split(0))
-        buf.offer(full_image(rng.split(1), label=2))
+        buf.offer(full_image(rng.split(1)), 2)
         restored = ReplayBuffer.restore(buf.snapshot())
         assert restored.occupied_count == 1
-        assert restored.slots[0].label == 2
-        assert all(s is None for s in restored.slots[1:])
+        assert restored.labels.tolist() == [2, -1, -1, -1, -1]
 
     def test_bad_magic(self):
         buf, _ = self.fill(4)
@@ -238,3 +245,43 @@ class TestSnapshot:
         buf, _ = self.fill(7)
         with pytest.raises(FormatError, match="trailing"):
             ReplayBuffer.restore(buf.snapshot() + b"\x00")
+
+    def test_layout_is_header_rng_labels_slab(self):
+        buf, _ = self.fill(8, n_offers=7)
+        blob = buf.snapshot()
+        rng_bytes = buf.rng.state_bytes()
+        header = struct.pack("<4sHBHIIBQ", b"GPSB", 2, 1, 2, 5, 8, 3, 7)
+        assert blob == (header + rng_bytes + buf.labels.astype("<i4").tobytes()
+                        + buf.slab.tobytes())
+
+    def patched(self, offset, fmt, value):
+        buf, _ = self.fill(9)
+        blob = bytearray(buf.snapshot())
+        struct.pack_into(fmt, blob, offset, value)
+        return bytes(blob)
+
+    def test_huge_image_count_rejected_before_allocating(self):
+        # header claims 2^31 budget images; the length check must fire first
+        with pytest.raises(FormatError, match="truncated"):
+            ReplayBuffer.restore(self.patched(9, "<I", 2 ** 31))
+
+    def test_factor_zero_is_format_error(self):
+        with pytest.raises(FormatError, match="factor"):
+            ReplayBuffer.restore(self.patched(7, "<H", 0))
+
+    def test_seven_channels_is_format_error(self):
+        with pytest.raises(FormatError, match="channel"):
+            ReplayBuffer.restore(self.patched(17, "<B", 7))
+
+    def test_version_1_blob_rejected_by_name(self):
+        with pytest.raises(FormatError, match="version 1"):
+            ReplayBuffer.restore(self.patched(4, "<H", 1))
+
+    def test_labels_must_match_seen_count(self):
+        # only 3 offers: slots 3.. must be empty (-1)
+        buf, _ = self.fill(10, n_offers=3)
+        blob = bytearray(buf.snapshot())
+        labels_at = 26 + len(buf.rng.state_bytes())
+        struct.pack_into("<i", blob, labels_at + 4 * 5, 1)
+        with pytest.raises(FormatError, match="seen count"):
+            ReplayBuffer.restore(bytes(blob))

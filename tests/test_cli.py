@@ -1,11 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from gpsbench.buffer import ReplayBuffer
 from gpsbench.cli import main
-from gpsbench.imaging import Image, Rng, load_ppm, save_ppm
+from gpsbench.imaging import Rng, load_ppm, save_ppm
 
 
 BASE_CONFIG = """\
@@ -137,17 +138,27 @@ class TestExitCodes:
         path.write_bytes(b"JUNKJUNKJUNK")
         assert run_cli("inspect-buffer", path) == 3
 
+    def test_hostile_snapshot_header_is_3(self, tmp_path, capsys):
+        # a 26-byte header claiming 2^31 budget images, and one claiming
+        # 7 channels: both are format errors, reported before any allocation
+        for image_count, channels in ((2 ** 31, 3), (8, 7)):
+            path = tmp_path / "hostile.gpsb"
+            path.write_bytes(struct.pack("<4sHBHIIBQ", b"GPSB", 2, 1, 2,
+                                         image_count, 16, channels, 0)
+                             + Rng(0).state_bytes())
+            assert run_cli("inspect-buffer", path) == 3
+            assert "error:" in capsys.readouterr().err
+
 
 class TestCompress:
     def test_writes_surrogate_ppm(self, tmp_path, capsys):
         rng = Rng(0)
         arr = rng.integers(0, 256, (32, 32, 3)).astype(np.uint8)
         src = tmp_path / "in.ppm"
-        save_ppm(src, Image(arr))
+        save_ppm(src, arr)
         dst = tmp_path / "out.ppm"
         assert run_cli("compress", src, "--factor", "2", "--out", dst) == 0
-        surrogate = load_ppm(dst)
-        assert surrogate.data.shape == (16, 16, 3)
+        assert load_ppm(dst).shape == (16, 16, 3)
         printed = capsys.readouterr().out
         assert "ratio=4" in printed
 
@@ -155,17 +166,17 @@ class TestCompress:
         rng = Rng(1)
         arr = rng.integers(0, 256, (83, 83, 3)).astype(np.uint8)
         src = tmp_path / "in.ppm"
-        save_ppm(src, Image(arr))
+        save_ppm(src, arr)
         dst = tmp_path / "out.ppm"
         assert run_cli("compress", src, "--factor", "2", "--out", dst) == 0
-        assert load_ppm(dst).data.shape == (41, 41, 3)
+        assert load_ppm(dst).shape == (41, 41, 3)
         assert "dropped_pixels=165" in capsys.readouterr().out
 
     def test_deterministic_per_seed(self, tmp_path):
         rng = Rng(2)
         arr = rng.integers(0, 256, (16, 16, 3)).astype(np.uint8)
         src = tmp_path / "in.ppm"
-        save_ppm(src, Image(arr))
+        save_ppm(src, arr)
         a, b, c = tmp_path / "a.ppm", tmp_path / "b.ppm", tmp_path / "c.ppm"
         run_cli("compress", src, "--seed", "5", "--out", a)
         run_cli("compress", src, "--seed", "5", "--out", b)
@@ -175,7 +186,7 @@ class TestCompress:
 
     def test_non_square_is_config_error(self, tmp_path):
         src = tmp_path / "in.ppm"
-        save_ppm(src, Image(np.zeros((4, 6, 3), dtype=np.uint8)))
+        save_ppm(src, np.zeros((4, 6, 3), dtype=np.uint8))
         assert run_cli("compress", src, "--out", tmp_path / "o.ppm") == 2
 
 
@@ -190,15 +201,13 @@ class TestReconstructAndInspect:
         snap = self.make_snapshot(tmp_path, config_file)
         dst = tmp_path / "recon.ppm"
         assert run_cli("reconstruct", snap, "--out", dst) == 0
-        img = load_ppm(dst)
-        assert img.data.shape == (16, 16, 3)
+        assert load_ppm(dst).shape == (16, 16, 3)
         assert "class=" in capsys.readouterr().out
 
     def test_reconstruct_specific_class(self, tmp_path, config_file, capsys):
         snap = self.make_snapshot(tmp_path, config_file)
         buf = ReplayBuffer.restore(snap.read_bytes())
-        target = next(c for c in buf.classes_present()
-                      if len(buf.indices_for_class(c)) >= 4)
+        target = next(c for c, n in buf.class_counts().items() if n >= 4)
         dst = tmp_path / "recon.ppm"
         assert run_cli("reconstruct", snap, "--class-id", target,
                        "--out", dst) == 0
@@ -254,7 +263,7 @@ class TestImageDirDataset:
             d.mkdir(parents=True)
             for k in range(per_class):
                 arr = rng.split(c, k).integers(0, 256, (r, r, 3)).astype(np.uint8)
-                save_ppm(d / f"{k:03d}.ppm", Image(arr))
+                save_ppm(d / f"{k:03d}.ppm", arr)
         return root
 
     def test_runs_from_directory(self, tmp_path):
@@ -279,11 +288,22 @@ class TestImageDirDataset:
         )
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
 
+    def test_mixed_image_sizes_is_2(self, tmp_path, capsys):
+        root = self.build_tree(tmp_path)
+        save_ppm(root / "1" / "999.ppm", np.zeros((16, 16, 3), dtype=np.uint8))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "dataset = image_dir\n"
+            f"image_dir = {root}\n"
+            "tasks = 3\nclasses_per_task = 1\nseeds = 0\n"
+        )
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "mixed image sizes" in capsys.readouterr().err
+
     def test_non_numeric_class_dir_is_2(self, tmp_path):
         root = tmp_path / "data"
         (root / "cats").mkdir(parents=True)
-        save_ppm(root / "cats" / "a.ppm",
-                 Image(np.zeros((8, 8, 3), dtype=np.uint8)))
+        save_ppm(root / "cats" / "a.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"dataset = image_dir\nimage_dir = {root}\n")
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2

@@ -4,8 +4,8 @@ import pytest
 from gpsbench.errors import ConfigError, FormatError
 from gpsbench.imaging import (
     GridSpec,
-    Image,
     Rng,
+    as_pixels,
     load_gpsi,
     load_ppm,
     require_square,
@@ -15,47 +15,39 @@ from gpsbench.imaging import (
 
 
 class TestImage:
-    def test_promotes_2d_to_single_channel(self):
-        img = Image(np.zeros((4, 6), dtype=np.uint8))
-        assert img.data.shape == (4, 6, 1)
-        assert (img.height, img.width, img.channels) == (4, 6, 1)
+    """Images are (H, W, C) uint8 arrays; `as_pixels` checks them at the edges."""
 
-    def test_pixel_count_ignores_channels(self):
-        img = Image(np.zeros((4, 6, 3), dtype=np.uint8))
-        assert img.pixel_count == 24
+    def test_promotes_2d_to_single_channel(self):
+        assert as_pixels(np.zeros((4, 6), dtype=np.uint8)).shape == (4, 6, 1)
 
     def test_accepts_int_array_in_range(self):
-        img = Image(np.array([[[0, 128, 255]]], dtype=np.int64), label=2)
-        assert img.data.dtype == np.uint8
-        assert img.label == 2
+        arr = as_pixels(np.array([[[0, 128, 255]]], dtype=np.int64))
+        assert arr.dtype == np.uint8
+        assert arr.tolist() == [[[0, 128, 255]]]
 
     def test_rejects_out_of_range_values(self):
         with pytest.raises(ValueError):
-            Image(np.array([[[300, 0, 0]]], dtype=np.int64))
+            as_pixels(np.array([[[300, 0, 0]]], dtype=np.int64))
         with pytest.raises(ValueError):
-            Image(np.array([[[-1.0, 0.0, 0.0]]]))
+            as_pixels(np.array([[[-1.0, 0.0, 0.0]]]))
+
+    def test_rejects_float_and_nan_instead_of_truncating(self):
+        for bad in ([[[1.7, 0.0, 0.0]]], [[[np.nan, 0.0, 0.0]]]):
+            with pytest.raises(ValueError, match="integers"):
+                as_pixels(np.array(bad))
 
     def test_rejects_bad_channel_count(self):
         with pytest.raises(ValueError):
-            Image(np.zeros((2, 2, 4), dtype=np.uint8))
-
-    def test_rejects_negative_label(self):
-        with pytest.raises(ValueError):
-            Image(np.zeros((2, 2, 3), dtype=np.uint8), label=-1)
-
-    def test_with_label_keeps_pixels(self):
-        img = Image(np.arange(12, dtype=np.uint8).reshape(2, 2, 3))
-        relabeled = img.with_label(7)
-        assert relabeled.label == 7
-        assert img.same_pixels(relabeled)
+            as_pixels(np.zeros((2, 2, 4), dtype=np.uint8))
 
     def test_is_square(self):
-        assert Image(np.zeros((3, 3, 1), dtype=np.uint8)).is_square()
-        assert not Image(np.zeros((3, 4, 1), dtype=np.uint8)).is_square()
+        assert require_square(np.zeros((3, 3, 1), dtype=np.uint8)) == 3
+        with pytest.raises(ConfigError):
+            require_square(np.zeros((3, 4, 1), dtype=np.uint8))
 
     def test_require_square_raises_config_error(self):
         with pytest.raises(ConfigError):
-            require_square(Image(np.zeros((3, 4, 1), dtype=np.uint8)))
+            require_square(np.zeros((3, 4, 1), dtype=np.uint8))
 
 
 class TestGridSpec:
@@ -174,25 +166,25 @@ class TestPpm:
         for k in range(10):
             arr = rng.integers(0, 256, (5 + k, 7, 3), dtype=np.uint8)
             path = tmp_path / f"img_{k}.ppm"
-            save_ppm(path, Image(arr))
+            save_ppm(path, arr)
             back = load_ppm(path)
-            np.testing.assert_array_equal(back.data, arr)
+            np.testing.assert_array_equal(back, arr)
 
     def test_canonical_header_bytes(self, tmp_path):
         arr = np.arange(12, dtype=np.uint8).reshape(2, 2, 3)
         path = tmp_path / "img.ppm"
-        save_ppm(path, Image(arr))
+        save_ppm(path, arr)
         raw = path.read_bytes()
         assert raw == b"P6\n2 2\n255\n" + arr.tobytes()
 
     def test_single_channel_saved_as_gray_rgb(self, tmp_path):
         arr = np.array([[[7]], [[9]]], dtype=np.uint8)
         path = tmp_path / "gray.ppm"
-        save_ppm(path, Image(arr))
+        save_ppm(path, arr)
         back = load_ppm(path)
-        assert back.channels == 3
-        np.testing.assert_array_equal(back.data[..., 0], back.data[..., 1])
-        np.testing.assert_array_equal(back.data[..., 0], arr[..., 0])
+        assert back.shape[2] == 3
+        np.testing.assert_array_equal(back[..., 0], back[..., 1])
+        np.testing.assert_array_equal(back[..., 0], arr[..., 0])
 
     def test_load_skips_comments_and_whitespace(self, tmp_path):
         payload = bytes(range(12))
@@ -200,14 +192,13 @@ class TestPpm:
         path = tmp_path / "c.ppm"
         path.write_bytes(raw)
         img = load_ppm(path)
-        assert (img.height, img.width) == (2, 2)
-        assert img.data.tobytes() == payload
+        assert img.shape[:2] == (2, 2)
+        assert img.tobytes() == payload
 
     def test_declared_2x2_needs_12_payload_bytes(self, tmp_path):
         path = tmp_path / "t.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
-        img = load_ppm(path)
-        assert (img.height, img.width, img.channels) == (2, 2, 3)
+        assert load_ppm(path).shape == (2, 2, 3)
 
     @pytest.mark.parametrize(
         "raw, fragment",
@@ -232,9 +223,9 @@ class TestGpsi:
         for c in (1, 3):
             arr = rng.integers(0, 256, (4, 6, c), dtype=np.uint8)
             path = tmp_path / f"x{c}.gpsi"
-            save_gpsi(path, Image(arr, label=3))
+            save_gpsi(path, arr)
             back = load_gpsi(path)
-            np.testing.assert_array_equal(back.data, arr)
+            np.testing.assert_array_equal(back, arr)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.gpsi"

@@ -5,27 +5,24 @@ import gpsbench.learner as L
 from gpsbench.assembly import upsample
 from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
 from gpsbench.errors import EmptyStateError, FormatError, NumericalError
-from gpsbench.imaging import Image, Rng
+from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample
 
 
 def tiny_images(rng, count, r=1, channels=3, num_classes=2):
-    out = []
-    for k in range(count):
-        data = rng.split(k).integers(0, 256, (r, r, channels)).astype(np.uint8)
-        out.append(Image(data, label=k % num_classes))
-    return out
+    """A labeled batch: (count, r, r, channels) pixels and labels k % num_classes."""
+    pixels = np.stack([rng.split(k).integers(0, 256, (r, r, channels)).astype(np.uint8)
+                       for k in range(count)])
+    return pixels, np.arange(count) % num_classes
 
 
 def combined_loss(params, stream, replay, lam):
-    X = L._to_matrix(params, stream)
-    ls = L._cross_entropy(L._forward_matrix(params, X)[3],
-                          np.array([im.label for im in stream]))
+    X = L._to_matrix(params, stream[0])
+    ls = L._cross_entropy(L._forward_matrix(params, X)[3], stream[1])
     total = float(ls.mean())
-    if replay and lam != 0.0:
-        Xr = L._to_matrix(params, replay)
-        lr = L._cross_entropy(L._forward_matrix(params, Xr)[3],
-                              np.array([im.label for im in replay]))
+    if replay is not None and lam != 0.0:
+        Xr = L._to_matrix(params, replay[0])
+        lr = L._cross_entropy(L._forward_matrix(params, Xr)[3], replay[1])
         total += lam * float(lr.mean())
     return total
 
@@ -109,7 +106,7 @@ class TestGradients:
         a = L.init_params(2, 3, 8, 4, 2, rng.split(1))
         b = a.copy()
         L.train_step(a, stream, replay, 0.0, 0.1)
-        L.train_step(b, stream, [], 1.0, 0.1)
+        L.train_step(b, stream, None, 1.0, 0.1)
         for ta, tb in zip(a.tensors(), b.tensors()):
             np.testing.assert_array_equal(ta, tb)
 
@@ -117,9 +114,9 @@ class TestGradients:
         rng = Rng(7)
         params = L.init_params(2, 3, 8, 4, 2, rng.split(1), dtype=np.float64)
         example = tiny_images(rng.split(2), 1, r=2)
-        before = combined_loss(params, example, [], 0.0)
-        L.train_step(params, example, [], 0.0, 1e-3)
-        after = combined_loss(params, example, [], 0.0)
+        before = combined_loss(params, example, None, 0.0)
+        L.train_step(params, example, None, 0.0, 1e-3)
+        after = combined_loss(params, example, None, 0.0)
         assert after < before
 
     def test_replay_contributes_when_weighted(self):
@@ -129,7 +126,7 @@ class TestGradients:
         a = L.init_params(2, 3, 8, 4, 2, rng.split(1))
         b = a.copy()
         L.train_step(a, stream, replay, 1.0, 0.1)
-        L.train_step(b, stream, [], 1.0, 0.1)
+        L.train_step(b, stream, None, 1.0, 0.1)
         assert any(
             not np.array_equal(ta, tb) for ta, tb in zip(a.tensors(), b.tensors())
         )
@@ -148,9 +145,9 @@ class TestGradients:
     def test_label_out_of_range_rejected(self):
         rng = Rng(10)
         params = L.init_params(2, 3, 8, 4, 2, rng.split(1))
-        bad = [Image(np.zeros((2, 2, 3), dtype=np.uint8), label=5)]
+        bad = np.zeros((1, 2, 2, 3), dtype=np.uint8), np.array([5])
         with pytest.raises(ValueError):
-            L.train_step(params, bad, [], 1.0, 0.1)
+            L.train_step(params, bad, None, 1.0, 0.1)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises_numerical_error(self):
@@ -159,9 +156,9 @@ class TestGradients:
         params.W1[0, 0] = np.inf
         stream = tiny_images(rng.split(2), 2, r=2)
         with pytest.raises(NumericalError):
-            L.train_step(params, stream, [], 1.0, 0.1, step=17)
+            L.train_step(params, stream, None, 1.0, 0.1, step=17)
         try:
-            L.train_step(params, stream, [], 1.0, 0.1, step=17)
+            L.train_step(params, stream, None, 1.0, 0.1, step=17)
         except NumericalError as exc:
             assert "17" in str(exc)
 
@@ -172,26 +169,25 @@ def filled_buffer(seed, mode=MODE_GPS, r=8, f=2, budget=4, classes=3,
     factor = f if mode == MODE_GPS else 1
     buf = ReplayBuffer(PixelBudget(budget, r), mode, rng.split(0), factor=factor)
     for k in range(offers):
-        img = Image(rng.split(1, k).integers(0, 256, (r, r, 3)).astype(np.uint8),
-                    label=k % classes)
+        img = rng.split(1, k).integers(0, 256, (r, r, 3)).astype(np.uint8)
         item = gps_sample(img, f, rng.split(2, k)) if mode == MODE_GPS else img
-        buf.offer(item)
+        buf.offer(item, k % classes)
     return buf
 
 
 def brute_force_prototypes(params, buf, normalize=False):
     sums, counts = {}, {}
-    for item in buf.slots:
-        if item is None:
+    for item, label in zip(buf.slab, buf.labels.tolist()):
+        if label < 0:
             continue
-        img = upsample(item) if buf.mode == MODE_GPS else item
-        emb = L.embed_batch(params, [img])[0].astype(np.float64)
+        img = upsample(item, buf.factor) if buf.mode == MODE_GPS else item
+        emb = L.embed_batch(params, img[None])[0].astype(np.float64)
         if normalize:
             norm = np.linalg.norm(emb)
             if norm > 0:
                 emb = emb / norm
-        sums[item.label] = sums.get(item.label, 0.0) + emb
-        counts[item.label] = counts.get(item.label, 0) + 1
+        sums[label] = sums.get(label, 0.0) + emb
+        counts[label] = counts.get(label, 0) + 1
     return {c: sums[c] / counts[c] for c in sums}, counts
 
 
@@ -228,10 +224,10 @@ class TestNcm:
             params = L.init_params(8, 3, 16, 8, 3, rng.split(1))
             buf = filled_buffer(seed)
             protos = L.ncm_prototypes(params, buf)
-            queries = tiny_images(rng.split(2), 20, r=8, num_classes=3)
+            queries, _ = tiny_images(rng.split(2), 20, r=8, num_classes=3)
             got = L.classify_batch(protos, params, queries)
             for q, pred in zip(queries, got):
-                emb = L.embed_batch(params, [q])[0]
+                emb = L.embed_batch(params, q[None])[0]
                 best, best_d = None, None
                 for p in sorted(protos, key=lambda p: p.label):
                     d = float(((emb - p.mean_embedding) ** 2).sum())
@@ -246,7 +242,8 @@ class TestNcm:
             L.Prototype(2, np.array([-1.0, 0, 0, 0], dtype=np.float32), 1),
         ]
         # query equidistant from both prototypes
-        assert L.classify_embedding(protos, np.zeros(emb_dim, dtype=np.float32)) == 2
+        query = np.zeros((1, emb_dim), dtype=np.float32)
+        assert L.classify_embedding(protos, query).tolist() == [2]
 
     def test_empty_buffer_raises(self):
         rng = Rng(400)
@@ -262,11 +259,11 @@ class TestNcm:
         rng = Rng(500)
         params = L.init_params(8, 3, 16, 8, 2, rng.split(1))
         buf = ReplayBuffer(PixelBudget(1, 8), MODE_GPS, rng.split(2), factor=2)
-        img = Image(rng.split(3).integers(0, 256, (8, 8, 3)).astype(np.uint8), 1)
+        img = rng.split(3).integers(0, 256, (8, 8, 3)).astype(np.uint8)
         s = gps_sample(img, 2, rng.split(4))
-        buf.offer(s)
+        buf.offer(s, 1)
         protos = L.ncm_prototypes(params, buf)
-        direct = L.embed_batch(params, [upsample(s)])[0]
+        direct = L.embed_batch(params, upsample(s, 2)[None])[0]
         np.testing.assert_allclose(protos[0].mean_embedding, direct, atol=1e-6)
 
 
@@ -274,7 +271,7 @@ class TestSoftmaxHead:
     def test_predicts_argmax_logit(self):
         rng = Rng(600)
         params = L.init_params(4, 3, 8, 4, 3, rng.split(1))
-        images = tiny_images(rng.split(2), 10, r=4, num_classes=3)
+        images, _ = tiny_images(rng.split(2), 10, r=4, num_classes=3)
         preds = L.softmax_classify_batch(params, images)
         logits = L.logits_batch(params, images)
         np.testing.assert_array_equal(preds, logits.argmax(axis=1))
@@ -301,7 +298,7 @@ class TestCheckpoint:
     def test_forward_agrees_after_reload(self, tmp_path):
         rng = Rng(701)
         params = L.init_params(4, 3, 8, 4, 5, rng.split(1))
-        images = tiny_images(rng.split(2), 6, r=4, num_classes=5)
+        images, _ = tiny_images(rng.split(2), 6, r=4, num_classes=5)
         path = tmp_path / "model.gpsm"
         L.save_params(path, params)
         back = L.load_params(path)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from gpsbench.errors import ConfigError
-from gpsbench.imaging import GridSpec, Image, Rng
-from gpsbench.sampler import GpsSample, expected_surrogate, gps_sample
+from gpsbench.imaging import GridSpec, Rng
+from gpsbench.sampler import expected_surrogate, gps_sample
 
 
-def random_image(rng, r, channels=3, label=0):
-    data = rng.integers(0, 256, (r, r, channels)).astype(np.uint8)
-    return Image(data, label=label)
+def random_image(rng, r, channels=3):
+    return rng.integers(0, 256, (r, r, channels)).astype(np.uint8)
 
 
 class TestShapeLaw:
@@ -18,15 +17,14 @@ class TestShapeLaw:
             for r in range(8, 65, 7):
                 img = random_image(rng.split(f, r), r)
                 s = gps_sample(img, f, rng.split(f, r, 1))
-                assert s.side == r // f
-                assert s.data.shape == (r // f, r // f, 3)
+                assert s.shape == (r // f, r // f, 3)
 
     def test_pixel_count_shrinks_by_factor_squared(self):
         rng = Rng(1)
         img = random_image(rng, 32)
         s = gps_sample(img, 4, rng.split(1))
-        assert s.pixel_count == 8 * 8
-        assert img.pixel_count == s.pixel_count * 16
+        assert s.shape[0] * s.shape[1] == 8 * 8
+        assert img.shape[0] * img.shape[1] == 8 * 8 * 16
 
 
 class TestMembership:
@@ -38,12 +36,12 @@ class TestMembership:
             img = random_image(rng.split(trial, 2), r)
             s = gps_sample(img, f, rng.split(trial, 3))
             g = GridSpec(f, r)
-            for i in range(s.side):
-                for j in range(s.side):
+            for i in range(g.side):
+                for j in range(g.side):
                     r0, r1, c0, c1 = g.patch_bounds(i, j)
-                    patch = img.data[r0:r1, c0:c1].reshape(-1, 3)
+                    patch = img[r0:r1, c0:c1].reshape(-1, 3)
                     assert any(
-                        np.array_equal(s.data[i, j], px) for px in patch
+                        np.array_equal(s[i, j], px) for px in patch
                     ), f"pixel ({i},{j}) not from patch"
 
     def test_channels_sampled_jointly(self):
@@ -53,9 +51,9 @@ class TestMembership:
         r, f = 8, 2
         pos = np.arange(r * r, dtype=np.uint8).reshape(r, r)
         data = np.stack([pos, pos, pos], axis=-1)
-        s = gps_sample(Image(data, 0), f, rng)
-        np.testing.assert_array_equal(s.data[..., 0], s.data[..., 1])
-        np.testing.assert_array_equal(s.data[..., 0], s.data[..., 2])
+        s = gps_sample(data, f, rng)
+        np.testing.assert_array_equal(s[..., 0], s[..., 1])
+        np.testing.assert_array_equal(s[..., 0], s[..., 2])
 
 
 class TestIdentityAndEdges:
@@ -64,35 +62,25 @@ class TestIdentityAndEdges:
         for trial in range(20):
             img = random_image(rng.split(trial), 16)
             s = gps_sample(img, 1, rng.split(trial, 1))
-            np.testing.assert_array_equal(s.data, img.data)
+            np.testing.assert_array_equal(s, img)
 
     def test_factor_equal_resolution_gives_one_pixel(self):
         rng = Rng(5)
         img = random_image(rng, 6)
         s = gps_sample(img, 6, rng.split(1))
-        assert s.data.shape == (1, 1, 3)
+        assert s.shape == (1, 1, 3)
 
     def test_non_square_rejected(self):
         data = np.zeros((4, 6, 3), dtype=np.uint8)
         with pytest.raises(ConfigError):
-            gps_sample(Image(data, 0), 2, Rng(0))
-
-    def test_unlabeled_image_rejected(self):
-        img = Image(np.zeros((4, 4, 3), dtype=np.uint8))
-        with pytest.raises(ValueError):
-            gps_sample(img, 2, Rng(0))
-
-    def test_label_carried_through(self):
-        rng = Rng(6)
-        s = gps_sample(random_image(rng, 8, label=9), 2, rng.split(1))
-        assert s.label == 9
+            gps_sample(data, 2, Rng(0))
 
     def test_floor_semantics_drop_margin(self):
         # 83x83 at f=2 -> 41x41 surrogate from the 82x82 covered region
         rng = Rng(7)
         img = random_image(rng, 83)
         s = gps_sample(img, 2, rng.split(1))
-        assert s.side == 41
+        assert s.shape[:2] == (41, 41)
 
 
 class TestDistribution:
@@ -100,12 +88,12 @@ class TestDistribution:
         # one 2x2 patch, value = position id; each position ~ 1/4
         counts = np.zeros(4)
         ids = np.array([[0, 1], [2, 3]], dtype=np.uint8)
-        img = Image(np.stack([ids] * 3, axis=-1), 0)
+        img = np.stack([ids] * 3, axis=-1)
         n = 4000
         root = Rng(8)
         for k in range(n):
             s = gps_sample(img, 2, root.split(k))
-            counts[s.data[0, 0, 0]] += 1
+            counts[s[0, 0, 0]] += 1
         freq = counts / n
         se = np.sqrt(0.25 * 0.75 / n)
         assert np.all(np.abs(freq - 0.25) < 4 * se)
@@ -114,13 +102,13 @@ class TestDistribution:
         # two patches; joint frequency of (position a, position b) factorizes
         ids = np.array([[0, 1, 0, 1], [2, 3, 2, 3]], dtype=np.uint8)
         ids = np.vstack([ids, ids + 0])  # 4x4, two patch rows alike
-        img = Image(np.stack([ids] * 3, axis=-1), 0)
+        img = np.stack([ids] * 3, axis=-1)
         root = Rng(9)
         n = 3000
         joint = np.zeros((4, 4))
         for k in range(n):
             s = gps_sample(img, 2, root.split(k))
-            joint[s.data[0, 0, 0], s.data[0, 1, 0]] += 1
+            joint[s[0, 0, 0], s[0, 1, 0]] += 1
         joint /= n
         marg_a = joint.sum(axis=1)
         marg_b = joint.sum(axis=0)
@@ -133,7 +121,7 @@ class TestDistribution:
         total = np.zeros_like(target)
         n = 2000
         for k in range(n):
-            total += gps_sample(img, 2, rng.split(1, k)).data
+            total += gps_sample(img, 2, rng.split(1, k))
         np.testing.assert_allclose(total / n, target, atol=4.0)
 
 
@@ -142,24 +130,11 @@ class TestDeterminism:
         img = random_image(Rng(11), 32)
         a = gps_sample(img, 2, Rng(42).split(5))
         b = gps_sample(img, 2, Rng(42).split(5))
-        np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(a, b)
 
     def test_different_rng_usually_differs(self):
         img = random_image(Rng(12), 32)
         a = gps_sample(img, 2, Rng(1))
         b = gps_sample(img, 2, Rng(2))
-        assert not np.array_equal(a.data, b.data)
+        assert not np.array_equal(a, b)
 
-
-class TestGpsSampleType:
-    def test_side_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            GpsSample(np.zeros((3, 3, 3), dtype=np.uint8), label=0, factor=2,
-                      source_resolution=4)
-
-    def test_to_image_round_trips_pixels(self):
-        rng = Rng(13)
-        s = gps_sample(random_image(rng, 8, label=4), 2, rng.split(1))
-        img = s.to_image()
-        np.testing.assert_array_equal(img.data, s.data)
-        assert img.label == 4
