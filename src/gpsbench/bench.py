@@ -26,7 +26,6 @@ CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
 HEAD_NCM = "ncm"
 HEAD_SOFTMAX = "softmax"
 HEADS = (HEAD_NCM, HEAD_SOFTMAX)
-REPLAY_UNITS = ("samples", "images")
 
 
 def _check(ok, message):
@@ -249,9 +248,7 @@ class OnlineConfig:
     """Knobs of one single-pass run (seed-independent; pass the Rng separately)."""
 
     stream_batch: int = 10
-    replay_batch: int = 100
-    replay_units: str = "samples"  # or "images": whether replay_batch counts
-    # stored exemplars or finished replay images
+    replay_batch: int = 100  # stored exemplars; a gps replay image uses factor^2
     learning_rate: float = 0.1
     replay_weight: float = 1.0
     head: str = HEAD_NCM
@@ -260,8 +257,6 @@ class OnlineConfig:
     def __post_init__(self):
         _check(self.stream_batch >= 1, f"stream_batch must be >= 1, got {self.stream_batch}")
         _check(self.replay_batch >= 0, f"replay_batch must be >= 0, got {self.replay_batch}")
-        _check(self.replay_units in REPLAY_UNITS,
-               f"replay_units must be one of {REPLAY_UNITS}, got {self.replay_units!r}")
         lr, weight = self.learning_rate, self.replay_weight
         _check(math.isfinite(lr) and lr > 0, f"learning_rate must be finite and > 0, got {lr}")
         _check(math.isfinite(weight), f"replay_weight must be finite, got {weight}")
@@ -271,7 +266,6 @@ class OnlineConfig:
 @dataclass
 class RunResult:
     matrix: AccuracyMatrix
-    visit_counts: np.ndarray
     offer_count: int
     step_count: int
     final_params: L.ModelParams = None
@@ -283,9 +277,7 @@ def _replay_batch(buf, cfg, replay_rng):
     if buf is None or cfg.replay_batch == 0:
         return None
     if buf.mode == MODE_GPS:
-        groups = cfg.replay_batch
-        if cfg.replay_units == "samples":
-            groups //= buf.factor ** 2
+        groups = cfg.replay_batch // buf.factor ** 2
         if groups == 0:
             return None
         groups = draw_replay_batch(buf, groups, replay_rng)
@@ -331,9 +323,8 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
             f"for replay training"
         )
     matrix = AccuracyMatrix(stream.task_count)
-    visits = np.zeros(stream.stream_length, dtype=np.int64)
     replay_rng = rng.split(DOMAIN_REPLAY)
-    result = RunResult(matrix, visits, 0, 0, params, buf)
+    result = RunResult(matrix, 0, 0, params, buf)
     position = 0
     for t, task in enumerate(stream.train_tasks):
         for start in range(0, len(task), cfg.stream_batch):
@@ -348,7 +339,6 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
                 raise
             result.step_count += 1
             for i in batch:
-                visits[position] += 1
                 if buf is not None:
                     pixels = ds.train_pixels[i]
                     if buf.mode == MODE_GPS:

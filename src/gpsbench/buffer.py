@@ -177,6 +177,8 @@ class ReplayBuffer:
         if mode_code not in _MODE_NAMES:
             raise FormatError(f"unknown mode code {mode_code}")
         mode = _MODE_NAMES[mode_code]
+        if mode == MODE_FULL and factor != 1:
+            raise FormatError(f"full-mode snapshot has factor {factor}, expected 1")
         try:
             budget = PixelBudget(image_count, resolution)
             factor, side, slot_count = _geometry(budget, mode, factor, channels)

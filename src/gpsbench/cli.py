@@ -159,18 +159,20 @@ def _summary_stats(a_ends):
     return mean, std
 
 
-def _execute_runs(config: ExperimentConfig, threads: int):
-    """All seeds of one config, optionally in a process pool; order preserved."""
+def _execute_runs(config: ExperimentConfig, workers: int):
+    """All seeds of one config in order, optionally in a process pool, which
+    starts all its workers up front and so gets at most one per seed."""
     seeds = list(config.seeds)
-    if threads > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+    workers = min(workers, len(seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(run_one_seed, [config] * len(seeds), seeds))
     return [run_one_seed(config, s) for s in seeds]
 
 
-def cmd_run(config: ExperimentConfig, out_dir: Path, threads: int = 1) -> int:
+def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = _execute_runs(config, threads)
+    records = _execute_runs(config, workers)
     for record in records:
         _write_matrix_csvs(out_dir, record)
     ok = [r for r in records if r["status"] == "ok"]
@@ -229,7 +231,7 @@ def _sweep_point(config: ExperimentConfig, axis_field: str, raw_value: str):
 
 
 def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: Path,
-              threads: int = 1) -> int:
+              workers: int = 1) -> int:
     axis_key = axis.strip().lower()
     if axis_key not in _SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}: expected f, K, or mode")
@@ -242,7 +244,7 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
         point_config, value = _sweep_point(config, axis_field, raw)
         point_dir = out_dir / f"{axis_field}_{value}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        records = _execute_runs(point_config, threads)
+        records = _execute_runs(point_config, workers)
         for record in records:
             _write_matrix_csvs(point_dir, record)
         bad = [r for r in records if r["status"] != "ok"]
@@ -328,7 +330,7 @@ def _build_parser():
     p_run.add_argument("--seed", type=int, default=None,
                        help="override the config's seed list with one seed")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--threads", type=int, default=1,
+    p_run.add_argument("--workers", type=int, default=1,
                        help="worker processes across seeds")
 
     p_sweep = sub.add_parser("sweep", help="run one config over an axis of values")
@@ -337,7 +339,8 @@ def _build_parser():
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 1,2,4")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--threads", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes across seeds")
 
     p_comp = sub.add_parser("compress", help="compress one PPM image into a surrogate")
     p_comp.add_argument("input", help="square binary PPM file")
@@ -358,17 +361,19 @@ def _build_parser():
 
 
 def _dispatch(args) -> int:
+    if args.command in ("run", "sweep") and args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.command == "run":
         config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, seeds=(args.seed,)).validate()
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
-        return cmd_run(config, out_dir, threads=args.threads)
+        return cmd_run(config, out_dir, workers=args.workers)
     if args.command == "sweep":
         config = load_config(args.config)
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         values = [v for v in args.values.split(",") if v.strip()]
-        return cmd_sweep(config, args.axis, values, out_dir, threads=args.threads)
+        return cmd_sweep(config, args.axis, values, out_dir, workers=args.workers)
     if args.command == "compress":
         return cmd_compress(args.input, args.factor, args.seed, args.out)
     if args.command == "reconstruct":

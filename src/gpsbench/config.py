@@ -46,7 +46,7 @@ class ExperimentConfig:
     # training
     stream_batch: int = 10
     replay_batch: int = 100
-    replay_units: str = "samples"
+    replay_units: str = "samples"  # replay_batch counts stored exemplars
     learning_rate: float = 0.1
     replay_weight: float = 1.0
     hidden_units: int = 128
@@ -75,7 +75,6 @@ class ExperimentConfig:
         return OnlineConfig(
             stream_batch=self.stream_batch,
             replay_batch=self.replay_batch,
-            replay_units=self.replay_units,
             learning_rate=self.learning_rate,
             replay_weight=self.replay_weight,
             head=self.head,
@@ -109,6 +108,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.buffer_mode not in BUFFER_MODES:
             raise ConfigError(f"buffer_mode must be one of {BUFFER_MODES}, got {self.buffer_mode!r}")
+        if self.replay_units != "samples":
+            raise ConfigError(f"replay_units must be 'samples', got {self.replay_units!r}")
+        if self.buffer_mode == "gps" and 0 < self.replay_batch < self.factor ** 2:
+            raise ConfigError(f"replay_batch {self.replay_batch} < factor^2 would replay "
+                              f"nothing in gps mode; use 0 or >= {self.factor ** 2}")
         if self.head == HEAD_NCM and self.buffer_mode == "none":
             raise ConfigError("head = ncm requires a buffer; set head = softmax or enable a buffer")
         if not self.seeds:

@@ -15,8 +15,6 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 
-GPSI_MAGIC = b"GPSI"
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -158,15 +156,19 @@ class Rng:
             pos += 8
         except (struct.error, ValueError) as exc:
             raise FormatError(f"truncated rng state: {exc}") from exc
-        rng = cls(seed, spawn)
-        rng._bitgen.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": counter, "key": key},
-            "buffer": buf,
-            "buffer_pos": buffer_pos,
-            "has_uint32": has_uint32,
-            "uinteger": uinteger,
-        }
+        # numpy rejects a negative seed and out-of-range state fields itself
+        try:
+            rng = cls(seed, spawn)
+            rng._bitgen.state = {
+                "bit_generator": "Philox",
+                "state": {"counter": counter, "key": key},
+                "buffer": buf,
+                "buffer_pos": buffer_pos,
+                "has_uint32": has_uint32,
+                "uinteger": uinteger,
+            }
+        except (ValueError, OverflowError) as exc:
+            raise FormatError(f"invalid rng state: {exc}") from None
         return rng, pos - offset
 
 
@@ -263,31 +265,4 @@ def save_ppm(path, pixels):
     header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(arr.tobytes())
-
-
-# --- raw tensor container for fixtures ---
-
-
-def load_gpsi(path):
-    """Read the raw fixture container: 'GPSI', u32 LE height/width/channels, payload."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != GPSI_MAGIC:
-        raise FormatError(f"bad magic {data[:4]!r}: expected {GPSI_MAGIC!r}")
-    if len(data) < 16:
-        raise FormatError("truncated header: need 16 bytes")
-    height, width, channels = struct.unpack_from("<III", data, 4)
-    expected = height * width * channels
-    payload = data[16:]
-    if len(payload) != expected:
-        raise FormatError(f"truncated payload: expected {expected} bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
-
-
-def save_gpsi(path, pixels):
-    arr = as_pixels(pixels)
-    with open(path, "wb") as fh:
-        fh.write(GPSI_MAGIC)
-        fh.write(struct.pack("<III", *arr.shape))
         fh.write(arr.tobytes())

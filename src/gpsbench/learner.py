@@ -12,6 +12,7 @@ Batches are (n, side, side, C) uint8 pixel arrays; a labeled batch is a
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -282,14 +283,17 @@ def load_params(path) -> ModelParams:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}: expected {CHECKPOINT_MAGIC!r}")
     if len(blob) < 24:
         raise FormatError("truncated checkpoint header")
-    side, channels, hidden, embed, classes = struct.unpack_from("<5I", blob, 4)
+    dims = struct.unpack_from("<5I", blob, 4)
+    if min(dims) < 1:
+        raise FormatError(f"checkpoint dimensions must be >= 1, got {dims}")
+    side, channels, hidden, embed, classes = dims
     input_dim = side * side * channels
     shapes = [(input_dim, hidden), (hidden,), (hidden, embed), (embed,),
               (embed, classes), (classes,)]
     pos = 24
     tensors = []
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # exact: np.prod wraps around int64
         if pos + 4 * count > len(blob):
             raise FormatError("truncated checkpoint tensors")
         tensors.append(np.frombuffer(blob, dtype="<f4", count=count, offset=pos)

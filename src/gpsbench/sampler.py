@@ -27,14 +27,3 @@ def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
     rows = np.arange(side)[:, None] * f + offsets[0]
     cols = np.arange(side)[None, :] * f + offsets[1]
     return pixels[rows, cols]
-
-
-def expected_surrogate(pixels: np.ndarray, factor: int) -> np.ndarray:
-    """Per-patch mean raster: the expectation of gps_sample over its randomness.
-
-    Returns a float64 side x side x C array; used as a statistical oracle.
-    """
-    grid = GridSpec(factor, require_square(pixels))
-    side, f = grid.side, grid.factor
-    covered = pixels[: side * f, : side * f].astype(np.float64)
-    return covered.reshape(side, f, side, f, pixels.shape[2]).mean(axis=(1, 3))

@@ -233,11 +233,6 @@ def small_run(seed=0, mode=MODE_GPS, head="ncm", factor=2, replay_batch=16,
 
 
 class TestRunOnline:
-    def test_single_pass_visits_every_item_once(self):
-        result, stream = small_run()
-        assert result.visit_counts.shape == (stream.stream_length,)
-        assert (result.visit_counts == 1).all()
-
     def test_buffer_holds_stream_items_with_their_labels(self):
         result, stream = small_run(seed=11, mode=MODE_FULL, factor=1, head="softmax")
         ds, buf = stream.dataset, result.buffer
@@ -312,8 +307,6 @@ class TestOnlineConfig:
             OnlineConfig(replay_batch=-1)
         with pytest.raises(ConfigError):
             OnlineConfig(head="other")
-        with pytest.raises(ConfigError):
-            OnlineConfig(replay_units="bogus")
 
     def test_non_finite_floats_rejected(self):
         for bad in (float("nan"), float("inf")):
@@ -363,6 +356,21 @@ class TestExperimentConfig:
         cfg = parse_config("buffer_mode = none\nhead = ncm\n")
         with pytest.raises(ConfigError):
             cfg.validate()
+
+    def test_replay_units_accepts_only_samples(self):
+        assert parse_config("replay_units = samples\n").validate() is not None
+        for units in ("images", "bogus"):
+            with pytest.raises(ConfigError, match="replay_units"):
+                parse_config(f"replay_units = {units}\n").validate()
+
+    def test_gps_replay_below_one_group_rejected(self):
+        # factor 2: a tiled replay image takes 4 samples, so 1..3 replay nothing
+        for batch in (1, 3):
+            with pytest.raises(ConfigError, match="replay nothing"):
+                parse_config(f"factor = 2\nreplay_batch = {batch}\n").validate()
+        for text in ("factor = 2\nreplay_batch = 0\n", "factor = 2\nreplay_batch = 4\n",
+                     "buffer_mode = full\nfactor = 2\nreplay_batch = 1\n"):
+            assert parse_config(text).validate() is not None
 
     def test_validate_ok_on_defaults(self):
         assert ExperimentConfig().validate() is not None

@@ -269,6 +269,14 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="factor"):
             ReplayBuffer.restore(self.patched(7, "<H", 0))
 
+    def test_full_mode_factor_must_be_one(self):
+        # a full-mode buffer ignores its factor, so a restore that accepted
+        # factor 2 would write a different snapshot back
+        blob = bytearray(ReplayBuffer(PixelBudget(2, 4), MODE_FULL, Rng(0)).snapshot())
+        struct.pack_into("<H", blob, 7, 2)
+        with pytest.raises(FormatError, match="factor 2"):
+            ReplayBuffer.restore(bytes(blob))
+
     def test_seven_channels_is_format_error(self):
         with pytest.raises(FormatError, match="channel"):
             ReplayBuffer.restore(self.patched(17, "<B", 7))

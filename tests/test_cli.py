@@ -106,8 +106,36 @@ class TestRunCommand:
     def test_threaded_run_identical_to_serial(self, tmp_path, config_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         run_cli("run", "--config", config_file, "--out", out_a)
-        run_cli("run", "--config", config_file, "--out", out_b, "--threads", "2")
+        run_cli("run", "--config", config_file, "--out", out_b, "--workers", "2")
         assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+
+    def test_pool_gets_at_most_one_worker_per_seed(self, tmp_path, config_file,
+                                                   monkeypatch):
+        # a stand-in pool records its size and runs the seeds in this process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("gpsbench.cli.ProcessPoolExecutor", RecordingPool)
+        assert run_cli("run", "--config", config_file, "--out", tmp_path / "a",
+                       "--workers", "8") == 0
+        assert run_cli("run", "--config", config_file, "--out", tmp_path / "b",
+                       "--workers", "8", "--seed", "3") == 0
+        assert run_cli("sweep", "--config", config_file, "--axis", "f", "--values", "2",
+                       "--out", tmp_path / "c", "--workers", "2") == 0
+        # two seeds: two workers, not eight; one seed runs without a pool
+        assert sizes == [2, 2]
 
     def test_buffer_snapshot_restores(self, tmp_path, config_file):
         out = tmp_path / "out"
@@ -133,6 +161,19 @@ class TestExitCodes:
         path.write_text("who = knows\n")
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
 
+    def test_workers_below_one_is_2(self, tmp_path, config_file, capsys):
+        for command in (("run",), ("sweep", "--axis", "f", "--values", "2")):
+            assert run_cli(*command, "--config", config_file, "--out", tmp_path / "o",
+                           "--workers", "0") == 2
+            assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gps_config_that_replays_nothing_is_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("replay_batch = 16", "replay_batch = 3"))
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert "replay nothing" in capsys.readouterr().err
+
     def test_malformed_snapshot_is_3(self, tmp_path):
         path = tmp_path / "junk.gpsb"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -148,6 +189,24 @@ class TestExitCodes:
                              + Rng(0).state_bytes())
             assert run_cli("inspect-buffer", path) == 3
             assert "error:" in capsys.readouterr().err
+
+    def test_hostile_snapshot_rng_state_is_3(self, tmp_path, config_file, capsys):
+        # a negative rng seed and a cached uint32 of 2^32 both pass the length
+        # checks and are rejected by numpy; they must still be format errors
+        out = tmp_path / "out"
+        run_cli("run", "--config", config_file, "--out", out)
+        blob = (out / "seed_0_buffer.gpsb").read_bytes()
+        capsys.readouterr()
+        rng_at = 26
+        key_count = struct.unpack_from("<I", blob, rng_at + 8)[0]
+        uinteger_at = rng_at + 12 + 4 * key_count + 32 + 16 + 32 + 8
+        for offset, fmt, value in ((rng_at, "<q", -1), (uinteger_at, "<Q", 2 ** 32)):
+            hostile = bytearray(blob)
+            struct.pack_into(fmt, hostile, offset, value)
+            path = tmp_path / "hostile.gpsb"
+            path.write_bytes(bytes(hostile))
+            assert run_cli("inspect-buffer", path) == 3
+            assert "invalid rng state" in capsys.readouterr().err
 
 
 class TestCompress:

@@ -6,10 +6,8 @@ from gpsbench.imaging import (
     GridSpec,
     Rng,
     as_pixels,
-    load_gpsi,
     load_ppm,
     require_square,
-    save_gpsi,
     save_ppm,
 )
 
@@ -216,27 +214,3 @@ class TestPpm:
         with pytest.raises(FormatError, match=fragment):
             load_ppm(path)
 
-
-class TestGpsi:
-    def test_round_trip_any_channel_count(self, tmp_path):
-        rng = np.random.default_rng(1)
-        for c in (1, 3):
-            arr = rng.integers(0, 256, (4, 6, c), dtype=np.uint8)
-            path = tmp_path / f"x{c}.gpsi"
-            save_gpsi(path, arr)
-            back = load_gpsi(path)
-            np.testing.assert_array_equal(back, arr)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.gpsi"
-        path.write_bytes(b"NOPE" + bytes(12))
-        with pytest.raises(FormatError):
-            load_gpsi(path)
-
-    def test_truncated_payload(self, tmp_path):
-        import struct
-
-        path = tmp_path / "short.gpsi"
-        path.write_bytes(b"GPSI" + struct.pack("<III", 2, 2, 3) + bytes(5))
-        with pytest.raises(FormatError):
-            load_gpsi(path)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,15 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(FormatError):
             L.load_params(path)
+
+    def test_hostile_header_dimensions_rejected(self, tmp_path):
+        # W1 of (2^34, 2^30) floats: 2^64, which np.prod wraps to 0 in int64;
+        # zero hidden units: an empty (2^72, 0) W1, which numpy cannot shape
+        path = tmp_path / "hostile.gpsm"
+        for dims in ((2 ** 17, 1, 2 ** 30, 1, 1), (2 ** 24, 2 ** 24, 0, 3, 4)):
+            path.write_bytes(L.CHECKPOINT_MAGIC + struct.pack("<5I", *dims))
+            with pytest.raises(FormatError):
+                L.load_params(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         rng = Rng(703)

@@ -1,0 +1,177 @@
+"""Property tests: every external input parses or fails with its documented error.
+
+Hostile inputs are derived from valid files by overwriting, cutting,
+inserting and deleting bytes (lines, for config text). Binary formats must
+raise FormatError (exit 3) and config text ConfigError (exit 2); no raw
+numpy or struct exception may escape. Hypothesis runs derandomized with a
+bounded example count, so the suite stays deterministic and fast.
+"""
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import gpsbench.learner as L
+from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.config import ExperimentConfig, parse_config, serialize_config
+from gpsbench.errors import ConfigError, FormatError
+from gpsbench.imaging import Rng, load_ppm, save_ppm
+
+BOUNDED = settings(derandomize=True, database=None, max_examples=200, deadline=None,
+                   suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+# Edge values written into header fields (reduced modulo the field width).
+EDGE_VALUES = [0, 1, 2, 3, 7, 255, 2 ** 15, 2 ** 31, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1]
+
+
+@st.composite
+def mutated(draw, valid_blobs, fields=()):
+    """A valid blob with one kind of damage: header fields set to edge values,
+    a few bytes overwritten, or a cut, insertion or deletion.
+
+    `fields` lists the (offset, width) of little-endian header integers.
+    Byte positions favour bytes 4 to 63, where the headers are.
+    """
+    blob = bytearray(draw(st.sampled_from(valid_blobs)))
+    position = st.one_of(st.integers(4, 63), st.integers(0, len(blob) - 1))
+    at = min(draw(position), len(blob))
+    kinds = (["field"] if fields else []) + ["bytes", "cut", "insert", "delete"]
+    edit = draw(st.sampled_from(kinds))
+    if edit == "field":
+        for offset, width in draw(st.lists(st.sampled_from(fields), min_size=1, max_size=2)):
+            value = draw(st.sampled_from(EDGE_VALUES)) % 2 ** (8 * width)
+            blob[offset : offset + width] = value.to_bytes(width, "little")
+    elif edit == "bytes":
+        for _ in range(draw(st.integers(1, 3))):
+            blob[min(draw(position), len(blob) - 1)] = draw(st.integers(0, 255))
+    elif edit == "cut":
+        del blob[at:]
+    elif edit == "insert":
+        blob[at:at] = draw(st.binary(min_size=1, max_size=8))
+    elif edit == "delete":
+        del blob[at : at + draw(st.integers(1, 8))]
+    return bytes(blob)
+
+
+def _snapshots():
+    """A full gps-mode buffer and a partly filled full-mode one."""
+    rng = Rng(0)
+    out = []
+    for mode, factor, offers in ((MODE_GPS, 2, 40), (MODE_FULL, 1, 1)):
+        buf = ReplayBuffer(PixelBudget(2, 4), mode, rng.split(len(out)), factor=factor)
+        side = buf.exemplar_side
+        for k in range(offers):
+            pixels = rng.split(9, len(out), k).integers(0, 256, (side, side, 3))
+            buf.offer(pixels.astype(np.uint8), k % 3)
+        out.append(buf.snapshot())
+    return out
+
+
+SNAPSHOTS = _snapshots()
+
+
+# version, mode, factor, image count, resolution, channels, seen count; then
+# the rng seed, its key count and its cached uint32
+SNAPSHOT_FIELDS = [(4, 2), (6, 1), (7, 2), (9, 4), (13, 4), (17, 1), (18, 8),
+                   (26, 8), (34, 4)]
+# side, channels, hidden, embedding and class counts
+CHECKPOINT_FIELDS = [(offset, 4) for offset in range(4, 24, 4)]
+
+
+def with_edge_values(valid, fields):
+    """Every copy of `valid` that has one field set to one edge value."""
+    for offset, width in fields:
+        for value in EDGE_VALUES:
+            blob = bytearray(valid)
+            blob[offset : offset + width] = (value % 2 ** (8 * width)).to_bytes(width, "little")
+            yield bytes(blob)
+
+
+def check_snapshot(blob):
+    try:
+        buf = ReplayBuffer.restore(blob)
+    except FormatError:
+        return
+    assert buf.snapshot() == blob
+
+
+def check_checkpoint(path, blob):
+    path.write_bytes(blob)
+    try:
+        params = L.load_params(path)
+    except FormatError:
+        return
+    L.save_params(path, params)
+    assert path.read_bytes() == blob
+
+
+def checkpoint_bytes(tmp_path):
+    path = tmp_path / "valid.gpsm"
+    L.save_params(path, L.init_params(2, 3, 4, 3, 3, Rng(1)))
+    return path.read_bytes()
+
+
+def test_snapshot_header_edge_values():
+    for valid in SNAPSHOTS:
+        for blob in with_edge_values(valid, SNAPSHOT_FIELDS):
+            check_snapshot(blob)
+
+
+@BOUNDED
+@given(mutated(SNAPSHOTS, SNAPSHOT_FIELDS))
+def test_snapshot_restores_exactly_or_is_format_error(blob):
+    check_snapshot(blob)
+
+
+def test_checkpoint_header_edge_values(tmp_path):
+    for blob in with_edge_values(checkpoint_bytes(tmp_path), CHECKPOINT_FIELDS):
+        check_checkpoint(tmp_path / "model.gpsm", blob)
+
+
+@BOUNDED
+@given(data=st.data())
+def test_checkpoint_loads_exactly_or_is_format_error(tmp_path, data):
+    blob = data.draw(mutated([checkpoint_bytes(tmp_path)], CHECKPOINT_FIELDS))
+    check_checkpoint(tmp_path / "model.gpsm", blob)
+
+
+PPM = (b"P6\n# a comment\n3 2\n255\n"
+       + np.arange(18, dtype=np.uint8).tobytes())
+
+
+@BOUNDED
+@given(mutated([PPM, b"P6 1 1 255 " + bytes(3)]))
+def test_ppm_loads_or_is_format_error(tmp_path, blob):
+    path = tmp_path / "image.ppm"
+    path.write_bytes(blob)
+    try:
+        pixels = load_ppm(path)
+    except FormatError:
+        return
+    assert pixels.dtype == np.uint8 and pixels.ndim == 3 and pixels.shape[2] == 3
+    save_ppm(path, pixels)
+    np.testing.assert_array_equal(load_ppm(path), pixels)
+
+
+VALID_LINES = serialize_config(ExperimentConfig()).splitlines()
+KEYS = [line.split(" = ")[0] for line in VALID_LINES]
+VALUES = ["0", "1", "-1", "3", "2.5", "nan", "inf", "-inf", "1e999", "true", "no", "",
+          "0,1", "1,,2", "samples", "images", "gps", "full", "none", "ncm", "softmax",
+          "synthetic", "cifar100", "image_dir", "# only a comment"]
+LINES = st.one_of(
+    st.sampled_from(VALID_LINES),
+    st.builds(lambda k, v: f"{k} = {v}", st.sampled_from(KEYS + ["bogus"]),
+              st.one_of(st.sampled_from(VALUES), st.text(max_size=8))),
+    st.text(max_size=16),
+)
+
+
+@BOUNDED
+@given(st.lists(LINES, max_size=12))
+def test_config_text_validates_or_is_config_error(lines):
+    try:
+        config = parse_config("\n".join(lines)).validate()
+    except ConfigError:
+        return
+    assert parse_config(serialize_config(config)) == config

@@ -3,11 +3,19 @@ import pytest
 
 from gpsbench.errors import ConfigError
 from gpsbench.imaging import GridSpec, Rng
-from gpsbench.sampler import expected_surrogate, gps_sample
+from gpsbench.sampler import gps_sample
 
 
 def random_image(rng, r, channels=3):
     return rng.integers(0, 256, (r, r, channels)).astype(np.uint8)
+
+
+def expected_surrogate(pixels, factor):
+    """Per-patch mean raster as float64: the expectation of gps_sample."""
+    grid = GridSpec(factor, pixels.shape[0])
+    side, f = grid.side, grid.factor
+    covered = pixels[: side * f, : side * f].astype(np.float64)
+    return covered.reshape(side, f, side, f, pixels.shape[2]).mean(axis=(1, 3))
 
 
 class TestShapeLaw:
