@@ -2,9 +2,10 @@
 
 A class-incremental stream is an ordered list of tasks with disjoint class
 sets; the runner visits every stream item exactly once, mixes each incoming
-mini-batch with a replay batch, trains, then compresses and offers the
-incoming items to the buffer. After each task it fills one row of the
-accuracy matrix by evaluating on all test sets seen so far.
+mini-batch with a replay batch, trains, then compresses the mini-batch with
+one sampling draw and offers its items to the buffer one by one. After each
+task it fills one row of the accuracy matrix by evaluating on all test sets
+seen so far.
 """
 
 from __future__ import annotations
@@ -277,10 +278,7 @@ def _replay_batch(buf, cfg, replay_rng):
     if buf is None or cfg.replay_batch == 0:
         return None
     if buf.mode == MODE_GPS:
-        groups = cfg.replay_batch // buf.factor ** 2
-        if groups == 0:
-            return None
-        groups = draw_replay_batch(buf, groups, replay_rng)
+        groups = draw_replay_batch(buf, cfg.replay_batch // buf.factor ** 2, replay_rng)
         return grid_concat(buf.slab[groups], buf.factor), buf.labels[groups[:, 0]]
     occupied = buf.occupied_indices
     if not len(occupied):
@@ -311,41 +309,42 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
     """Single pass over the task stream; returns the accuracy matrix and counters.
 
     Per mini-batch: draw replay, take one SGD step on stream + replay, then
-    compress (gps mode) and offer each incoming image. On a numerical
-    failure the partial result is attached to the raised error.
+    (gps mode) compress the whole mini-batch with one `gps_sample` call on
+    `rng.split(DOMAIN_STREAM, step)`, and offer its images in stream order,
+    one reservoir draw each. On a numerical failure the partial result is
+    attached to the raised error.
     """
     ds = stream.dataset
     if cfg.head == HEAD_NCM and buf is None:
         raise ConfigError("ncm head requires a replay buffer; use head=softmax")
-    if buf is not None and buf.mode == MODE_GPS and buf.budget.resolution % buf.factor:
-        raise ConfigError(
-            f"factor {buf.factor} must divide resolution {buf.budget.resolution} "
-            f"for replay training"
-        )
+    if buf is not None and buf.mode == MODE_GPS:
+        f, resolution = buf.factor, buf.budget.resolution
+        _check(resolution % f == 0,
+               f"factor {f} must divide resolution {resolution} for replay training")
+        _check(not 0 < cfg.replay_batch < f * f, f"replay_batch {cfg.replay_batch} < "
+               f"factor^2 would replay nothing in gps mode; use 0 or >= {f * f}")
     matrix = AccuracyMatrix(stream.task_count)
     replay_rng = rng.split(DOMAIN_REPLAY)
     result = RunResult(matrix, 0, 0, params, buf)
-    position = 0
     for t, task in enumerate(stream.train_tasks):
         for start in range(0, len(task), cfg.stream_batch):
             batch = task[start : start + cfg.stream_batch]
+            pixels, labels = ds.train_pixels[batch], ds.train_labels[batch]
             replay = _replay_batch(buf, cfg, replay_rng)
+            step = result.step_count
             try:
-                L.train_step(params, (ds.train_pixels[batch], ds.train_labels[batch]),
-                             replay, cfg.replay_weight, cfg.learning_rate,
-                             step=result.step_count)
+                L.train_step(params, (pixels, labels), replay, cfg.replay_weight,
+                             cfg.learning_rate, step=step)
             except NumericalError as exc:
                 exc.partial_result = result
                 raise
             result.step_count += 1
-            for i in batch:
-                if buf is not None:
-                    pixels = ds.train_pixels[i]
-                    if buf.mode == MODE_GPS:
-                        pixels = gps_sample(pixels, buf.factor,
-                                            rng.split(DOMAIN_STREAM, position))
-                    buf.offer(pixels, ds.train_labels[i])
-                    result.offer_count += 1
-                position += 1
+            if buf is None:
+                continue
+            if buf.mode == MODE_GPS:
+                pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
+            for item, label in zip(pixels, labels):
+                buf.offer(item, label)
+            result.offer_count += len(batch)
         _evaluate_row(matrix, t, stream, params, buf, cfg)
     return result

@@ -87,7 +87,7 @@ class Rng:
         self._gen = np.random.Generator(self._bitgen)
 
     def split(self, *path):
-        """Child generator for the given purpose path, e.g. split(DOMAIN_STREAM, n)."""
+        """Child generator for the given purpose path, e.g. split(DOMAIN_STREAM, step)."""
         return Rng(self.seed, self.spawn_key + tuple(int(p) for p in path))
 
     def integer(self, low, high):
@@ -199,8 +199,8 @@ def as_pixels(data):
 
 
 def require_square(pixels):
-    """Raise ConfigError unless the (H, W, C) image is square; returns its side length."""
-    height, width = pixels.shape[:2]
+    """Raise ConfigError unless (..., H, W, C) images are square; returns their side length."""
+    height, width = pixels.shape[-3:-1]
     if height != width:
         raise ConfigError(f"input must be square, got {height}x{width}")
     return height
@@ -240,9 +240,11 @@ def load_ppm(path):
     for name in ("width", "height", "maxval"):
         try:
             tok, pos = _read_ppm_token(data, pos)
-            fields.append(int(tok))
+            if not tok.isdigit():  # int() alone would also take "+1", "0_1" and "-0"
+                raise ValueError(tok)
+            fields.append(int(tok))  # ValueError beyond int()'s 4,300-digit limit
         except ValueError:
-            raise FormatError(f"malformed header: {name} is not an integer") from None
+            raise FormatError(f"malformed header: {name} is not a decimal integer") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise FormatError(f"malformed header: non-positive dimensions {width}x{height}")

@@ -14,16 +14,21 @@ from .imaging import GridSpec, Rng, require_square
 
 
 def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
-    """Sample one pixel per grid patch of an (r, r, C) image into a (side, side, C) surrogate.
+    """Sample one pixel per grid patch of (..., r, r, C) images into (..., side, side, C) surrogates.
 
-    Offsets (u, v) are drawn independently per patch, jointly across
-    channels, so color coherence is preserved. The input is unchanged.
+    Offsets (u, v) are drawn independently per image and patch, jointly
+    across channels, so color coherence is preserved. A whole batch takes
+    one (..., 2, side, side) draw, so a single (r, r, C) image draws
+    (2, side, side). The input is unchanged.
     """
     grid = GridSpec(factor, require_square(pixels))
     side, f = grid.side, grid.factor
     if f == 1:
         return pixels.copy()
-    offsets = rng.integers(0, f, (2, side, side))
-    rows = np.arange(side)[:, None] * f + offsets[0]
-    cols = np.arange(side)[None, :] * f + offsets[1]
-    return pixels[rows, cols]
+    lead = pixels.shape[:-3]
+    offsets = rng.integers(0, f, (*lead, 2, side, side)).reshape(-1, 2, side, side)
+    rows = np.arange(side)[:, None] * f + offsets[:, 0]
+    cols = np.arange(side)[None, :] * f + offsets[:, 1]
+    images = np.arange(len(offsets))[:, None, None]
+    flat = pixels.reshape(-1, *pixels.shape[-3:])
+    return flat[images, rows, cols].reshape(*lead, side, side, pixels.shape[-1])

@@ -22,9 +22,11 @@ from gpsbench.imaging import (
     DOMAIN_BUFFER,
     DOMAIN_DATA,
     DOMAIN_MODEL_INIT,
+    DOMAIN_STREAM,
     DOMAIN_TASK_SPLIT,
     Rng,
 )
+from gpsbench.sampler import gps_sample
 
 
 class TestSynthetic:
@@ -215,8 +217,9 @@ class TestAccuracyMatrix:
             assert average_end_accuracy(m) == pytest.approx(expected, abs=1e-12)
 
 
-def small_run(seed=0, mode=MODE_GPS, head="ncm", factor=2, replay_batch=16,
-              replay_weight=1.0, classes=4, tasks=2):
+def small_setup(seed=0, mode=MODE_GPS, head="ncm", factor=2, replay_batch=16,
+                replay_weight=1.0, classes=4, tasks=2, budget_images=4):
+    """(stream, params, buffer, config, root rng) of a small run_online call."""
     root = Rng(seed)
     spec = SyntheticSpec(num_classes=classes, resolution=8, train_per_class=10,
                          test_per_class=4)
@@ -225,10 +228,15 @@ def small_run(seed=0, mode=MODE_GPS, head="ncm", factor=2, replay_batch=16,
     params = L.init_params(8, 3, 16, 8, classes, root.split(DOMAIN_MODEL_INIT))
     buf = None
     if mode != "none":
-        buf = ReplayBuffer(PixelBudget(4, 8), mode, root.split(DOMAIN_BUFFER),
+        buf = ReplayBuffer(PixelBudget(budget_images, 8), mode, root.split(DOMAIN_BUFFER),
                            factor=factor if mode == MODE_GPS else 1)
     cfg = OnlineConfig(stream_batch=5, replay_batch=replay_batch,
                        replay_weight=replay_weight, head=head)
+    return stream, params, buf, cfg, root
+
+
+def small_run(**kwargs):
+    stream, params, buf, cfg, root = small_setup(**kwargs)
     return run_online(stream, params, buf, cfg, root), stream
 
 
@@ -281,6 +289,45 @@ class TestRunOnline:
     def test_factor_must_divide_resolution(self):
         with pytest.raises(ConfigError):
             small_run(seed=9, factor=3)
+
+    def test_gps_replay_below_one_group_rejected(self):
+        # factor 2: a replay batch of 1 to 3 samples fills no 4-sample group
+        for replay_batch in (1, 3):
+            with pytest.raises(ConfigError, match="replay_batch"):
+                small_run(seed=12, replay_batch=replay_batch)
+        for replay_batch in (0, 4):
+            result, _ = small_run(seed=12, replay_batch=replay_batch)
+            assert result.matrix.final_row_complete
+
+    def test_buffer_holds_one_batched_draw_per_step(self):
+        # 10 images of budget at factor 2 give 40 slots for 40 stream items,
+        # so nothing is evicted and slot k holds stream item k
+        result, stream = small_run(seed=13, budget_images=10)
+        ds, buf = stream.dataset, result.buffer
+        batches = [task[start : start + 5] for task in stream.train_tasks
+                   for start in range(0, len(task), 5)]
+        assert result.step_count == len(batches) == 8
+        expected = np.concatenate([
+            gps_sample(ds.train_pixels[batch], 2, Rng(13).split(DOMAIN_STREAM, step))
+            for step, batch in enumerate(batches)
+        ])
+        assert buf.seen_count == buf.slot_count == len(expected)
+        np.testing.assert_array_equal(buf.slab, expected)
+        np.testing.assert_array_equal(buf.labels, ds.train_labels[np.concatenate(batches)])
+
+    def test_rng_splits_grow_with_steps_not_items(self, monkeypatch):
+        stream, params, buf, cfg, root = small_setup(seed=14)
+        calls = []
+        split = Rng.split
+
+        def counting_split(self, *path):
+            calls.append(path)
+            return split(self, *path)
+
+        monkeypatch.setattr(Rng, "split", counting_split)
+        result = run_online(stream, params, buf, cfg, root)
+        assert stream.stream_length == 5 * result.step_count == 40
+        assert len(calls) <= result.step_count + 2
 
     def test_zero_replay_weight_matches_no_replay_draw(self):
         # lambda = 0 must leave the model exactly as a run that never draws

@@ -214,3 +214,15 @@ class TestPpm:
         with pytest.raises(FormatError, match=fragment):
             load_ppm(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [b"+1 1 255", b"0_1 1 255", b"1 1 2_55", b"1 -0 255", b"1 1 +255",
+         "\u0661 1 255".encode(), "1 \uff11 255".encode(),
+         pytest.param(b"1 1 " + b"0" * 5000 + b"255", id="5003-digit maxval")],
+    )
+    def test_header_numbers_are_ascii_decimal_digits(self, tmp_path, header):
+        path = tmp_path / "bad.ppm"
+        path.write_bytes(b"P6\n" + header + b"\n" + bytes(3))
+        with pytest.raises(FormatError, match="decimal integer"):
+            load_ppm(path)
+

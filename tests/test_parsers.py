@@ -8,6 +8,7 @@ bounded example count, so the suite stays deterministic and fast.
 """
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -152,6 +153,28 @@ def test_ppm_loads_or_is_format_error(tmp_path, blob):
     assert pixels.dtype == np.uint8 and pixels.ndim == 3 and pixels.shape[2] == 3
     save_ppm(path, pixels)
     np.testing.assert_array_equal(load_ppm(path), pixels)
+
+
+def header_token(raw):
+    """`raw` without the bytes that end a PPM header token: bytes.isspace() and '#'."""
+    return bytes(c for c in raw if c not in b" \t\n\v\f\r#")
+
+
+DIGITS = st.text("0123456789", max_size=3).map(str.encode)
+JUNK = st.one_of(st.binary(min_size=1, max_size=4), st.text(min_size=1, max_size=2).map(str.encode))
+NON_DIGIT_TOKENS = st.builds(lambda a, b, c: header_token(a + b + c), DIGITS, JUNK, DIGITS).filter(
+    lambda token: token and not token.isdigit())
+
+
+@BOUNDED
+@given(st.integers(0, 2), NON_DIGIT_TOKENS)
+def test_ppm_non_digit_header_token_is_format_error(tmp_path, field, token):
+    tokens = [b"1", b"1", b"255"]
+    tokens[field] = token
+    path = tmp_path / "image.ppm"
+    path.write_bytes(b"P6\n" + b" ".join(tokens) + b"\n" + bytes(3))
+    with pytest.raises(FormatError, match="decimal integer"):
+        load_ppm(path)
 
 
 VALID_LINES = serialize_config(ExperimentConfig()).splitlines()

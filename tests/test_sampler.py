@@ -10,6 +10,10 @@ def random_image(rng, r, channels=3):
     return rng.integers(0, 256, (r, r, channels)).astype(np.uint8)
 
 
+def random_batch(rng, n, r):
+    return rng.integers(0, 256, (n, r, r, 3)).astype(np.uint8)
+
+
 def expected_surrogate(pixels, factor):
     """Per-patch mean raster as float64: the expectation of gps_sample."""
     grid = GridSpec(factor, pixels.shape[0])
@@ -133,7 +137,65 @@ class TestDistribution:
         np.testing.assert_allclose(total / n, target, atol=4.0)
 
 
+class TestBatch:
+    def test_each_item_samples_its_own_patches(self):
+        rng = Rng(13)
+        for trial in range(10):
+            f = int(rng.split(trial).integer(2, 5))
+            r = f * int(rng.split(trial, 1).integer(2, 6)) + trial % 2
+            batch = random_batch(rng.split(trial, 2), 5, r)
+            before = batch.copy()
+            s = gps_sample(batch, f, rng.split(trial, 3))
+            np.testing.assert_array_equal(batch, before)
+            g = GridSpec(f, r)
+            assert s.shape == (5, g.side, g.side, 3)
+            for n in range(5):
+                for i in range(g.side):
+                    for j in range(g.side):
+                        r0, r1, c0, c1 = g.patch_bounds(i, j)
+                        patch = batch[n, r0:r1, c0:c1].reshape(-1, 3)
+                        assert (patch == s[n, i, j]).all(axis=1).any(), (n, i, j)
+
+    def test_channels_sampled_jointly_per_item(self):
+        # every pixel of the batch holds its own position id in every channel
+        pos = np.arange(4 * 8 * 8, dtype=np.uint8).reshape(4, 8, 8)
+        data = np.stack([pos, pos, pos], axis=-1)
+        s = gps_sample(data, 2, Rng(14))
+        np.testing.assert_array_equal(s[..., 0], s[..., 1])
+        np.testing.assert_array_equal(s[..., 0], s[..., 2])
+
+    def test_factor_one_is_identity_on_a_batch(self):
+        batch = random_batch(Rng(15), 4, 6)
+        s = gps_sample(batch, 1, Rng(16))
+        np.testing.assert_array_equal(s, batch)
+        assert s is not batch
+
+    def test_items_of_one_batch_draw_independently(self):
+        # two items of one batch; joint frequency of their positions factorizes
+        ids = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+        batch = np.stack([np.stack([ids] * 3, axis=-1)] * 2)
+        root = Rng(17)
+        n = 3000
+        joint = np.zeros((4, 4))
+        for k in range(n):
+            s = gps_sample(batch, 2, root.split(k))
+            joint[s[0, 0, 0, 0], s[1, 0, 0, 0]] += 1
+        joint /= n
+        marg_a = joint.sum(axis=1)
+        marg_b = joint.sum(axis=0)
+        np.testing.assert_allclose(joint, np.outer(marg_a, marg_b), atol=0.05)
+        np.testing.assert_allclose(marg_a, 0.25, atol=0.05)
+
+
 class TestDeterminism:
+    def test_single_image_draw_is_pinned(self):
+        # the surrogate of `gps compress` and of every single-image caller
+        img = np.arange(8 * 8 * 3, dtype=np.uint8).reshape(8, 8, 3)
+        s = gps_sample(img, 2, Rng(42).split(5))
+        picked = np.array([[3, 6, 15, 42], [51, 57, 60, 90],
+                           [96, 105, 135, 117], [147, 174, 180, 165]], dtype=np.uint8)
+        np.testing.assert_array_equal(s, picked[..., None] + np.arange(3, dtype=np.uint8))
+
     def test_same_rng_same_surrogate(self):
         img = random_image(Rng(11), 32)
         a = gps_sample(img, 2, Rng(42).split(5))
