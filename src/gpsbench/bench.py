@@ -152,6 +152,7 @@ class SyntheticSpec:
         for name in ("num_classes", "resolution", "train_per_class", "test_per_class"):
             value = getattr(self, name)
             _check(value >= 1, f"{name} must be >= 1, got {value}")
+        _check(self.pattern_seed >= 0, f"pattern_seed must be >= 0, got {self.pattern_seed}")
         _check(self.channels in (1, 3), f"channels must be 1 or 3, got {self.channels}")
         noise, contrast = self.noise_amplitude, self.pattern_contrast
         _check(math.isfinite(noise) and noise >= 0,
@@ -184,18 +185,33 @@ def class_pattern(spec: SyntheticSpec, label) -> np.ndarray:
     return np.clip(np.stack(channels, axis=-1), 0.0, 255.0)
 
 
+# float64 noise values per draw (256 KB); an image larger than this is one draw.
+_NOISE_CHUNK_VALUES = 1 << 15
+
+
 def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
     """Seeded noisy samples around each class pattern; train/test drawn separately."""
     patterns = [class_pattern(spec, c) for c in range(spec.num_classes)]
     shape = patterns[0].shape
+    rows = max(1, _NOISE_CHUNK_VALUES // patterns[0].size)
 
     def draw(count, noise_rng):
-        # One noise draw per image keeps the float64 temporaries image-sized.
-        pixels = np.empty((spec.num_classes * count, *shape), dtype=np.uint8)
-        for k in range(len(pixels)):
-            noisy = patterns[k // count] + spec.noise_amplitude * noise_rng.normal(shape)
-            pixels[k] = np.clip(np.rint(noisy), 0, 255)
-        return pixels, np.repeat(np.arange(spec.num_classes), count)
+        size = (spec.num_classes * count, *shape)
+        try:
+            pixels = np.empty(size, dtype=np.uint8)
+            labels = np.repeat(np.arange(spec.num_classes), count)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(
+                f"synthetic split of shape {size} cannot be allocated: {exc}") from None
+        # Chunked draws yield the same normals as one draw per image.
+        for c, pattern in enumerate(patterns):
+            for start in range(c * count, (c + 1) * count, rows):
+                noisy = noise_rng.normal((min(rows, (c + 1) * count - start), *shape))
+                noisy *= spec.noise_amplitude
+                noisy += pattern
+                np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
+                pixels[start : start + len(noisy)] = noisy
+        return pixels, labels
 
     return Dataset(*draw(spec.train_per_class, rng.split(0)),
                    *draw(spec.test_per_class, rng.split(1)))

@@ -118,8 +118,9 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list of integers")
         for s in self.seeds:
-            if s < 0:
-                raise ConfigError(f"seeds must be non-negative, got {s}")
+            # buffer snapshots store the seed as a signed 64-bit integer
+            if not 0 <= s < 2 ** 63:
+                raise ConfigError(f"seeds must lie in [0, 2^63), got {s}")
         self.synthetic_spec()
         self.online_config()
         return self

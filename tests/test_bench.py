@@ -1,8 +1,12 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 import gpsbench.learner as L
 from gpsbench.bench import (
+    _NOISE_CHUNK_VALUES,
     AccuracyMatrix,
     CIFAR_RECORD_BYTES,
     Dataset,
@@ -27,6 +31,80 @@ from gpsbench.imaging import (
     Rng,
 )
 from gpsbench.sampler import gps_sample
+
+
+def expected_synthetic(spec, rng):
+    """Per-image reference of generate_synthetic: one noise draw per image."""
+    patterns = [class_pattern(spec, c) for c in range(spec.num_classes)]
+
+    def draw(count, noise_rng):
+        pixels = np.empty((spec.num_classes * count, *patterns[0].shape), dtype=np.uint8)
+        for k in range(len(pixels)):
+            noisy = patterns[k // count] + spec.noise_amplitude * noise_rng.normal(
+                patterns[0].shape)
+            pixels[k] = np.clip(np.rint(noisy), 0, 255)
+        return pixels, np.repeat(np.arange(spec.num_classes), count)
+
+    return Dataset(*draw(spec.train_per_class, rng.split(0)),
+                   *draw(spec.test_per_class, rng.split(1)))
+
+
+DATASET_ARRAYS = ("train_pixels", "train_labels", "test_pixels", "test_labels")
+
+# sha256 of the desk seed-0 dataset (10 classes at 32x32x3, 100 + 20 per
+# class), recorded while noise was still drawn one image at a time. Labels
+# are hashed as little-endian int64.
+DESK_SEED_0_SHA256 = {
+    "train_pixels": "05bd57fce5d61b32d920a561ce32c90f489df21c88822c8ffb0eba21e0a00624",
+    "train_labels": "bbdaed34ddb84891085b7279daa6e45d3336e5e8925f5fc218042c671c4f0e10",
+    "test_pixels": "c9e4dbaf40aab013bd165266587c84a24fe50b3fec92b44f325256b8602b7ff2",
+    "test_labels": "e939e099c3608c9319f0895a123bfcb13c8d369efbe10fe8c3de2f9b2d37854b",
+}
+
+
+def _chunk_rows(resolution, channels):
+    """Images per noise draw in generate_synthetic; 0 means one draw per image."""
+    return _NOISE_CHUNK_VALUES // (resolution ** 2 * channels)
+
+
+_ABOVE_CHUNK = math.isqrt(_NOISE_CHUNK_VALUES // 3) + 1  # one 3-channel image is larger
+
+
+class TestSyntheticMatchesPerImageDraws:
+    @pytest.mark.parametrize("spec", [
+        SyntheticSpec(num_classes=2, resolution=_ABOVE_CHUNK, train_per_class=3,
+                      test_per_class=1),
+        SyntheticSpec(num_classes=3, resolution=16,
+                      train_per_class=2 * _chunk_rows(16, 3) + 5,
+                      test_per_class=_chunk_rows(16, 3) - 1),
+        SyntheticSpec(num_classes=2, resolution=16, channels=1, noise_amplitude=200.0,
+                      train_per_class=_chunk_rows(16, 1) + 3,
+                      test_per_class=_chunk_rows(16, 1)),
+    ], ids=["one_image_above_chunk", "partial_last_chunk", "one_channel"])
+    def test_equals_reference(self, spec):
+        got = generate_synthetic(spec, Rng(3))
+        want = expected_synthetic(spec, Rng(3))
+        for name in DATASET_ARRAYS:
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+
+    def test_desk_seed_0_hashes(self):
+        ds = generate_synthetic(SyntheticSpec(num_classes=10, resolution=32),
+                                Rng(0).split(DOMAIN_DATA))
+        got = {}
+        for name in DATASET_ARRAYS:
+            arr = getattr(ds, name)
+            data = arr.astype("<i8").tobytes() if name.endswith("labels") else arr.tobytes()
+            got[name] = hashlib.sha256(data).hexdigest()
+        assert got == DESK_SEED_0_SHA256
+
+    @pytest.mark.parametrize("per_class", [10 ** 12, 10 ** 16])
+    def test_unallocatable_split_is_config_error(self, per_class):
+        # petabytes (a MemoryError) and exabytes (numpy's "array is too big"
+        # ValueError): both are refused before any memory is touched
+        spec = SyntheticSpec(num_classes=10, resolution=16, train_per_class=per_class)
+        with pytest.raises(ConfigError, match=rf"\({10 * per_class}, 16, 16, 3\)"):
+            generate_synthetic(spec, Rng(0))
 
 
 class TestSynthetic:
@@ -398,6 +476,20 @@ class TestExperimentConfig:
     def test_seed_list(self):
         cfg = parse_config("seeds = 0, 1, 2\n")
         assert cfg.seeds == (0, 1, 2)
+
+    def test_seeds_fit_the_snapshot_seed_field(self):
+        # snapshots pack the run seed as a signed 64-bit integer
+        largest = 2 ** 63 - 1
+        assert parse_config(f"seeds = 0, {largest}\n").validate() is not None
+        assert Rng.from_state_bytes(Rng(largest).state_bytes())[0].seed == largest
+        for seed in (-1, 2 ** 63, 2 ** 64):
+            with pytest.raises(ConfigError, match="seeds"):
+                parse_config(f"seeds = {seed}\n").validate()
+
+    def test_negative_pattern_seed_rejected(self):
+        assert parse_config("synthetic_pattern_seed = 0\n").validate() is not None
+        with pytest.raises(ConfigError, match="pattern_seed"):
+            parse_config("synthetic_pattern_seed = -1\n").validate()
 
     def test_validate_catches_cross_field_rules(self):
         cfg = parse_config("buffer_mode = none\nhead = ncm\n")

@@ -174,6 +174,30 @@ class TestExitCodes:
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "replay nothing" in capsys.readouterr().err
 
+    def test_negative_pattern_seed_is_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG + "synthetic_pattern_seed = -1\n")
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert "pattern_seed" in capsys.readouterr().err
+
+    def test_seed_beyond_snapshot_range_is_2_before_any_output(self, tmp_path, config_file,
+                                                               capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("seeds = 0,1", f"seeds = 0,{2 ** 63}"))
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert "seeds" in capsys.readouterr().err
+        assert run_cli("run", "--config", config_file, "--seed", 2 ** 63,
+                       "--out", tmp_path / "o") == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_unallocatable_synthetic_dataset_is_2(self, tmp_path, capsys):
+        # petabytes, so numpy refuses before touching memory
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("synthetic_train_per_class = 20",
+                                            "synthetic_train_per_class = 1000000000000"))
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert "(6000000000000, 16, 16, 3)" in capsys.readouterr().err
+
     def test_malformed_snapshot_is_3(self, tmp_path):
         path = tmp_path / "junk.gpsb"
         path.write_bytes(b"JUNKJUNKJUNK")
