@@ -1,4 +1,5 @@
-"""Task streams, the single-pass online protocol, and evaluation metrics.
+"""Datasets and their loaders, task streams, the single-pass online protocol,
+and evaluation metrics.
 
 A class-incremental stream is an ordered list of tasks with disjoint class
 sets; the runner visits every stream item exactly once, mixes each incoming
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from . import learner as L
 from .assembly import draw_replay_batch, grid_concat
 from .buffer import MODE_GPS, ReplayBuffer
 from .errors import ConfigError, FormatError, NumericalError, StateError
-from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Rng
+from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Rng, load_ppm
 from .sampler import gps_sample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
@@ -47,9 +49,6 @@ class Dataset:
     test_pixels: np.ndarray
     test_labels: np.ndarray
 
-    def class_ids(self):
-        return np.unique(self.train_labels).tolist()
-
 
 @dataclass
 class TaskStream:
@@ -68,10 +67,6 @@ class TaskStream:
     def task_count(self):
         return len(self.train_tasks)
 
-    @property
-    def stream_length(self):
-        return sum(len(t) for t in self.train_tasks)
-
     def check_invariants(self):
         seen = set()
         for t, classes in enumerate(self.class_sets):
@@ -85,48 +80,14 @@ class TaskStream:
                 raise ValueError(f"task {t} holds images labeled {sorted(stray)}")
 
 
-class AccuracyMatrix:
-    """Lower-triangular record: entry (t, i) is accuracy on task i after task t."""
-
-    def __init__(self, task_count):
-        if task_count < 1:
-            raise ValueError(f"task count must be >= 1, got {task_count}")
-        self.task_count = task_count
-        self.values = np.full((task_count, task_count), np.nan)
-
-    def set(self, t, i, accuracy):
-        if not (0 <= i <= t < self.task_count):
-            raise ValueError(f"entry ({t}, {i}) outside the lower triangle")
-        if not (0.0 <= accuracy <= 1.0):
-            raise ValueError(f"accuracy must lie in [0, 1], got {accuracy}")
-        self.values[t, i] = accuracy
-
-    def get(self, t, i):
-        return float(self.values[t, i])
-
-    def entries(self):
-        """All filled (t, i, accuracy) triples in row-major order."""
-        out = []
-        for t in range(self.task_count):
-            for i in range(t + 1):
-                if not math.isnan(self.values[t, i]):
-                    out.append((t, i, float(self.values[t, i])))
-        return out
-
-    @property
-    def final_row_complete(self):
-        last = self.values[self.task_count - 1, : self.task_count]
-        return not np.isnan(last).any()
-
-    def end_row(self):
-        return [float(v) for v in self.values[self.task_count - 1]]
-
-
-def average_end_accuracy(matrix: AccuracyMatrix) -> float:
-    """Mean of the final row: accuracy over all tasks after the last one."""
-    if not matrix.final_row_complete:
+def average_end_accuracy(matrix: np.ndarray) -> float:
+    """Mean of the final row of a (T, T) accuracy matrix, in which entry
+    (t, i) is the accuracy on task i after task t and NaN marks an entry
+    not yet written: accuracy over all tasks after the last one."""
+    end_row = matrix[-1]
+    if np.isnan(end_row).any():
         raise StateError("final accuracy row is incomplete")
-    return float(np.mean(matrix.end_row()))
+    return float(np.mean(end_row))
 
 
 # --- dataset construction ---
@@ -190,19 +151,27 @@ _NOISE_CHUNK_VALUES = 1 << 15
 
 
 def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
-    """Seeded noisy samples around each class pattern; train/test drawn separately."""
-    patterns = [class_pattern(spec, c) for c in range(spec.num_classes)]
-    shape = patterns[0].shape
-    rows = max(1, _NOISE_CHUNK_VALUES // patterns[0].size)
+    """Seeded noisy samples around each class pattern; train/test drawn separately.
 
-    def draw(count, noise_rng):
+    Both splits are allocated before any class pattern is built, so a split
+    too large to allocate is a ConfigError however many classes it asks for.
+    """
+    shape = (spec.resolution, spec.resolution, spec.channels)
+
+    def allocate(count):
         size = (spec.num_classes * count, *shape)
         try:
-            pixels = np.empty(size, dtype=np.uint8)
-            labels = np.repeat(np.arange(spec.num_classes), count)
+            return (np.empty(size, dtype=np.uint8),
+                    np.repeat(np.arange(spec.num_classes), count))
         except (MemoryError, ValueError) as exc:
             raise ConfigError(
                 f"synthetic split of shape {size} cannot be allocated: {exc}") from None
+
+    counts = (spec.train_per_class, spec.test_per_class)
+    splits = [allocate(count) for count in counts]
+    patterns = [class_pattern(spec, c) for c in range(spec.num_classes)]
+    rows = max(1, _NOISE_CHUNK_VALUES // patterns[0].size)
+    for (pixels, _), count, noise_rng in zip(splits, counts, (rng.split(0), rng.split(1))):
         # Chunked draws yield the same normals as one draw per image.
         for c, pattern in enumerate(patterns):
             for start in range(c * count, (c + 1) * count, rows):
@@ -211,10 +180,7 @@ def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
                 noisy += pattern
                 np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
                 pixels[start : start + len(noisy)] = noisy
-        return pixels, labels
-
-    return Dataset(*draw(spec.train_per_class, rng.split(0)),
-                   *draw(spec.test_per_class, rng.split(1)))
+    return Dataset(*splits[0], *splits[1])
 
 
 def load_cifar100(path):
@@ -235,9 +201,58 @@ def load_cifar100_dataset(train_path, test_path) -> Dataset:
     return Dataset(*load_cifar100(train_path), *load_cifar100(test_path))
 
 
+def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
+    """Per-class subdirectories of PPM files; seeded per-class train/test split.
+
+    A class directory is named by its class id in ASCII decimal digits; two
+    names for one id (such as "1" and "01") are a ConfigError.
+    """
+    root = Path(root)
+    if not root.is_dir():
+        raise ConfigError(f"image_dir {root} is not a directory")
+    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
+    if not class_dirs:
+        raise ConfigError(f"image_dir {root} contains no class subdirectories")
+    shape = None
+    names = {}  # class id -> directory name
+    train, test = [], []  # per class: (pixels, label)
+    for d in class_dirs:
+        if not (d.name.isascii() and d.name.isdigit()):
+            raise ConfigError(
+                f"class directory name {d.name!r} is not a non-negative integer")
+        label = int(d.name)
+        if label in names:
+            raise ConfigError(f"class directories {names[label]!r} and {d.name!r} "
+                              f"both name class {label}")
+        names[label] = d.name
+        files = sorted(d.glob("*.ppm"))
+        if not files:
+            raise ConfigError(f"class directory {d} holds no .ppm files")
+        images = [load_ppm(f) for f in files]
+        shape = shape or images[0].shape
+        for f, img in zip(files, images):
+            if img.shape != shape:
+                raise ConfigError(f"mixed image sizes: {f} is {img.shape[0]}x{img.shape[1]}, "
+                                  f"expected {shape[0]}x{shape[1]}")
+        pixels = rng.split(label).shuffled(images)
+        n_test = max(1, int(round(len(pixels) * test_fraction)))
+        if n_test >= len(pixels):
+            raise ConfigError(
+                f"class {label}: {len(pixels)} images cannot support a test split"
+            )
+        test.append((pixels[:n_test], label))
+        train.append((pixels[n_test:], label))
+
+    def stack(parts):
+        return (np.concatenate([pixels for pixels, _ in parts]),
+                np.concatenate([np.full(len(pixels), label) for pixels, label in parts]))
+
+    return Dataset(*stack(train), *stack(test))
+
+
 def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> TaskStream:
     """Assign classes to tasks by seeded shuffle; shuffle within-task sample order."""
-    classes = dataset.class_ids()
+    classes = np.unique(dataset.train_labels).tolist()
     needed = task_count * classes_per_task
     if needed > len(classes):
         raise ConfigError(
@@ -282,11 +297,9 @@ class OnlineConfig:
 
 @dataclass
 class RunResult:
-    matrix: AccuracyMatrix
+    matrix: np.ndarray  # (T, T) float64; NaN where no entry is written
     offer_count: int
     step_count: int
-    final_params: L.ModelParams = None
-    buffer: ReplayBuffer = None
 
 
 def _replay_batch(buf, cfg, replay_rng):
@@ -317,7 +330,7 @@ def _evaluate_row(matrix, t, stream, params, buf, cfg):
                                      normalize=cfg.normalize_embeddings)
         else:
             preds = L.softmax_classify_batch(params, ds.test_pixels[test])
-        matrix.set(t, i, float(np.mean(preds == ds.test_labels[test])))
+        matrix[t, i] = np.mean(preds == ds.test_labels[test])
 
 
 def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | None,
@@ -339,9 +352,9 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
                f"factor {f} must divide resolution {resolution} for replay training")
         _check(not 0 < cfg.replay_batch < f * f, f"replay_batch {cfg.replay_batch} < "
                f"factor^2 would replay nothing in gps mode; use 0 or >= {f * f}")
-    matrix = AccuracyMatrix(stream.task_count)
+    matrix = np.full((stream.task_count, stream.task_count), np.nan)
     replay_rng = rng.split(DOMAIN_REPLAY)
-    result = RunResult(matrix, 0, 0, params, buf)
+    result = RunResult(matrix, 0, 0)
     for t, task in enumerate(stream.train_tasks):
         for start in range(0, len(task), cfg.stream_batch):
             batch = task[start : start + cfg.stream_batch]

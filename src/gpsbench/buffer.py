@@ -144,9 +144,6 @@ class ReplayBuffer:
         """{class: exemplar count}, ascending by class."""
         return {c: len(slots) for c, slots in self.class_slots().items()}
 
-    def classes_present(self):
-        return list(self.class_slots())
-
     # --- snapshot / restore ---
 
     def snapshot(self) -> bytes:

@@ -25,6 +25,7 @@ from .bench import (
     average_end_accuracy,
     generate_synthetic,
     load_cifar100_dataset,
+    load_image_dir,
     run_online,
     split_tasks,
 )
@@ -45,54 +46,12 @@ from .imaging import (
 from .sampler import gps_sample
 
 
-def _load_image_dir(root, test_fraction, rng):
-    """Per-class subdirectories of PPM files; seeded per-class train/test split."""
-    root = Path(root)
-    if not root.is_dir():
-        raise ConfigError(f"image_dir {root} is not a directory")
-    class_dirs = sorted(d for d in root.iterdir() if d.is_dir())
-    if not class_dirs:
-        raise ConfigError(f"image_dir {root} contains no class subdirectories")
-    shape = None
-    train, test = [], []  # per class: (pixels, label)
-    for d in class_dirs:
-        try:
-            label = int(d.name)
-        except ValueError:
-            raise ConfigError(
-                f"class directory name {d.name!r} is not a non-negative integer"
-            ) from None
-        files = sorted(d.glob("*.ppm"))
-        if not files:
-            raise ConfigError(f"class directory {d} holds no .ppm files")
-        images = [load_ppm(f) for f in files]
-        shape = shape or images[0].shape
-        for f, img in zip(files, images):
-            if img.shape != shape:
-                raise ConfigError(f"mixed image sizes: {f} is {img.shape[0]}x{img.shape[1]}, "
-                                  f"expected {shape[0]}x{shape[1]}")
-        pixels = rng.split(label).shuffled(images)
-        n_test = max(1, int(round(len(pixels) * test_fraction)))
-        if n_test >= len(pixels):
-            raise ConfigError(
-                f"class {label}: {len(pixels)} images cannot support a test split"
-            )
-        test.append((pixels[:n_test], label))
-        train.append((pixels[n_test:], label))
-
-    def stack(parts):
-        return (np.concatenate([pixels for pixels, _ in parts]),
-                np.concatenate([np.full(len(pixels), label) for pixels, label in parts]))
-
-    return Dataset(*stack(train), *stack(test))
-
-
 def build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     if config.dataset == "synthetic":
         return generate_synthetic(config.synthetic_spec(), rng)
     if config.dataset == "cifar100":
         return load_cifar100_dataset(config.cifar_train_path, config.cifar_test_path)
-    return _load_image_dir(config.image_dir, config.image_test_fraction, rng)
+    return load_image_dir(config.image_dir, config.image_test_fraction, rng)
 
 
 def run_one_seed(config: ExperimentConfig, seed: int):
@@ -125,13 +84,14 @@ def run_one_seed(config: ExperimentConfig, seed: int):
            "end_row": None, "a_end": None, "snapshot": None}
     if result is not None:
         matrix = result.matrix
-        out["entries"] = matrix.entries()
-        out["task_count"] = matrix.task_count
-        if matrix.final_row_complete:
-            out["end_row"] = matrix.end_row()
+        filled = ~np.isnan(matrix)
+        out["entries"] = [(t, i, a) for (t, i), a in
+                          zip(np.argwhere(filled).tolist(), matrix[filled].tolist())]
+        if filled[-1].all():
+            out["end_row"] = matrix[-1].tolist()
             out["a_end"] = average_end_accuracy(matrix)
-        if result.buffer is not None:
-            out["snapshot"] = result.buffer.snapshot()
+        if buf is not None:
+            out["snapshot"] = buf.snapshot()
     return out
 
 

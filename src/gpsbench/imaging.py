@@ -40,15 +40,6 @@ class GridSpec:
             )
         object.__setattr__(self, "side", side)
 
-    def patch_bounds(self, i, j):
-        """Half-open pixel rectangle (row0, row1, col0, col1) of grid cell (i, j)."""
-        if not (0 <= i < self.side and 0 <= j < self.side):
-            raise ValueError(
-                f"grid cell ({i}, {j}) out of range for a {self.side}x{self.side} grid"
-            )
-        f = self.factor
-        return (i * f, (i + 1) * f, j * f, (j + 1) * f)
-
     @property
     def covered(self):
         """Side length of the region covered by patches (= side * factor)."""

@@ -42,10 +42,6 @@ class ModelParams:
     Wc: np.ndarray
     bc: np.ndarray
 
-    @property
-    def input_dim(self):
-        return self.input_side * self.input_side * self.channels
-
     def tensors(self):
         return [self.W1, self.b1, self.W2, self.b2, self.Wc, self.bc]
 
@@ -56,15 +52,6 @@ class ModelParams:
         return ModelParams(self.input_side, self.channels, self.hidden_units,
                            self.embedding_units, self.num_classes,
                            *[t.copy() for t in self.tensors()])
-
-
-@dataclass(frozen=True)
-class Prototype:
-    """Per-class mean embedding with its support count."""
-
-    label: int
-    mean_embedding: np.ndarray
-    support: int
 
 
 @dataclass(frozen=True)
@@ -84,10 +71,9 @@ def _glorot(rng: Rng, fan_in, fan_out, dtype):
 def init_params(input_side, channels, hidden_units, embedding_units, num_classes,
                 rng: Rng, dtype=np.float32) -> ModelParams:
     """Seeded uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
-    input_dim = input_side * input_side * channels
     return ModelParams(
         input_side, channels, hidden_units, embedding_units, num_classes,
-        W1=_glorot(rng, input_dim, hidden_units, dtype),
+        W1=_glorot(rng, input_side * input_side * channels, hidden_units, dtype),
         b1=np.zeros(hidden_units, dtype=dtype),
         W2=_glorot(rng, hidden_units, embedding_units, dtype),
         b2=np.zeros(embedding_units, dtype=dtype),
@@ -97,7 +83,7 @@ def init_params(input_side, channels, hidden_units, embedding_units, num_classes
 
 
 def _to_matrix(params: ModelParams, pixels) -> np.ndarray:
-    """Flatten an (n, side, side, C) batch into an (n, input_dim) matrix of [0,1] reals."""
+    """Flatten an (n, side, side, C) batch into an (n, side * side * C) matrix of [0,1] reals."""
     expected = (params.input_side, params.input_side, params.channels)
     if pixels.shape[1:] != expected:
         raise ValueError(f"input images of shape {pixels.shape[1:]} do not match "
@@ -217,9 +203,9 @@ def _maybe_normalize(emb, normalize):
     return np.where(norms > 0, emb / np.where(norms > 0, norms, 1), emb)
 
 
-def ncm_prototypes(params: ModelParams, buf: ReplayBuffer,
-                   normalize=False) -> list[Prototype]:
-    """Mean embedding per buffered class, ascending by class id.
+def ncm_prototypes(params: ModelParams, buf: ReplayBuffer, normalize=False):
+    """(labels, means): the buffered class ids, ascending, and an
+    (n_classes, d) array whose row k is the mean embedding of class labels[k].
 
     Exemplars are upsampled by the buffer's factor (the identity in full
     mode) to the model resolution first. With `normalize`, each embedding
@@ -228,33 +214,29 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer,
     class_slots = buf.class_slots()
     if not class_slots:
         raise EmptyStateError("cannot build prototypes from an empty buffer")
-    prototypes = []
-    for label, slots in class_slots.items():
+    means = []
+    for slots in class_slots.values():
         images = upsample(buf.slab[slots], buf.factor)
         emb = _maybe_normalize(embed_batch(params, images), normalize)
-        prototypes.append(Prototype(label, emb.mean(axis=0), len(images)))
-    return prototypes
+        means.append(emb.mean(axis=0))
+    return np.array(list(class_slots)), np.stack(means)
 
 
-def classify_embedding(prototypes: list[Prototype], embeddings) -> np.ndarray:
-    """Label of the Euclidean-nearest prototype for each row of an (n, d) matrix.
+def classify_embedding(labels, means, embeddings) -> np.ndarray:
+    """Label of the Euclidean-nearest mean for each row of an (n, d) matrix.
 
-    Distance ties go to the smallest class id.
+    `labels` must ascend, as `ncm_prototypes` returns them, so that argmin
+    sends distance ties to the smallest class id.
     """
-    if not prototypes:
-        raise EmptyStateError("need at least one prototype")
-    ordered = sorted(prototypes, key=lambda p: p.label)
-    means = np.stack([p.mean_embedding for p in ordered])
     d2 = ((embeddings[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
-    labels = np.array([p.label for p in ordered])
     return labels[np.argmin(d2, axis=1)]
 
 
-def classify_batch(prototypes: list[Prototype], params: ModelParams, pixels,
-                   normalize=False) -> np.ndarray:
-    """NCM labels for an (n, side, side, C) batch."""
+def classify_batch(prototypes, params: ModelParams, pixels, normalize=False) -> np.ndarray:
+    """NCM labels for an (n, side, side, C) batch; `prototypes` is the
+    (labels, means) pair that `ncm_prototypes` returns."""
     emb = _maybe_normalize(embed_batch(params, pixels), normalize)
-    return classify_embedding(prototypes, emb)
+    return classify_embedding(*prototypes, emb)
 
 
 def softmax_classify_batch(params: ModelParams, pixels) -> np.ndarray:
@@ -287,8 +269,7 @@ def load_params(path) -> ModelParams:
     if min(dims) < 1:
         raise FormatError(f"checkpoint dimensions must be >= 1, got {dims}")
     side, channels, hidden, embed, classes = dims
-    input_dim = side * side * channels
-    shapes = [(input_dim, hidden), (hidden,), (hidden, embed), (embed,),
+    shapes = [(side * side * channels, hidden), (hidden,), (hidden, embed), (embed,),
               (embed, classes), (classes,)]
     pos = 24
     tensors = []

@@ -16,7 +16,6 @@ import pytest
 import gpsbench.learner as L
 from gpsbench.assembly import grid_concat, upsample
 from gpsbench.bench import (
-    AccuracyMatrix,
     OnlineConfig,
     SyntheticSpec,
     average_end_accuracy,
@@ -68,8 +67,7 @@ def test_criterion_01_structural_laws():
         g = GridSpec(f, r)
         for i in range(g.side):
             for j in range(g.side):
-                r0, r1, c0, c1 = g.patch_bounds(i, j)
-                patch = img[r0:r1, c0:c1].reshape(-1, 3)
+                patch = img[i * f:(i + 1) * f, j * f:(j + 1) * f].reshape(-1, 3)
                 assert any(np.array_equal(s[i, j], px) for px in patch)
 
     # f = 1 identity
@@ -149,7 +147,7 @@ def test_criterion_03_reservoir_statistics():
             if label >= 0:
                 recomputed.setdefault(label, []).append(slot)
         assert {c: buf.indices_for_class(c).tolist()
-                for c in buf.classes_present()} == recomputed
+                for c in buf.class_slots()} == recomputed
 
 
 def _numeric_gradients(params, stream, replay, lam, eps):
@@ -222,52 +220,49 @@ def test_criterion_05_ncm_oracle_equivalence():
             img = random_image(rng.split(2, k), 8)
             buf.offer(gps_sample(img, 2, rng.split(3, k)), k % 4)
 
-        protos = L.ncm_prototypes(params, buf)
+        labels, means = L.ncm_prototypes(params, buf)
         sums, counts = {}, {}
         for item, label in zip(buf.slab, buf.labels.tolist()):
             emb = L.embed_batch(params, upsample(item, 2)[None])[0].astype(np.float64)
             sums[label] = sums.get(label, 0.0) + emb
             counts[label] = counts.get(label, 0) + 1
-        assert sorted(p.label for p in protos) == sorted(sums)
-        for p in protos:
+        assert labels.tolist() == sorted(sums)
+        for label, mean in zip(labels.tolist(), means):
             np.testing.assert_allclose(
-                p.mean_embedding.astype(np.float64),
-                sums[p.label] / counts[p.label], atol=1e-6)
-            assert p.support == counts[p.label]
+                mean.astype(np.float64), sums[label] / counts[label], atol=1e-6)
+        assert buf.class_counts() == counts
 
         queries, _ = labeled_batch(rng.split(4), 15, 8, 1)
-        preds = L.classify_batch(protos, params, queries)
+        preds = L.classify_batch((labels, means), params, queries)
         for q, pred in zip(queries, preds):
             emb = L.embed_batch(params, q[None])[0]
-            scan = [(float(((emb - p.mean_embedding) ** 2).sum()), p.label)
-                    for p in protos]
+            scan = [(float(((emb - mean) ** 2).sum()), label)
+                    for label, mean in zip(labels.tolist(), means)]
             best = min(d for d, _ in scan)
             assert pred == min(lbl for d, lbl in scan if d == best)
 
     # constructed equidistant case breaks toward the smaller class id
-    protos = [
-        L.Prototype(6, np.array([2.0, 0.0], dtype=np.float32), 1),
-        L.Prototype(3, np.array([-2.0, 0.0], dtype=np.float32), 1),
-    ]
+    labels = np.array([3, 6])
+    means = np.array([[-2.0, 0.0], [2.0, 0.0]], dtype=np.float32)
     query = np.zeros((1, 2), dtype=np.float32)
-    assert L.classify_embedding(protos, query).tolist() == [3]
+    assert L.classify_embedding(labels, means, query).tolist() == [3]
 
 
 def test_criterion_06_metric_correctness():
-    m = AccuracyMatrix(2)
-    m.set(0, 0, 1.0)
-    m.set(1, 0, 0.5)
-    m.set(1, 1, 0.7)
+    m = np.full((2, 2), np.nan)
+    m[0, 0] = 1.0
+    m[1, 0] = 0.5
+    m[1, 1] = 0.7
     assert average_end_accuracy(m) == pytest.approx(0.6, abs=1e-12)
 
     rng = Rng(106)
     for trial in range(25):
         n = int(rng.split(trial).integer(1, 8))
         values = rng.split(trial, 1).uniform(0.0, 1.0, (n, n))
-        m = AccuracyMatrix(n)
+        m = np.full((n, n), np.nan)
         for t in range(n):
             for i in range(t + 1):
-                m.set(t, i, float(values[t, i]))
+                m[t, i] = values[t, i]
         assert average_end_accuracy(m) == pytest.approx(
             float(np.mean(values[n - 1])), abs=1e-12)
 

@@ -7,7 +7,6 @@ import pytest
 import gpsbench.learner as L
 from gpsbench.bench import (
     _NOISE_CHUNK_VALUES,
-    AccuracyMatrix,
     CIFAR_RECORD_BYTES,
     Dataset,
     OnlineConfig,
@@ -20,6 +19,7 @@ from gpsbench.bench import (
     split_tasks,
 )
 from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig, parse_config, serialize_config
 from gpsbench.errors import ConfigError, FormatError, StateError
 from gpsbench.imaging import (
@@ -115,7 +115,7 @@ class TestSynthetic:
         assert ds.train_pixels.shape == (48, 16, 16, 3)
         assert ds.test_pixels.shape == (20, 16, 16, 3)
         assert ds.train_labels.shape == (48,) and ds.test_labels.shape == (20,)
-        assert ds.class_ids() == [0, 1, 2, 3]
+        assert np.unique(ds.train_labels).tolist() == [0, 1, 2, 3]
 
     def test_deterministic_for_same_rng(self):
         spec = SyntheticSpec(num_classes=3, resolution=8, train_per_class=4,
@@ -222,7 +222,6 @@ class TestSplitTasks:
     def test_every_train_image_appears_exactly_once(self):
         ds = self.dataset()
         stream = split_tasks(ds, 5, 2, Rng(2))
-        assert stream.stream_length == len(ds.train_labels)
         visited = np.concatenate(stream.train_tasks)
         assert sorted(visited.tolist()) == list(range(len(ds.train_labels)))
 
@@ -247,50 +246,44 @@ class TestSplitTasks:
 
 
 class TestAccuracyMatrix:
-    def test_lower_triangle_only(self):
-        m = AccuracyMatrix(3)
-        m.set(1, 0, 0.5)
-        with pytest.raises(ValueError):
-            m.set(0, 1, 0.5)
-
-    def test_range_validated(self):
-        m = AccuracyMatrix(2)
-        with pytest.raises(ValueError):
-            m.set(0, 0, 1.5)
+    """The (T, T) accuracy matrix: entry (t, i) is accuracy on task i after
+    task t, NaN where no entry is written."""
 
     def test_entries_row_major(self):
-        m = AccuracyMatrix(2)
-        m.set(0, 0, 0.25)
-        m.set(1, 0, 0.5)
-        m.set(1, 1, 0.75)
-        assert m.entries() == [(0, 0, 0.25), (1, 0, 0.5), (1, 1, 0.75)]
+        config = ExperimentConfig(synthetic_classes=6, synthetic_resolution=8,
+                                  synthetic_train_per_class=10, synthetic_test_per_class=4,
+                                  tasks=3, classes_per_task=2, budget_images=4,
+                                  stream_batch=5, replay_batch=16, hidden_units=16,
+                                  embedding_units=8).validate()
+        entries = run_one_seed(config, 0)["entries"]
+        assert [(t, i) for t, i, _ in entries] == [(0, 0), (1, 0), (1, 1),
+                                                   (2, 0), (2, 1), (2, 2)]
 
     def test_final_row_gate(self):
-        m = AccuracyMatrix(2)
-        m.set(0, 0, 0.2)
-        assert not m.final_row_complete
+        m = np.full((2, 2), np.nan)
+        m[0, 0] = 0.2
+        m[1, 0] = 0.5
         with pytest.raises(StateError):
             average_end_accuracy(m)
-        m.set(1, 0, 0.5)
-        m.set(1, 1, 0.7)
-        assert m.final_row_complete
+        m[1, 1] = 0.7
+        assert average_end_accuracy(m) == pytest.approx(0.6)
 
     def test_average_end_accuracy_known_value(self):
-        m = AccuracyMatrix(2)
-        m.set(0, 0, 0.9)
-        m.set(1, 0, 0.5)
-        m.set(1, 1, 0.7)
+        m = np.full((2, 2), np.nan)
+        m[0, 0] = 0.9
+        m[1, 0] = 0.5
+        m[1, 1] = 0.7
         assert average_end_accuracy(m) == pytest.approx(0.6)
 
     def test_average_matches_recomputation_on_random_matrices(self):
         rng = Rng(6)
         for trial in range(20):
             n = int(rng.split(trial).integer(1, 7))
-            m = AccuracyMatrix(n)
+            m = np.full((n, n), np.nan)
             values = rng.split(trial, 1).uniform(0.0, 1.0, (n, n))
             for t in range(n):
                 for i in range(t + 1):
-                    m.set(t, i, float(values[t, i]))
+                    m[t, i] = values[t, i]
             expected = float(np.mean(values[n - 1, :n]))
             assert average_end_accuracy(m) == pytest.approx(expected, abs=1e-12)
 
@@ -320,39 +313,44 @@ def small_run(**kwargs):
 
 class TestRunOnline:
     def test_buffer_holds_stream_items_with_their_labels(self):
-        result, stream = small_run(seed=11, mode=MODE_FULL, factor=1, head="softmax")
-        ds, buf = stream.dataset, result.buffer
+        stream, params, buf, cfg, root = small_setup(seed=11, mode=MODE_FULL, factor=1,
+                                                     head="softmax")
+        run_online(stream, params, buf, cfg, root)
+        ds = stream.dataset
         for slot in buf.occupied_indices:
             same = (ds.train_pixels == buf.slab[slot]).all(axis=(1, 2, 3))
             assert buf.labels[slot] in ds.train_labels[same]
 
     def test_offer_count_matches_stream_length(self):
         result, stream = small_run(seed=1)
-        assert result.offer_count == stream.stream_length
+        assert result.offer_count == sum(len(task) for task in stream.train_tasks)
 
     def test_matrix_is_complete_lower_triangle(self):
         result, stream = small_run(seed=2)
         m = result.matrix
-        assert m.task_count == stream.task_count
-        for t in range(m.task_count):
-            for i in range(t + 1):
-                assert 0.0 <= m.get(t, i) <= 1.0
+        assert m.shape == (stream.task_count, stream.task_count)
+        lower = np.tri(stream.task_count, dtype=bool)
+        assert ((0.0 <= m[lower]) & (m[lower] <= 1.0)).all()
+        assert np.isnan(m[~lower]).all()
 
     def test_deterministic_across_repeats(self):
-        a, _ = small_run(seed=3)
-        b, _ = small_run(seed=3)
-        assert a.matrix.entries() == b.matrix.entries()
-        for ta, tb in zip(a.final_params.tensors(), b.final_params.tensors()):
+        runs = []
+        for _ in range(2):
+            stream, params, buf, cfg, root = small_setup(seed=3)
+            runs.append((run_online(stream, params, buf, cfg, root), params))
+        (a, params_a), (b, params_b) = runs
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+        for ta, tb in zip(params_a.tensors(), params_b.tensors()):
             np.testing.assert_array_equal(ta, tb)
 
     def test_different_seed_changes_outcome(self):
         a, _ = small_run(seed=4)
         b, _ = small_run(seed=5)
-        assert a.matrix.entries() != b.matrix.entries()
+        assert not np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
     def test_full_mode_and_softmax_head(self):
         result, _ = small_run(seed=6, mode=MODE_FULL, factor=1, head="softmax")
-        assert result.matrix.final_row_complete
+        assert 0.0 <= average_end_accuracy(result.matrix) <= 1.0
 
     def test_no_buffer_needs_softmax_head(self):
         with pytest.raises(ConfigError):
@@ -361,8 +359,8 @@ class TestRunOnline:
     def test_fine_tune_runs_without_buffer(self):
         result, _ = small_run(seed=8, mode="none", head="softmax",
                               replay_batch=0)
-        assert result.buffer is None
-        assert result.matrix.final_row_complete
+        assert result.offer_count == 0
+        assert 0.0 <= average_end_accuracy(result.matrix) <= 1.0
 
     def test_factor_must_divide_resolution(self):
         with pytest.raises(ConfigError):
@@ -375,13 +373,14 @@ class TestRunOnline:
                 small_run(seed=12, replay_batch=replay_batch)
         for replay_batch in (0, 4):
             result, _ = small_run(seed=12, replay_batch=replay_batch)
-            assert result.matrix.final_row_complete
+            assert 0.0 <= average_end_accuracy(result.matrix) <= 1.0
 
     def test_buffer_holds_one_batched_draw_per_step(self):
         # 10 images of budget at factor 2 give 40 slots for 40 stream items,
         # so nothing is evicted and slot k holds stream item k
-        result, stream = small_run(seed=13, budget_images=10)
-        ds, buf = stream.dataset, result.buffer
+        stream, params, buf, cfg, root = small_setup(seed=13, budget_images=10)
+        result = run_online(stream, params, buf, cfg, root)
+        ds = stream.dataset
         batches = [task[start : start + 5] for task in stream.train_tasks
                    for start in range(0, len(task), 5)]
         assert result.step_count == len(batches) == 8
@@ -404,14 +403,17 @@ class TestRunOnline:
 
         monkeypatch.setattr(Rng, "split", counting_split)
         result = run_online(stream, params, buf, cfg, root)
-        assert stream.stream_length == 5 * result.step_count == 40
+        assert sum(len(task) for task in stream.train_tasks) == 5 * result.step_count == 40
         assert len(calls) <= result.step_count + 2
 
     def test_zero_replay_weight_matches_no_replay_draw(self):
         # lambda = 0 must leave the model exactly as a run that never draws
-        a, _ = small_run(seed=10, replay_weight=0.0)
-        b, _ = small_run(seed=10, replay_batch=0)
-        for ta, tb in zip(a.final_params.tensors(), b.final_params.tensors()):
+        tensors = []
+        for kwargs in ({"replay_weight": 0.0}, {"replay_batch": 0}):
+            stream, params, buf, cfg, root = small_setup(seed=10, **kwargs)
+            run_online(stream, params, buf, cfg, root)
+            tensors.append(params.tensors())
+        for ta, tb in zip(*tensors):
             np.testing.assert_array_equal(ta, tb)
 
 

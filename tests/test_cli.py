@@ -1,11 +1,17 @@
+import hashlib
+import importlib.util
 import json
 import struct
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpsbench.cli as cli
 from gpsbench.buffer import ReplayBuffer
 from gpsbench.cli import main
+from gpsbench.config import parse_config
 from gpsbench.imaging import Rng, load_ppm, save_ppm
 
 
@@ -24,6 +30,20 @@ stream_batch = 5
 replay_batch = 16
 seeds = 0,1
 """
+
+
+# A noisier BASE_CONFIG with 3 test images per class, so that seed 0's
+# accuracies are multiples of 1/6 rather than all 1.0.
+PINNED_CONFIG = (BASE_CONFIG.replace("synthetic_test_per_class = 5",
+                                     "synthetic_test_per_class = 3\nsynthetic_noise = 60")
+                 .replace("seeds = 0,1", "seeds = 0"))
+
+# sha256 of PINNED_CONFIG's seed 0 CSVs, recorded before the accuracy matrix
+# became a plain array; the matrix reads 1, 2/3, 1, 5/6, 5/6, 1/2.
+PINNED_SHA256 = {
+    "seed_0_matrix.csv": "0f54253c14f9f86d43612cfdf275a568f00845a3ba1e5087110eb96c3088cca8",
+    "seed_0_end.csv": "aada7ddc51ccfe9cfba690380db9848dc0a8fd4ee0a7310311e572bd5bad2516",
+}
 
 
 @pytest.fixture
@@ -137,6 +157,15 @@ class TestRunCommand:
         # two seeds: two workers, not eight; one seed runs without a pool
         assert sizes == [2, 2]
 
+    def test_matrix_with_fractional_accuracies_is_pinned(self, tmp_path):
+        # accuracies such as 2/3 and 5/6 pin the float formatting of the CSVs
+        path = tmp_path / "exp.cfg"
+        path.write_text(PINNED_CONFIG)
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 0
+        got = {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest()
+               for name in PINNED_SHA256}
+        assert got == PINNED_SHA256
+
     def test_buffer_snapshot_restores(self, tmp_path, config_file):
         out = tmp_path / "out"
         run_cli("run", "--config", config_file, "--out", out)
@@ -191,12 +220,20 @@ class TestExitCodes:
         assert not (tmp_path / "o").exists()
 
     def test_unallocatable_synthetic_dataset_is_2(self, tmp_path, capsys):
-        # petabytes, so numpy refuses before touching memory
-        path = tmp_path / "exp.cfg"
-        path.write_text(BASE_CONFIG.replace("synthetic_train_per_class = 20",
-                                            "synthetic_train_per_class = 1000000000000"))
-        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
-        assert "(6000000000000, 16, 16, 3)" in capsys.readouterr().err
+        # petabytes, and 10^19 images of 10^12 classes: numpy refuses both
+        # before touching memory, and before any class pattern is built
+        absurd = ("dataset = synthetic\nsynthetic_classes = 1000000000000\n"
+                  "synthetic_train_per_class = 10000000\nsynthetic_resolution = 1\n"
+                  "synthetic_channels = 1\nbuffer_mode = none\nhead = softmax\n")
+        cases = [(BASE_CONFIG.replace("synthetic_train_per_class = 20",
+                                      "synthetic_train_per_class = 1000000000000"),
+                  "(6000000000000, 16, 16, 3)"),
+                 (absurd, "(10000000000000000000, 1, 1, 1)")]
+        for k, (text, shape) in enumerate(cases):
+            path = tmp_path / f"exp{k}.cfg"
+            path.write_text(text)
+            assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+            assert shape in capsys.readouterr().err
 
     def test_malformed_snapshot_is_3(self, tmp_path):
         path = tmp_path / "junk.gpsb"
@@ -383,10 +420,51 @@ class TestImageDirDataset:
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "mixed image sizes" in capsys.readouterr().err
 
-    def test_non_numeric_class_dir_is_2(self, tmp_path):
-        root = tmp_path / "data"
-        (root / "cats").mkdir(parents=True)
-        save_ppm(root / "cats" / "a.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"dataset = image_dir\nimage_dir = {root}\n")
-        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+    def test_non_numeric_class_dir_is_2(self, tmp_path, capsys):
+        # beside a valid class "1": int() would take "-1" (then fail in numpy),
+        # read "+1" as 1 and "1_0" as 10, and "01" would merge into class 1
+        for name in ("cats", "-1", "+1", "1_0", "01"):
+            root = tmp_path / name / "data"
+            for d in ("1", name):
+                (root / d).mkdir(parents=True)
+                for k in range(5):
+                    save_ppm(root / d / f"{k}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+            cfg = tmp_path / name / "exp.cfg"
+            cfg.write_text(f"dataset = image_dir\nimage_dir = {root}\n")
+            assert run_cli("run", "--config", cfg, "--out", tmp_path / name / "o") == 2
+            assert repr(name) in capsys.readouterr().err
+
+
+class TestBenchmarkContract:
+    """What benchmarks/ reads of the library: the tracer's hook targets and
+    the record that `run_one_seed` returns."""
+
+    @pytest.fixture
+    def tracer(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("benchmark_tracer", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+        spec.loader.exec_module(module)
+        return module
+
+    def test_every_trace_target_resolves(self, tracer):
+        assert tracer.Tracer(tracer.TARGETS).absent == []
+
+    def test_traced_run_reaches_every_target(self, tracer):
+        traced = tracer.Tracer(tracer.TARGETS)
+        with traced:
+            cli.run_one_seed(parse_config(BASE_CONFIG), 0)
+        idle = [name for name, (calls, _) in traced.totals().items() if not calls]
+        assert idle == ["learner.softmax_classify_batch"]  # an ncm run
+
+    def test_run_record_keys_and_types(self):
+        record = cli.run_one_seed(parse_config(BASE_CONFIG), 0)
+        assert set(record) == {"seed", "status", "failure", "entries", "task_count",
+                               "end_row", "a_end", "snapshot"}
+        assert record["status"] == "ok" and record["failure"] is None
+        assert type(record["task_count"]) is int
+        assert [tuple(map(type, e)) for e in record["entries"]] == [(int, int, float)] * 6
+        assert [type(a) for a in record["end_row"]] == [float] * 3
+        assert type(record["a_end"]) is float
+        assert type(record["snapshot"]) is bytes

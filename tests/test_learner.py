@@ -200,25 +200,23 @@ class TestNcm:
             rng = Rng(100 + seed)
             params = L.init_params(8, 3, 16, 8, 3, rng.split(1))
             buf = filled_buffer(seed, mode=mode)
-            protos = L.ncm_prototypes(params, buf)
+            labels, means = L.ncm_prototypes(params, buf)
             expected, counts = brute_force_prototypes(params, buf)
-            assert sorted(p.label for p in protos) == sorted(expected)
-            for p in protos:
+            assert labels.tolist() == sorted(expected)
+            for label, mean in zip(labels.tolist(), means):
                 np.testing.assert_allclose(
-                    p.mean_embedding.astype(np.float64), expected[p.label],
-                    atol=1e-6)
-                assert p.support == counts[p.label]
+                    mean.astype(np.float64), expected[label], atol=1e-6)
+            assert buf.class_counts() == counts
 
     def test_normalized_prototypes_match_brute_force(self):
         rng = Rng(200)
         params = L.init_params(8, 3, 16, 8, 3, rng.split(1))
         buf = filled_buffer(3)
-        protos = L.ncm_prototypes(params, buf, normalize=True)
+        labels, means = L.ncm_prototypes(params, buf, normalize=True)
         expected, _ = brute_force_prototypes(params, buf, normalize=True)
-        for p in protos:
+        for label, mean in zip(labels.tolist(), means):
             np.testing.assert_allclose(
-                p.mean_embedding.astype(np.float64), expected[p.label],
-                atol=1e-6)
+                mean.astype(np.float64), expected[label], atol=1e-6)
 
     def test_classification_matches_exhaustive_scan(self):
         for seed in range(10):
@@ -231,21 +229,33 @@ class TestNcm:
             for q, pred in zip(queries, got):
                 emb = L.embed_batch(params, q[None])[0]
                 best, best_d = None, None
-                for p in sorted(protos, key=lambda p: p.label):
-                    d = float(((emb - p.mean_embedding) ** 2).sum())
+                for label, mean in sorted(zip(protos[0].tolist(), protos[1])):
+                    d = float(((emb - mean) ** 2).sum())
                     if best_d is None or d < best_d:
-                        best, best_d = p.label, d
+                        best, best_d = label, d
                 assert pred == best
 
     def test_tie_breaks_toward_smaller_class_id(self):
         emb_dim = 4
-        protos = [
-            L.Prototype(7, np.array([1.0, 0, 0, 0], dtype=np.float32), 1),
-            L.Prototype(2, np.array([-1.0, 0, 0, 0], dtype=np.float32), 1),
-        ]
+        labels = np.array([2, 7])
+        means = np.array([[-1.0, 0, 0, 0], [1.0, 0, 0, 0]], dtype=np.float32)
         # query equidistant from both prototypes
         query = np.zeros((1, emb_dim), dtype=np.float32)
-        assert L.classify_embedding(protos, query).tolist() == [2]
+        assert L.classify_embedding(labels, means, query).tolist() == [2]
+
+    def test_labels_ascend_whatever_the_fill_order(self):
+        rng = Rng(401)
+        params = L.init_params(8, 3, 16, 8, 6, rng.split(1))
+        buf = ReplayBuffer(PixelBudget(3, 8), MODE_FULL, rng.split(2))
+        for label in (5, 3, 0):  # descending; slot k holds the k-th offer
+            img = rng.split(3, label).integers(0, 256, (8, 8, 3)).astype(np.uint8)
+            buf.offer(img, label)
+        assert buf.labels.tolist() == [5, 3, 0]
+        labels, means = L.ncm_prototypes(params, buf)
+        assert labels.tolist() == [0, 3, 5]
+        for label, mean in zip(labels.tolist(), means):
+            direct = L.embed_batch(params, buf.slab[buf.labels == label])[0]
+            np.testing.assert_allclose(mean, direct, atol=1e-6)
 
     def test_empty_buffer_raises(self):
         rng = Rng(400)
@@ -264,9 +274,9 @@ class TestNcm:
         img = rng.split(3).integers(0, 256, (8, 8, 3)).astype(np.uint8)
         s = gps_sample(img, 2, rng.split(4))
         buf.offer(s, 1)
-        protos = L.ncm_prototypes(params, buf)
+        _, means = L.ncm_prototypes(params, buf)
         direct = L.embed_batch(params, upsample(s, 2)[None])[0]
-        np.testing.assert_allclose(protos[0].mean_embedding, direct, atol=1e-6)
+        np.testing.assert_allclose(means[0], direct, atol=1e-6)
 
 
 class TestSoftmaxHead:
@@ -346,8 +356,8 @@ class TestInit:
     def test_glorot_bounds_and_zero_biases(self):
         rng = Rng(800)
         params = L.init_params(4, 3, 8, 4, 5, rng.split(1))
-        d = params.input_dim
-        assert d == 48
+        d = params.W1.shape[0]
+        assert d == 4 * 4 * 3 == 48
         limit = np.sqrt(6.0 / (d + 8))
         assert np.abs(params.W1).max() <= limit
         assert (params.b1 == 0).all() and (params.b2 == 0).all()

@@ -50,8 +50,7 @@ class TestMembership:
             g = GridSpec(f, r)
             for i in range(g.side):
                 for j in range(g.side):
-                    r0, r1, c0, c1 = g.patch_bounds(i, j)
-                    patch = img[r0:r1, c0:c1].reshape(-1, 3)
+                    patch = img[i * f:(i + 1) * f, j * f:(j + 1) * f].reshape(-1, 3)
                     assert any(
                         np.array_equal(s[i, j], px) for px in patch
                     ), f"pixel ({i},{j}) not from patch"
@@ -152,8 +151,7 @@ class TestBatch:
             for n in range(5):
                 for i in range(g.side):
                     for j in range(g.side):
-                        r0, r1, c0, c1 = g.patch_bounds(i, j)
-                        patch = batch[n, r0:r1, c0:c1].reshape(-1, 3)
+                        patch = batch[n, i * f:(i + 1) * f, j * f:(j + 1) * f].reshape(-1, 3)
                         assert (patch == s[n, i, j]).all(axis=1).any(), (n, i, j)
 
     def test_channels_sampled_jointly_per_item(self):
