@@ -11,7 +11,6 @@ seen so far.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,15 +19,12 @@ import numpy as np
 from . import learner as L
 from .assembly import draw_replay_batch, grid_concat
 from .buffer import MODE_GPS, ReplayBuffer
+from .config import HEAD_NCM, ExperimentConfig
 from .errors import ConfigError, FormatError, NumericalError, StateError
 from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Rng, load_ppm
 from .sampler import gps_sample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
-
-HEAD_NCM = "ncm"
-HEAD_SOFTMAX = "softmax"
-HEADS = (HEAD_NCM, HEAD_SOFTMAX)
 
 
 def _check(ok, message):
@@ -93,47 +89,17 @@ def average_end_accuracy(matrix: np.ndarray) -> float:
 # --- dataset construction ---
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Desk-scale dataset: smooth per-class patterns plus per-sample noise."""
-
-    num_classes: int
-    resolution: int
-    channels: int = 3
-    train_per_class: int = 100
-    test_per_class: int = 20
-    noise_amplitude: float = 20.0
-    pattern_seed: int = 7
-    pattern_contrast: float = 25.0
-    # Dark baseline keeps [0,1]-scaled inputs small enough that SGD at the
-    # default learning rate stays stable on a plain ReLU net.
-    pattern_baseline: float = 32.0
-
-    def __post_init__(self):
-        for name in ("num_classes", "resolution", "train_per_class", "test_per_class"):
-            value = getattr(self, name)
-            _check(value >= 1, f"{name} must be >= 1, got {value}")
-        _check(self.pattern_seed >= 0, f"pattern_seed must be >= 0, got {self.pattern_seed}")
-        _check(self.channels in (1, 3), f"channels must be 1 or 3, got {self.channels}")
-        noise, contrast = self.noise_amplitude, self.pattern_contrast
-        _check(math.isfinite(noise) and noise >= 0,
-               f"noise_amplitude must be finite and >= 0, got {noise}")
-        _check(math.isfinite(contrast), f"pattern_contrast must be finite, got {contrast}")
-        _check(0.0 <= self.pattern_baseline <= 255.0,
-               f"pattern_baseline must lie in [0, 255], got {self.pattern_baseline}")
-
-
 # Low spatial frequencies only, so class evidence survives patch sampling.
 _PATTERN_WAVES = ((0, 1), (1, 0), (1, 1), (1, -1), (0, 2), (2, 0))
 
 
-def class_pattern(spec: SyntheticSpec, label) -> np.ndarray:
+def class_pattern(config: ExperimentConfig, label) -> np.ndarray:
     """The smooth mean pattern of one class as a float64 HxWxC array."""
-    rng = Rng(spec.pattern_seed).split(label)
-    r = spec.resolution
+    rng = Rng(config.synthetic_pattern_seed).split(label)
+    r = config.synthetic_resolution
     ys, xs = np.mgrid[0:r, 0:r].astype(np.float64)
     channels = []
-    for _ in range(spec.channels):
+    for _ in range(config.synthetic_channels):
         amps = rng.normal((len(_PATTERN_WAVES),))
         phases = rng.uniform(0.0, 2.0 * np.pi, (len(_PATTERN_WAVES),))
         acc = np.zeros((r, r))
@@ -142,7 +108,7 @@ def class_pattern(spec: SyntheticSpec, label) -> np.ndarray:
         scale = acc.std()
         if scale > 0:
             acc /= scale
-        channels.append(spec.pattern_baseline + spec.pattern_contrast * acc)
+        channels.append(config.synthetic_baseline + config.synthetic_contrast * acc)
     return np.clip(np.stack(channels, axis=-1), 0.0, 255.0)
 
 
@@ -150,33 +116,33 @@ def class_pattern(spec: SyntheticSpec, label) -> np.ndarray:
 _NOISE_CHUNK_VALUES = 1 << 15
 
 
-def generate_synthetic(spec: SyntheticSpec, rng: Rng) -> Dataset:
+def generate_synthetic(config: ExperimentConfig, rng: Rng) -> Dataset:
     """Seeded noisy samples around each class pattern; train/test drawn separately.
 
     Both splits are allocated before any class pattern is built, so a split
     too large to allocate is a ConfigError however many classes it asks for.
     """
-    shape = (spec.resolution, spec.resolution, spec.channels)
+    classes, r = config.synthetic_classes, config.synthetic_resolution
+    shape = (r, r, config.synthetic_channels)
 
     def allocate(count):
-        size = (spec.num_classes * count, *shape)
+        size = (classes * count, *shape)
         try:
-            return (np.empty(size, dtype=np.uint8),
-                    np.repeat(np.arange(spec.num_classes), count))
+            return (np.empty(size, dtype=np.uint8), np.repeat(np.arange(classes), count))
         except (MemoryError, ValueError) as exc:
             raise ConfigError(
                 f"synthetic split of shape {size} cannot be allocated: {exc}") from None
 
-    counts = (spec.train_per_class, spec.test_per_class)
+    counts = (config.synthetic_train_per_class, config.synthetic_test_per_class)
     splits = [allocate(count) for count in counts]
-    patterns = [class_pattern(spec, c) for c in range(spec.num_classes)]
+    patterns = [class_pattern(config, c) for c in range(classes)]
     rows = max(1, _NOISE_CHUNK_VALUES // patterns[0].size)
     for (pixels, _), count, noise_rng in zip(splits, counts, (rng.split(0), rng.split(1))):
         # Chunked draws yield the same normals as one draw per image.
         for c, pattern in enumerate(patterns):
             for start in range(c * count, (c + 1) * count, rows):
                 noisy = noise_rng.normal((min(rows, (c + 1) * count - start), *shape))
-                noisy *= spec.noise_amplitude
+                noisy *= config.synthetic_noise
                 noisy += pattern
                 np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
                 pixels[start : start + len(noisy)] = noisy
@@ -204,8 +170,8 @@ def load_cifar100_dataset(train_path, test_path) -> Dataset:
 def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
     """Per-class subdirectories of PPM files; seeded per-class train/test split.
 
-    A class directory is named by its class id in ASCII decimal digits; two
-    names for one id (such as "1" and "01") are a ConfigError.
+    A class directory is named by its class id, below 2^31, in ASCII decimal
+    digits; two names for one id (such as "1" and "01") are a ConfigError.
     """
     root = Path(root)
     if not root.is_dir():
@@ -217,9 +183,10 @@ def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
     names = {}  # class id -> directory name
     train, test = [], []  # per class: (pixels, label)
     for d in class_dirs:
-        if not (d.name.isascii() and d.name.isdigit()):
+        # buffer labels and the snapshot label field are int32
+        if not (d.name.isascii() and d.name.isdigit()) or int(d.name) >= 2 ** 31:
             raise ConfigError(
-                f"class directory name {d.name!r} is not a non-negative integer")
+                f"class directory name {d.name!r} is not an integer in [0, 2^31)")
         label = int(d.name)
         if label in names:
             raise ConfigError(f"class directories {names[label]!r} and {d.name!r} "
@@ -276,94 +243,75 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
 
 
 @dataclass
-class OnlineConfig:
-    """Knobs of one single-pass run (seed-independent; pass the Rng separately)."""
-
-    stream_batch: int = 10
-    replay_batch: int = 100  # stored exemplars; a gps replay image uses factor^2
-    learning_rate: float = 0.1
-    replay_weight: float = 1.0
-    head: str = HEAD_NCM
-    normalize_embeddings: bool = False
-
-    def __post_init__(self):
-        _check(self.stream_batch >= 1, f"stream_batch must be >= 1, got {self.stream_batch}")
-        _check(self.replay_batch >= 0, f"replay_batch must be >= 0, got {self.replay_batch}")
-        lr, weight = self.learning_rate, self.replay_weight
-        _check(math.isfinite(lr) and lr > 0, f"learning_rate must be finite and > 0, got {lr}")
-        _check(math.isfinite(weight), f"replay_weight must be finite, got {weight}")
-        _check(self.head in HEADS, f"head must be one of {HEADS}, got {self.head!r}")
-
-
-@dataclass
 class RunResult:
     matrix: np.ndarray  # (T, T) float64; NaN where no entry is written
     offer_count: int
     step_count: int
 
 
-def _replay_batch(buf, cfg, replay_rng):
+def _replay_batch(buf, config, replay_rng):
     """(pixels, labels) of one replay batch, or None when nothing is replayed."""
-    if buf is None or cfg.replay_batch == 0:
+    if buf is None or config.replay_batch == 0:
         return None
     if buf.mode == MODE_GPS:
-        groups = draw_replay_batch(buf, cfg.replay_batch // buf.factor ** 2, replay_rng)
+        groups = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
         return grid_concat(buf.slab[groups], buf.factor), buf.labels[groups[:, 0]]
     occupied = buf.occupied_indices
     if not len(occupied):
         return None
-    take = min(cfg.replay_batch, len(occupied))
+    take = min(config.replay_batch, len(occupied))
     chosen = occupied[replay_rng.choose(len(occupied), take)]
     return buf.slab[chosen], buf.labels[chosen]
 
 
-def _evaluate_row(matrix, t, stream, params, buf, cfg):
+def _evaluate_row(matrix, t, stream, params, buf, config):
     ds = stream.dataset
-    if cfg.head == HEAD_NCM:
-        prototypes = L.ncm_prototypes(params, buf, normalize=cfg.normalize_embeddings)
+    if config.head == HEAD_NCM:
+        prototypes = L.ncm_prototypes(params, buf, normalize=config.normalize_embeddings)
     for i in range(t + 1):
         test = stream.test_tasks[i]
         if not len(test):
             raise StateError(f"task {i} has an empty test set")
-        if cfg.head == HEAD_NCM:
+        if config.head == HEAD_NCM:
             preds = L.classify_batch(prototypes, params, ds.test_pixels[test],
-                                     normalize=cfg.normalize_embeddings)
+                                     normalize=config.normalize_embeddings)
         else:
             preds = L.softmax_classify_batch(params, ds.test_pixels[test])
         matrix[t, i] = np.mean(preds == ds.test_labels[test])
 
 
 def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | None,
-               cfg: OnlineConfig, rng: Rng) -> RunResult:
+               config: ExperimentConfig, rng: Rng) -> RunResult:
     """Single pass over the task stream; returns the accuracy matrix and counters.
 
     Per mini-batch: draw replay, take one SGD step on stream + replay, then
     (gps mode) compress the whole mini-batch with one `gps_sample` call on
     `rng.split(DOMAIN_STREAM, step)`, and offer its images in stream order,
     one reservoir draw each. On a numerical failure the partial result is
-    attached to the raised error.
+    attached to the raised error. The buffer is checked here, as the config
+    that built it may not be the one given.
     """
     ds = stream.dataset
-    if cfg.head == HEAD_NCM and buf is None:
+    if config.head == HEAD_NCM and buf is None:
         raise ConfigError("ncm head requires a replay buffer; use head=softmax")
     if buf is not None and buf.mode == MODE_GPS:
         f, resolution = buf.factor, buf.budget.resolution
         _check(resolution % f == 0,
                f"factor {f} must divide resolution {resolution} for replay training")
-        _check(not 0 < cfg.replay_batch < f * f, f"replay_batch {cfg.replay_batch} < "
+        _check(not 0 < config.replay_batch < f * f, f"replay_batch {config.replay_batch} < "
                f"factor^2 would replay nothing in gps mode; use 0 or >= {f * f}")
     matrix = np.full((stream.task_count, stream.task_count), np.nan)
     replay_rng = rng.split(DOMAIN_REPLAY)
     result = RunResult(matrix, 0, 0)
     for t, task in enumerate(stream.train_tasks):
-        for start in range(0, len(task), cfg.stream_batch):
-            batch = task[start : start + cfg.stream_batch]
+        for start in range(0, len(task), config.stream_batch):
+            batch = task[start : start + config.stream_batch]
             pixels, labels = ds.train_pixels[batch], ds.train_labels[batch]
-            replay = _replay_batch(buf, cfg, replay_rng)
+            replay = _replay_batch(buf, config, replay_rng)
             step = result.step_count
             try:
-                L.train_step(params, (pixels, labels), replay, cfg.replay_weight,
-                             cfg.learning_rate, step=step)
+                L.train_step(params, (pixels, labels), replay, config.replay_weight,
+                             config.learning_rate, step=step)
             except NumericalError as exc:
                 exc.partial_result = result
                 raise
@@ -375,5 +323,5 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
             for item, label in zip(pixels, labels):
                 buf.offer(item, label)
             result.offer_count += len(batch)
-        _evaluate_row(matrix, t, stream, params, buf, cfg)
+        _evaluate_row(matrix, t, stream, params, buf, config)
     return result

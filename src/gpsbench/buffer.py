@@ -129,10 +129,6 @@ class ReplayBuffer:
         self.labels[slot] = label
         return True, evicted
 
-    def indices_for_class(self, label):
-        """Occupied slot indices holding the given class, ascending. Empty if absent."""
-        return np.flatnonzero(self.labels == label)
-
     def class_slots(self):
         """{class: its occupied slot indices, ascending}, ascending by class."""
         by_class = np.argsort(self.labels, kind="stable")

@@ -48,7 +48,7 @@ from .sampler import gps_sample
 
 def build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     if config.dataset == "synthetic":
-        return generate_synthetic(config.synthetic_spec(), rng)
+        return generate_synthetic(config, rng)
     if config.dataset == "cifar100":
         return load_cifar100_dataset(config.cifar_train_path, config.cifar_test_path)
     return load_image_dir(config.image_dir, config.image_test_fraction, rng)
@@ -63,9 +63,13 @@ def run_one_seed(config: ExperimentConfig, seed: int):
     resolution = require_square(dataset.train_pixels[0])
     channels = dataset.train_pixels.shape[3]
     num_classes = max(max(cs) for cs in stream.class_sets) + 1
-    params = L.init_params(resolution, channels, config.hidden_units,
-                           config.embedding_units, num_classes,
-                           root.split(DOMAIN_MODEL_INIT))
+    try:
+        params = L.init_params(resolution, channels, config.hidden_units,
+                               config.embedding_units, num_classes,
+                               root.split(DOMAIN_MODEL_INIT))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(
+            f"a model for {num_classes} classes cannot be allocated: {exc}") from None
     buf = None
     if config.buffer_mode != "none":
         budget = PixelBudget(config.budget_images, resolution)
@@ -74,7 +78,7 @@ def run_one_seed(config: ExperimentConfig, seed: int):
     status = "ok"
     failure = None
     try:
-        result = run_online(stream, params, buf, config.online_config(), root)
+        result = run_online(stream, params, buf, config, root)
     except NumericalError as exc:
         result = exc.partial_result
         status = "numerical_failure"
@@ -187,7 +191,7 @@ def _sweep_point(config: ExperimentConfig, axis_field: str, raw_value: str):
             value = int(raw_value)
         except ValueError:
             raise ConfigError(f"sweep value {raw_value!r} is not an integer") from None
-    return replace(config, **{axis_field: value}).validate(), value
+    return replace(config, **{axis_field: value}), value
 
 
 def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: Path,
@@ -240,14 +244,15 @@ def cmd_reconstruct(snapshot_path, class_id, seed, output_path) -> int:
         raise ConfigError("reconstruction needs a gps-mode buffer snapshot")
     group_size = buf.factor ** 2
     rng = Rng(seed)
+    class_slots = buf.class_slots()
     if class_id is None:
-        candidates = [c for c, n in buf.class_counts().items() if n >= group_size]
+        candidates = [c for c, slots in class_slots.items() if len(slots) >= group_size]
         if not candidates:
             raise EmptyStateError(
                 f"no class holds {group_size} exemplars; nothing to reconstruct"
             )
         class_id = candidates[0]
-    indices = buf.indices_for_class(class_id)
+    indices = class_slots.get(class_id, [])
     if len(indices) < group_size:
         raise EmptyStateError(
             f"class {class_id} holds {len(indices)} exemplars, need {group_size}"
@@ -326,7 +331,7 @@ def _dispatch(args) -> int:
     if args.command == "run":
         config = load_config(args.config)
         if args.seed is not None:
-            config = replace(config, seeds=(args.seed,)).validate()
+            config = replace(config, seeds=(args.seed,))
         out_dir = Path(args.out) if args.out else Path(config.out_dir)
         return cmd_run(config, out_dir, workers=args.workers)
     if args.command == "sweep":

@@ -7,19 +7,24 @@ wall-clock entropy anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-from .bench import HEAD_NCM, OnlineConfig, SyntheticSpec
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
 
 DATASET_KINDS = ("synthetic", "cifar100", "image_dir")
 BUFFER_MODES = ("gps", "full", "none")
+HEAD_NCM = "ncm"
+HEAD_SOFTMAX = "softmax"
+HEADS = (HEAD_NCM, HEAD_SOFTMAX)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """Every setting of an experiment, checked when the config is built."""
+
     schema_version: int = SCHEMA_VERSION
     # dataset source
     dataset: str = "synthetic"
@@ -31,6 +36,8 @@ class ExperimentConfig:
     synthetic_noise: float = 20.0
     synthetic_pattern_seed: int = 7
     synthetic_contrast: float = 25.0
+    # Dark baseline keeps [0,1]-scaled inputs small enough that SGD at the
+    # default learning rate stays stable on a plain ReLU net.
     synthetic_baseline: float = 32.0
     cifar_train_path: str = ""
     cifar_test_path: str = ""
@@ -58,32 +65,11 @@ class ExperimentConfig:
     seeds: tuple = (0,)
     out_dir: str = "runs"
 
-    def synthetic_spec(self) -> SyntheticSpec:
-        return SyntheticSpec(
-            num_classes=self.synthetic_classes,
-            resolution=self.synthetic_resolution,
-            channels=self.synthetic_channels,
-            train_per_class=self.synthetic_train_per_class,
-            test_per_class=self.synthetic_test_per_class,
-            noise_amplitude=self.synthetic_noise,
-            pattern_seed=self.synthetic_pattern_seed,
-            pattern_contrast=self.synthetic_contrast,
-            pattern_baseline=self.synthetic_baseline,
-        )
-
-    def online_config(self) -> OnlineConfig:
-        return OnlineConfig(
-            stream_batch=self.stream_batch,
-            replay_batch=self.replay_batch,
-            learning_rate=self.learning_rate,
-            replay_weight=self.replay_weight,
-            head=self.head,
-            normalize_embeddings=self.normalize_embeddings,
-        )
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
-        """Check this config's own fields, then build the library dataclasses,
-        which check the synthetic and training fields."""
+        """Raise a ConfigError naming the first bad key; return self."""
         if self.schema_version != SCHEMA_VERSION:
             raise ConfigError(
                 f"schema_version {self.schema_version} unsupported: expected {SCHEMA_VERSION}"
@@ -101,18 +87,42 @@ class ExperimentConfig:
             raise ConfigError(
                 f"image_test_fraction must lie in (0, 1), got {self.image_test_fraction}"
             )
-        for name in ("tasks", "classes_per_task", "budget_images", "factor",
-                     "hidden_units", "embedding_units"):
+        for name in ("synthetic_classes", "synthetic_resolution", "synthetic_train_per_class",
+                     "synthetic_test_per_class", "tasks", "classes_per_task",
+                     "budget_images", "factor", "stream_batch", "hidden_units",
+                     "embedding_units"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
+        if self.synthetic_channels not in (1, 3):
+            raise ConfigError(f"synthetic_channels must be 1 or 3, got {self.synthetic_channels}")
+        if not (math.isfinite(self.synthetic_noise) and self.synthetic_noise >= 0):
+            raise ConfigError(
+                f"synthetic_noise must be finite and >= 0, got {self.synthetic_noise}")
+        if self.synthetic_pattern_seed < 0:
+            raise ConfigError(
+                f"synthetic_pattern_seed must be >= 0, got {self.synthetic_pattern_seed}")
+        if not math.isfinite(self.synthetic_contrast):
+            raise ConfigError(f"synthetic_contrast must be finite, got {self.synthetic_contrast}")
+        if not 0.0 <= self.synthetic_baseline <= 255.0:
+            raise ConfigError(
+                f"synthetic_baseline must lie in [0, 255], got {self.synthetic_baseline}")
         if self.buffer_mode not in BUFFER_MODES:
             raise ConfigError(f"buffer_mode must be one of {BUFFER_MODES}, got {self.buffer_mode!r}")
         if self.replay_units != "samples":
             raise ConfigError(f"replay_units must be 'samples', got {self.replay_units!r}")
+        if self.replay_batch < 0:
+            raise ConfigError(f"replay_batch must be >= 0, got {self.replay_batch}")
         if self.buffer_mode == "gps" and 0 < self.replay_batch < self.factor ** 2:
             raise ConfigError(f"replay_batch {self.replay_batch} < factor^2 would replay "
                               f"nothing in gps mode; use 0 or >= {self.factor ** 2}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not math.isfinite(self.replay_weight):
+            raise ConfigError(f"replay_weight must be finite, got {self.replay_weight}")
+        if self.head not in HEADS:
+            raise ConfigError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.head == HEAD_NCM and self.buffer_mode == "none":
             raise ConfigError("head = ncm requires a buffer; set head = softmax or enable a buffer")
         if not self.seeds:
@@ -121,8 +131,6 @@ class ExperimentConfig:
             # buffer snapshots store the seed as a signed 64-bit integer
             if not 0 <= s < 2 ** 63:
                 raise ConfigError(f"seeds must lie in [0, 2^63), got {s}")
-        self.synthetic_spec()
-        self.online_config()
         return self
 
 
@@ -174,7 +182,7 @@ def parse_config(text) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read()).validate()
+        return parse_config(fh.read())
 
 
 def serialize_config(config: ExperimentConfig) -> str:

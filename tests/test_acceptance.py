@@ -9,30 +9,19 @@ and the no-buffer control ~0.20, so the sign test (7) and the 15-point gap
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 import gpsbench.learner as L
 from gpsbench.assembly import grid_concat, upsample
-from gpsbench.bench import (
-    OnlineConfig,
-    SyntheticSpec,
-    average_end_accuracy,
-    generate_synthetic,
-    run_online,
-    split_tasks,
-)
+from gpsbench.bench import average_end_accuracy
 from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
 from gpsbench.cli import main as cli_main
-from gpsbench.imaging import (
-    DOMAIN_BUFFER,
-    DOMAIN_DATA,
-    DOMAIN_MODEL_INIT,
-    DOMAIN_TASK_SPLIT,
-    GridSpec,
-    Rng,
-)
+from gpsbench.cli import run_one_seed
+from gpsbench.config import ExperimentConfig
+from gpsbench.imaging import GridSpec, Rng
 from gpsbench.sampler import gps_sample
 
 
@@ -146,8 +135,8 @@ def test_criterion_03_reservoir_statistics():
         for slot, label in enumerate(buf.labels.tolist()):
             if label >= 0:
                 recomputed.setdefault(label, []).append(slot)
-        assert {c: buf.indices_for_class(c).tolist()
-                for c in buf.class_slots()} == recomputed
+        assert {c: slots.tolist()
+                for c, slots in buf.class_slots().items()} == recomputed
 
 
 def _numeric_gradients(params, stream, replay, lam, eps):
@@ -268,19 +257,9 @@ def test_criterion_06_metric_correctness():
 
 
 def _desk_scale_run(seed, mode, head="ncm"):
-    spec = SyntheticSpec(num_classes=10, resolution=32)
-    root = Rng(seed)
-    dataset = generate_synthetic(spec, root.split(DOMAIN_DATA))
-    stream = split_tasks(dataset, 5, 2, root.split(DOMAIN_TASK_SPLIT))
-    params = L.init_params(32, 3, 128, 64, 10, root.split(DOMAIN_MODEL_INIT))
-    buf = None
-    if mode != "none":
-        factor = 2 if mode == MODE_GPS else 1
-        buf = ReplayBuffer(PixelBudget(20, 32), mode, root.split(DOMAIN_BUFFER),
-                           factor=factor)
-    cfg = OnlineConfig(head=head, replay_batch=100 if buf is not None else 0)
-    result = run_online(stream, params, buf, cfg, root)
-    return average_end_accuracy(result.matrix)
+    # the config defaults are the desk experiment
+    return run_one_seed(ExperimentConfig(buffer_mode=mode, head=head, seeds=(seed,)),
+                        seed)["a_end"]
 
 
 @pytest.fixture(scope="module")
@@ -373,3 +352,18 @@ def test_golden_outputs_of_criterion_10_config(tmp_path, capsys):
             data = (out / name).read_bytes()
         got[name] = hashlib.sha256(data).hexdigest()
     assert got == GOLDEN_SHA256
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
+def test_diverging_run_writes_partial_artifacts(tmp_path):
+    config = tmp_path / "exp.cfg"
+    config.write_text(CRITERION_10_CONFIG + "learning_rate = 1000000\n")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config), "--out", str(out)]) == 4
+    for seed in (0, 1):
+        assert (out / f"seed_{seed}_matrix.partial.csv").exists()
+        assert not (out / f"seed_{seed}_end.csv").exists()
+    assert not (out / "summary.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "numerical_failure"
+    assert [r["status"] for r in manifest["runs"]] == ["numerical_failure"] * 2

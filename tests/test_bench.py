@@ -1,5 +1,6 @@
 import hashlib
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from gpsbench.bench import (
     _NOISE_CHUNK_VALUES,
     CIFAR_RECORD_BYTES,
     Dataset,
-    OnlineConfig,
-    SyntheticSpec,
     average_end_accuracy,
     class_pattern,
     generate_synthetic,
@@ -33,20 +32,27 @@ from gpsbench.imaging import (
 from gpsbench.sampler import gps_sample
 
 
-def expected_synthetic(spec, rng):
+def synthetic(classes, resolution, **settings):
+    """A config whose synthetic_<name> keys are the given settings."""
+    return ExperimentConfig(synthetic_classes=classes, synthetic_resolution=resolution,
+                            **{f"synthetic_{k}": v for k, v in settings.items()})
+
+
+def expected_synthetic(config, rng):
     """Per-image reference of generate_synthetic: one noise draw per image."""
-    patterns = [class_pattern(spec, c) for c in range(spec.num_classes)]
+    classes = config.synthetic_classes
+    patterns = [class_pattern(config, c) for c in range(classes)]
 
     def draw(count, noise_rng):
-        pixels = np.empty((spec.num_classes * count, *patterns[0].shape), dtype=np.uint8)
+        pixels = np.empty((classes * count, *patterns[0].shape), dtype=np.uint8)
         for k in range(len(pixels)):
-            noisy = patterns[k // count] + spec.noise_amplitude * noise_rng.normal(
+            noisy = patterns[k // count] + config.synthetic_noise * noise_rng.normal(
                 patterns[0].shape)
             pixels[k] = np.clip(np.rint(noisy), 0, 255)
-        return pixels, np.repeat(np.arange(spec.num_classes), count)
+        return pixels, np.repeat(np.arange(classes), count)
 
-    return Dataset(*draw(spec.train_per_class, rng.split(0)),
-                   *draw(spec.test_per_class, rng.split(1)))
+    return Dataset(*draw(config.synthetic_train_per_class, rng.split(0)),
+                   *draw(config.synthetic_test_per_class, rng.split(1)))
 
 
 DATASET_ARRAYS = ("train_pixels", "train_labels", "test_pixels", "test_labels")
@@ -71,26 +77,22 @@ _ABOVE_CHUNK = math.isqrt(_NOISE_CHUNK_VALUES // 3) + 1  # one 3-channel image i
 
 
 class TestSyntheticMatchesPerImageDraws:
-    @pytest.mark.parametrize("spec", [
-        SyntheticSpec(num_classes=2, resolution=_ABOVE_CHUNK, train_per_class=3,
-                      test_per_class=1),
-        SyntheticSpec(num_classes=3, resolution=16,
-                      train_per_class=2 * _chunk_rows(16, 3) + 5,
-                      test_per_class=_chunk_rows(16, 3) - 1),
-        SyntheticSpec(num_classes=2, resolution=16, channels=1, noise_amplitude=200.0,
-                      train_per_class=_chunk_rows(16, 1) + 3,
-                      test_per_class=_chunk_rows(16, 1)),
+    @pytest.mark.parametrize("config", [
+        synthetic(2, _ABOVE_CHUNK, train_per_class=3, test_per_class=1),
+        synthetic(3, 16, train_per_class=2 * _chunk_rows(16, 3) + 5,
+                  test_per_class=_chunk_rows(16, 3) - 1),
+        synthetic(2, 16, channels=1, noise=200.0, train_per_class=_chunk_rows(16, 1) + 3,
+                  test_per_class=_chunk_rows(16, 1)),
     ], ids=["one_image_above_chunk", "partial_last_chunk", "one_channel"])
-    def test_equals_reference(self, spec):
-        got = generate_synthetic(spec, Rng(3))
-        want = expected_synthetic(spec, Rng(3))
+    def test_equals_reference(self, config):
+        got = generate_synthetic(config, Rng(3))
+        want = expected_synthetic(config, Rng(3))
         for name in DATASET_ARRAYS:
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
             assert getattr(got, name).dtype == getattr(want, name).dtype
 
     def test_desk_seed_0_hashes(self):
-        ds = generate_synthetic(SyntheticSpec(num_classes=10, resolution=32),
-                                Rng(0).split(DOMAIN_DATA))
+        ds = generate_synthetic(ExperimentConfig(), Rng(0).split(DOMAIN_DATA))
         got = {}
         for name in DATASET_ARRAYS:
             arr = getattr(ds, name)
@@ -102,54 +104,48 @@ class TestSyntheticMatchesPerImageDraws:
     def test_unallocatable_split_is_config_error(self, per_class):
         # petabytes (a MemoryError) and exabytes (numpy's "array is too big"
         # ValueError): both are refused before any memory is touched
-        spec = SyntheticSpec(num_classes=10, resolution=16, train_per_class=per_class)
+        config = synthetic(10, 16, train_per_class=per_class)
         with pytest.raises(ConfigError, match=rf"\({10 * per_class}, 16, 16, 3\)"):
-            generate_synthetic(spec, Rng(0))
+            generate_synthetic(config, Rng(0))
 
 
 class TestSynthetic:
     def test_shapes_and_counts(self):
-        spec = SyntheticSpec(num_classes=4, resolution=16, train_per_class=12,
-                             test_per_class=5)
-        ds = generate_synthetic(spec, Rng(0))
+        ds = generate_synthetic(synthetic(4, 16, train_per_class=12, test_per_class=5),
+                                Rng(0))
         assert ds.train_pixels.shape == (48, 16, 16, 3)
         assert ds.test_pixels.shape == (20, 16, 16, 3)
         assert ds.train_labels.shape == (48,) and ds.test_labels.shape == (20,)
         assert np.unique(ds.train_labels).tolist() == [0, 1, 2, 3]
 
     def test_deterministic_for_same_rng(self):
-        spec = SyntheticSpec(num_classes=3, resolution=8, train_per_class=4,
-                             test_per_class=2)
-        a = generate_synthetic(spec, Rng(5))
-        b = generate_synthetic(spec, Rng(5))
+        config = synthetic(3, 8, train_per_class=4, test_per_class=2)
+        a = generate_synthetic(config, Rng(5))
+        b = generate_synthetic(config, Rng(5))
         for name in ("train_pixels", "train_labels", "test_pixels", "test_labels"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
     def test_patterns_fixed_by_pattern_seed_not_data_rng(self):
-        spec = SyntheticSpec(num_classes=3, resolution=8)
-        p1 = class_pattern(spec, 1)
-        p2 = class_pattern(spec, 1)
+        config = synthetic(3, 8)
+        p1 = class_pattern(config, 1)
+        p2 = class_pattern(config, 1)
         np.testing.assert_array_equal(p1, p2)
-        other = class_pattern(SyntheticSpec(num_classes=3, resolution=8,
-                                            pattern_seed=8), 1)
+        other = class_pattern(synthetic(3, 8, pattern_seed=8), 1)
         assert not np.array_equal(p1, other)
 
     def test_classes_have_distinct_patterns(self):
-        spec = SyntheticSpec(num_classes=6, resolution=16)
-        pats = [class_pattern(spec, c) for c in range(6)]
+        config = synthetic(6, 16)
+        pats = [class_pattern(config, c) for c in range(6)]
         for i in range(6):
             for j in range(i + 1, 6):
                 assert np.abs(pats[i] - pats[j]).mean() > 1.0
 
     def test_noise_varies_between_samples(self):
-        spec = SyntheticSpec(num_classes=1, resolution=8, train_per_class=2,
-                             test_per_class=1)
-        ds = generate_synthetic(spec, Rng(1))
+        ds = generate_synthetic(synthetic(1, 8, train_per_class=2, test_per_class=1), Rng(1))
         assert not np.array_equal(ds.train_pixels[0], ds.train_pixels[1])
 
     def test_values_stay_in_byte_range(self):
-        spec = SyntheticSpec(num_classes=2, resolution=8, noise_amplitude=200.0)
-        ds = generate_synthetic(spec, Rng(2))
+        ds = generate_synthetic(synthetic(2, 8, noise=200.0), Rng(2))
         assert ds.train_pixels.dtype == np.uint8
 
 
@@ -254,7 +250,7 @@ class TestAccuracyMatrix:
                                   synthetic_train_per_class=10, synthetic_test_per_class=4,
                                   tasks=3, classes_per_task=2, budget_images=4,
                                   stream_batch=5, replay_batch=16, hidden_units=16,
-                                  embedding_units=8).validate()
+                                  embedding_units=8)
         entries = run_one_seed(config, 0)["entries"]
         assert [(t, i) for t, i, _ in entries] == [(0, 0), (1, 0), (1, 1),
                                                    (2, 0), (2, 1), (2, 2)]
@@ -290,20 +286,24 @@ class TestAccuracyMatrix:
 
 def small_setup(seed=0, mode=MODE_GPS, head="ncm", factor=2, replay_batch=16,
                 replay_weight=1.0, classes=4, tasks=2, budget_images=4):
-    """(stream, params, buffer, config, root rng) of a small run_online call."""
+    """(stream, params, buffer, config, root rng) of a small run_online call.
+
+    The config leaves buffer_mode and factor at their defaults, as run_online
+    reads them from the buffer it is given.
+    """
     root = Rng(seed)
-    spec = SyntheticSpec(num_classes=classes, resolution=8, train_per_class=10,
-                         test_per_class=4)
-    ds = generate_synthetic(spec, root.split(DOMAIN_DATA))
+    config = ExperimentConfig(synthetic_classes=classes, synthetic_resolution=8,
+                              synthetic_train_per_class=10, synthetic_test_per_class=4,
+                              stream_batch=5, replay_batch=replay_batch,
+                              replay_weight=replay_weight, head=head)
+    ds = generate_synthetic(config, root.split(DOMAIN_DATA))
     stream = split_tasks(ds, tasks, classes // tasks, root.split(DOMAIN_TASK_SPLIT))
     params = L.init_params(8, 3, 16, 8, classes, root.split(DOMAIN_MODEL_INIT))
     buf = None
     if mode != "none":
         buf = ReplayBuffer(PixelBudget(budget_images, 8), mode, root.split(DOMAIN_BUFFER),
                            factor=factor if mode == MODE_GPS else 1)
-    cfg = OnlineConfig(stream_batch=5, replay_batch=replay_batch,
-                       replay_weight=replay_weight, head=head)
-    return stream, params, buf, cfg, root
+    return stream, params, buf, config, root
 
 
 def small_run(**kwargs):
@@ -367,10 +367,13 @@ class TestRunOnline:
             small_run(seed=9, factor=3)
 
     def test_gps_replay_below_one_group_rejected(self):
-        # factor 2: a replay batch of 1 to 3 samples fills no 4-sample group
+        # factor-2 buffer: a replay batch of 1 to 3 samples fills no 4-sample
+        # group, whatever factor the config names
+        stream, params, buf, cfg, root = small_setup(seed=12)
         for replay_batch in (1, 3):
+            bad = replace(cfg, factor=1, replay_batch=replay_batch)
             with pytest.raises(ConfigError, match="replay_batch"):
-                small_run(seed=12, replay_batch=replay_batch)
+                run_online(stream, params, buf, bad, root)
         for replay_batch in (0, 4):
             result, _ = small_run(seed=12, replay_batch=replay_batch)
             assert 0.0 <= average_end_accuracy(result.matrix) <= 1.0
@@ -417,35 +420,45 @@ class TestRunOnline:
             np.testing.assert_array_equal(ta, tb)
 
 
-class TestOnlineConfig:
-    def test_defaults(self):
-        cfg = OnlineConfig()
-        assert cfg.stream_batch == 10
-        assert cfg.replay_batch == 100
-        assert cfg.learning_rate == pytest.approx(0.1)
-        assert cfg.replay_weight == pytest.approx(1.0)
-        assert cfg.head == "ncm"
-        assert cfg.normalize_embeddings is False
-
-    def test_validation(self):
-        with pytest.raises(ConfigError):
-            OnlineConfig(stream_batch=0)
-        with pytest.raises(ConfigError):
-            OnlineConfig(replay_batch=-1)
-        with pytest.raises(ConfigError):
-            OnlineConfig(head="other")
-
-    def test_non_finite_floats_rejected(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="learning_rate"):
-                OnlineConfig(learning_rate=bad)
-            with pytest.raises(ConfigError, match="replay_weight"):
-                OnlineConfig(replay_weight=bad)
-            with pytest.raises(ConfigError, match="noise_amplitude"):
-                SyntheticSpec(num_classes=2, resolution=8, noise_amplitude=bad)
+# one bad value per key that the library once checked under another name
+BAD_VALUES = [
+    ("synthetic_classes", 0),
+    ("synthetic_resolution", 0),
+    ("synthetic_channels", 2),
+    ("synthetic_train_per_class", 0),
+    ("synthetic_test_per_class", 0),
+    ("synthetic_noise", math.inf),
+    ("synthetic_pattern_seed", -1),
+    ("synthetic_contrast", math.nan),
+    ("synthetic_baseline", 256.0),
+    ("stream_batch", 0),
+    ("replay_batch", -1),
+    ("learning_rate", math.nan),
+    ("replay_weight", -math.inf),
+    ("head", "other"),
+]
 
 
 class TestExperimentConfig:
+    @pytest.mark.parametrize("key, value", BAD_VALUES, ids=[key for key, _ in BAD_VALUES])
+    def test_bad_value_error_begins_with_its_key(self, key, value):
+        # checked however the config is made: parsed from text or replaced in code
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(f"{key} = {value}\n")
+        with pytest.raises(ConfigError) as replaced:
+            replace(ExperimentConfig(), **{key: value})
+        for error in (parsed.value, replaced.value):
+            assert str(error).startswith(key), str(error)
+
+    def test_training_defaults(self):
+        config = ExperimentConfig()
+        assert config.stream_batch == 10
+        assert config.replay_batch == 100
+        assert config.learning_rate == pytest.approx(0.1)
+        assert config.replay_weight == pytest.approx(1.0)
+        assert config.head == "ncm"
+        assert config.normalize_embeddings is False
+
     def test_parse_round_trip(self):
         cfg = ExperimentConfig(dataset="synthetic", tasks=3, classes_per_task=2,
                                synthetic_classes=6, seeds=(3, 4, 5),
@@ -494,9 +507,13 @@ class TestExperimentConfig:
             parse_config("synthetic_pattern_seed = -1\n").validate()
 
     def test_validate_catches_cross_field_rules(self):
-        cfg = parse_config("buffer_mode = none\nhead = ncm\n")
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="head = ncm requires a buffer"):
+            parse_config("buffer_mode = none\nhead = ncm\n")
+
+    def test_frozen_so_no_value_skips_the_check(self):
+        config = ExperimentConfig()
+        with pytest.raises(FrozenInstanceError):
+            config.stream_batch = 0
 
     def test_replay_units_accepts_only_samples(self):
         assert parse_config("replay_units = samples\n").validate() is not None
@@ -517,19 +534,11 @@ class TestExperimentConfig:
         assert ExperimentConfig().validate() is not None
 
     def test_non_finite_floats_rejected(self):
-        for text in ("learning_rate = nan\n", "synthetic_noise = inf\n",
-                     "replay_weight = -inf\n", "synthetic_contrast = nan\n",
+        for key in ("learning_rate", "replay_weight", "synthetic_noise"):
+            for bad in ("nan", "inf"):
+                with pytest.raises(ConfigError, match=key):
+                    parse_config(f"{key} = {bad}\n")
+        for text in ("replay_weight = -inf\n", "synthetic_contrast = nan\n",
                      "image_test_fraction = nan\n"):
             with pytest.raises(ConfigError):
                 parse_config(text).validate()
-
-    def test_library_dataclasses_do_the_checking(self):
-        # each field rule lives in the dataclass the library uses; validate
-        # reaches it through the builders
-        with pytest.raises(ConfigError, match="stream_batch"):
-            parse_config("stream_batch = 0\n").validate()
-        with pytest.raises(ConfigError, match="channels"):
-            parse_config("synthetic_channels = 2\n").validate()
-        cfg = parse_config("learning_rate = 0.5\nsynthetic_classes = 4\n")
-        assert cfg.online_config().learning_rate == 0.5
-        assert cfg.synthetic_spec().num_classes == 4

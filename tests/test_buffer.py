@@ -157,12 +157,8 @@ class TestClassIndex:
             for k in range(n_offers):
                 label = int(rng.split(trial, 2, k).integer(0, 5))
                 buf.offer(surrogate(rng.split(trial, 3, k)), label)
-                expected = self.recompute(buf)
-                got = {c: buf.indices_for_class(c).tolist()
-                       for c in buf.class_counts()}
-                assert got == expected
                 slots = {c: s.tolist() for c, s in buf.class_slots().items()}
-                assert slots == expected
+                assert slots == self.recompute(buf)
 
     def test_class_counts(self):
         rng = Rng(11)
@@ -173,8 +169,11 @@ class TestClassIndex:
         assert list(buf.class_counts()) == [2, 5, 7]
 
     def test_missing_class_returns_empty(self):
+        # -1 marks the empty slot, so it must not be listed as a class
         buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, Rng(0))
-        assert buf.indices_for_class(3).tolist() == []
+        assert buf.class_slots() == {}
+        buf.offer(full_image(Rng(1)), 5)
+        assert {c: s.tolist() for c, s in buf.class_slots().items()} == {5: [0]}
 
 
 class TestSnapshot:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gpsbench.cli as cli
-from gpsbench.buffer import ReplayBuffer
+from gpsbench.buffer import MODE_GPS, PixelBudget, ReplayBuffer
 from gpsbench.cli import main
 from gpsbench.config import parse_config
 from gpsbench.imaging import Rng, load_ppm, save_ppm
@@ -338,6 +338,18 @@ class TestReconstructAndInspect:
         assert run_cli("reconstruct", snap, "--class-id", "999",
                        "--out", tmp_path / "r.ppm") == 3
 
+    def test_reconstruct_never_tiles_empty_slots(self, tmp_path, capsys):
+        # 16 slots, 6 filled: the 10 empty ones carry the marker label -1
+        buf = ReplayBuffer(PixelBudget(4, 8), MODE_GPS, Rng(0), factor=2)
+        for k in range(6):
+            buf.offer(np.full((4, 4, 3), k, dtype=np.uint8), 0)
+        snap = tmp_path / "b.gpsb"
+        snap.write_bytes(buf.snapshot())
+        out = tmp_path / "r.ppm"
+        assert run_cli("reconstruct", snap, "--class-id", "-1", "--out", out) == 3
+        assert "class -1 holds 0 exemplars" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_inspect_reports_occupancy(self, tmp_path, config_file, capsys):
         snap = self.make_snapshot(tmp_path, config_file)
         assert run_cli("inspect-buffer", snap) == 0
@@ -422,8 +434,9 @@ class TestImageDirDataset:
 
     def test_non_numeric_class_dir_is_2(self, tmp_path, capsys):
         # beside a valid class "1": int() would take "-1" (then fail in numpy),
-        # read "+1" as 1 and "1_0" as 10, and "01" would merge into class 1
-        for name in ("cats", "-1", "+1", "1_0", "01"):
+        # read "+1" as 1 and "1_0" as 10, and "01" would merge into class 1;
+        # ids from 2^31 do not fit the int32 buffer labels
+        for name in ("cats", "-1", "+1", "1_0", "01", "2147483648", "99999999999999999999"):
             root = tmp_path / name / "data"
             for d in ("1", name):
                 (root / d).mkdir(parents=True)
@@ -433,6 +446,20 @@ class TestImageDirDataset:
             cfg.write_text(f"dataset = image_dir\nimage_dir = {root}\n")
             assert run_cli("run", "--config", cfg, "--out", tmp_path / name / "o") == 2
             assert repr(name) in capsys.readouterr().err
+
+    def test_unallocatable_model_is_2(self, tmp_path, capsys):
+        # class 2^31 - 1 at 131072 embedding units asks for petabytes of
+        # weights, beyond the address space, so nothing is touched
+        root = tmp_path / "data"
+        for d in ("1", "2147483647"):
+            (root / d).mkdir(parents=True)
+            for k in range(5):
+                save_ppm(root / d / f"{k}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = image_dir\nimage_dir = {root}\ntasks = 1\n"
+                       "hidden_units = 1\nembedding_units = 131072\n")
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert "2147483648 classes" in capsys.readouterr().err
 
 
 class TestBenchmarkContract:
