@@ -439,6 +439,19 @@ BAD_VALUES = [
 ]
 
 
+class TestOnlineConfig:
+    """The online-training values of ExperimentConfig, built in code, not parsed."""
+
+    def test_non_finite_floats_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="learning_rate"):
+                ExperimentConfig(learning_rate=bad)
+            with pytest.raises(ConfigError, match="replay_weight"):
+                ExperimentConfig(replay_weight=bad)
+            with pytest.raises(ConfigError, match="synthetic_noise"):
+                synthetic(2, 8, noise=bad)
+
+
 class TestExperimentConfig:
     @pytest.mark.parametrize("key, value", BAD_VALUES, ids=[key for key, _ in BAD_VALUES])
     def test_bad_value_error_begins_with_its_key(self, key, value):
