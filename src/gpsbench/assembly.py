@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .buffer import MODE_GPS, ReplayBuffer
+from .buffer import ReplayBuffer
 from .imaging import Rng
 
 
@@ -40,25 +40,27 @@ def upsample(pixels: np.ndarray, factor: int) -> np.ndarray:
 
 
 def draw_replay_batch(buf: ReplayBuffer, batch_size: int, rng: Rng) -> np.ndarray:
-    """Draw up to batch_size slot groups, one per replay image, from a gps-mode buffer.
+    """Draw up to batch_size slot groups, one per replay image.
 
     Per class: shuffle its slot indices, cut into consecutive groups of
     factor^2, drop the incomplete tail. All complete groups form one pool;
     min(batch_size, pool) groups are drawn uniformly without replacement.
+    At factor 1 the pool is every occupied slot, in slot order, unshuffled.
     Returns an (n, factor^2) array of slot indices in grid order, so
     `grid_concat(buf.slab[groups], buf.factor)` tiles the n replay images
     and `buf.labels[groups[:, 0]]` labels them. Groups re-randomize on
     every call.
     """
-    if buf.mode != MODE_GPS:
-        raise ValueError("replay reconstruction requires a gps-mode buffer")
     group_size = buf.factor ** 2
-    pool = [np.empty((0, group_size), dtype=np.intp)]
-    for slots in buf.class_slots().values():
-        indices = rng.shuffled(slots)
-        complete = len(indices) - len(indices) % group_size
-        pool.append(indices[:complete].reshape(-1, group_size))
-    pool = np.concatenate(pool)
+    if group_size == 1:
+        pool = np.flatnonzero(buf.labels >= 0)[:, None]
+    else:
+        pool = [np.empty((0, group_size), dtype=np.intp)]
+        for slots in buf.class_slots().values():
+            indices = rng.shuffled(slots)
+            complete = len(indices) - len(indices) % group_size
+            pool.append(indices[:complete].reshape(-1, group_size))
+        pool = np.concatenate(pool)
     if not len(pool):
         return pool
     return pool[rng.choose(len(pool), min(batch_size, len(pool)))]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import learner as L
 from .assembly import draw_replay_batch, grid_concat
-from .buffer import MODE_GPS, ReplayBuffer
+from .buffer import ReplayBuffer
 from .config import HEAD_NCM, ExperimentConfig
 from .errors import ConfigError, FormatError, NumericalError, StateError
 from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Rng, load_ppm
@@ -253,15 +253,8 @@ def _replay_batch(buf, config, replay_rng):
     """(pixels, labels) of one replay batch, or None when nothing is replayed."""
     if buf is None or config.replay_batch == 0:
         return None
-    if buf.mode == MODE_GPS:
-        groups = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
-        return grid_concat(buf.slab[groups], buf.factor), buf.labels[groups[:, 0]]
-    occupied = buf.occupied_indices
-    if not len(occupied):
-        return None
-    take = min(config.replay_batch, len(occupied))
-    chosen = occupied[replay_rng.choose(len(occupied), take)]
-    return buf.slab[chosen], buf.labels[chosen]
+    groups = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
+    return grid_concat(buf.slab[groups], buf.factor), buf.labels[groups[:, 0]]
 
 
 def _evaluate_row(matrix, t, stream, params, buf, config):
@@ -285,8 +278,8 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
     """Single pass over the task stream; returns the accuracy matrix and counters.
 
     Per mini-batch: draw replay, take one SGD step on stream + replay, then
-    (gps mode) compress the whole mini-batch with one `gps_sample` call on
-    `rng.split(DOMAIN_STREAM, step)`, and offer its images in stream order,
+    (at factor > 1) compress the whole mini-batch with one `gps_sample` call
+    on `rng.split(DOMAIN_STREAM, step)`, and offer its images in stream order,
     one reservoir draw each. On a numerical failure the partial result is
     attached to the raised error. The buffer is checked here, as the config
     that built it may not be the one given.
@@ -294,7 +287,7 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
     ds = stream.dataset
     if config.head == HEAD_NCM and buf is None:
         raise ConfigError("ncm head requires a replay buffer; use head=softmax")
-    if buf is not None and buf.mode == MODE_GPS:
+    if buf is not None:
         f, resolution = buf.factor, buf.budget.resolution
         _check(resolution % f == 0,
                f"factor {f} must divide resolution {resolution} for replay training")
@@ -318,7 +311,7 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
             result.step_count += 1
             if buf is None:
                 continue
-            if buf.mode == MODE_GPS:
+            if buf.factor > 1:  # factor 1 keeps every pixel
                 pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
             for item, label in zip(pixels, labels):
                 buf.offer(item, label)

@@ -1,11 +1,12 @@
 """Pixel-budget replay buffer with reservoir updates over one uint8 slab.
 
 The budget is counted in stored pixel positions: a buffer worth K
-full-resolution r x r images holds K * r^2 pixels. In surrogate mode the
-same budget buys factor^2 times as many slots, each holding a compressed
-exemplar of side floor(r / factor). Exemplars live in one
-(slots, side, side, C) array beside a label vector in which -1 marks an
-empty slot; the per-class index is computed from the labels on demand.
+full-resolution r x r images holds K * r^2 pixels. At sampling factor f
+the same budget buys f^2 times as many slots, each holding a compressed
+exemplar of side floor(r / f); at f = 1 that is the full image. Exemplars
+live in one (slots, side, side, C) array beside a label vector in which -1
+marks an empty slot; the per-class index is computed from the labels on
+demand.
 """
 
 from __future__ import annotations
@@ -20,15 +21,10 @@ from .errors import ConfigError, FormatError
 from .imaging import GridSpec, Rng
 
 SNAPSHOT_MAGIC = b"GPSB"
-SNAPSHOT_VERSION = 2
-# magic, version, mode code, factor, budget image count, budget resolution,
-# channels, seen count; then the rng state, the labels as <i4 and the slab.
-_HEADER = struct.Struct("<4sHBHIIBQ")
-
-MODE_FULL = "full"
-MODE_GPS = "gps"
-_MODE_CODES = {MODE_FULL: 0, MODE_GPS: 1}
-_MODE_NAMES = {v: k for k, v in _MODE_CODES.items()}
+SNAPSHOT_VERSION = 3
+# magic, version, factor, budget image count, budget resolution, channels,
+# seen count; then the rng state, the labels as <i4 and the slab.
+_HEADER = struct.Struct("<4sHHIIBQ")
 
 
 @dataclass(frozen=True)
@@ -49,33 +45,25 @@ class PixelBudget:
         return self.image_count * self.resolution ** 2
 
 
-def _geometry(budget: PixelBudget, mode: str, factor: int, channels: int):
-    """(factor, exemplar side, slot count) of a buffer; ConfigError if impossible."""
-    if mode not in _MODE_CODES:
-        raise ConfigError(f"unknown buffer mode {mode!r}: expected 'full' or 'gps'")
+def _geometry(budget: PixelBudget, factor: int, channels: int):
+    """(exemplar side, slot count) of a buffer; ConfigError if impossible."""
     if channels not in (1, 3):
         raise ConfigError(f"channel count must be 1 or 3, got {channels}")
-    if mode == MODE_FULL:
-        return 1, budget.resolution, budget.image_count
-    grid = GridSpec(factor, budget.resolution)
-    return factor, grid.side, budget.image_count * factor ** 2
+    return GridSpec(factor, budget.resolution).side, budget.image_count * factor ** 2
 
 
 class ReplayBuffer:
     """Fixed-slot exemplar store under a pixel budget, reservoir-managed.
 
-    In "full" mode slots hold r x r images; in "gps" mode they hold
-    surrogates of side floor(r/factor), and there are factor^2 times as
-    many slots for the same budget. `slab[i]` is slot i's pixels and
-    `labels[i]` its class, or -1 while the slot is empty. Single-writer:
-    confine each buffer to one worker.
+    Slots hold surrogates of side floor(r/factor), factor^2 times as many
+    as the budget's K images, so factor 1 stores K full images. `slab[i]`
+    is slot i's pixels and `labels[i]` its class, or -1 while the slot is
+    empty. Single-writer: confine each buffer to one worker.
     """
 
-    def __init__(self, budget: PixelBudget, mode: str, rng: Rng, factor: int = 1,
-                 channels: int = 3):
-        factor, side, slot_count = _geometry(budget, mode, factor, channels)
+    def __init__(self, budget: PixelBudget, rng: Rng, factor: int = 1, channels: int = 3):
+        side, slot_count = _geometry(budget, factor, channels)
         self.budget = budget
-        self.mode = mode
         self.factor = factor
         self.channels = channels
         self.rng = rng
@@ -92,10 +80,6 @@ class ReplayBuffer:
     @property
     def occupied_count(self):
         return min(self.seen_count, self.slot_count)
-
-    @property
-    def occupied_indices(self):
-        return np.flatnonzero(self.labels >= 0)
 
     @property
     def occupied_pixels(self):
@@ -143,10 +127,10 @@ class ReplayBuffer:
     # --- snapshot / restore ---
 
     def snapshot(self) -> bytes:
-        """Serialize header, rng state, labels and slab (format version 2)."""
-        header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, _MODE_CODES[self.mode],
-                              self.factor, self.budget.image_count,
-                              self.budget.resolution, self.channels, self.seen_count)
+        """Serialize header, rng state, labels and slab (format version 3)."""
+        header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self.factor,
+                              self.budget.image_count, self.budget.resolution,
+                              self.channels, self.seen_count)
         return b"".join([header, self.rng.state_bytes(),
                          self.labels.astype("<i4").tobytes(), self.slab.tobytes()])
 
@@ -161,20 +145,15 @@ class ReplayBuffer:
             raise FormatError(f"bad snapshot magic {blob[:4]!r}: expected {SNAPSHOT_MAGIC!r}")
         if len(blob) < _HEADER.size:
             raise FormatError(f"truncated snapshot header: need {_HEADER.size} bytes")
-        (_, version, mode_code, factor, image_count, resolution, channels,
-         seen_count) = _HEADER.unpack_from(blob)
+        _, version, factor, image_count, resolution, channels, seen_count = (
+            _HEADER.unpack_from(blob))
         if version != SNAPSHOT_VERSION:
             raise FormatError(
                 f"unsupported snapshot version {version}: expected {SNAPSHOT_VERSION}"
             )
-        if mode_code not in _MODE_NAMES:
-            raise FormatError(f"unknown mode code {mode_code}")
-        mode = _MODE_NAMES[mode_code]
-        if mode == MODE_FULL and factor != 1:
-            raise FormatError(f"full-mode snapshot has factor {factor}, expected 1")
         try:
             budget = PixelBudget(image_count, resolution)
-            factor, side, slot_count = _geometry(budget, mode, factor, channels)
+            side, slot_count = _geometry(budget, factor, channels)
         except ConfigError as exc:
             raise FormatError(f"invalid snapshot header: {exc}") from None
         rng, used = Rng.from_state_bytes(blob, _HEADER.size)
@@ -190,7 +169,7 @@ class ReplayBuffer:
         occupied = min(seen_count, slot_count)
         if (labels[:occupied] < 0).any() or (labels[occupied:] != -1).any():
             raise FormatError(f"slot labels disagree with seen count {seen_count}")
-        buf = cls(budget, mode, rng, factor=factor, channels=channels)
+        buf = cls(budget, rng, factor=factor, channels=channels)
         buf.seen_count = seen_count
         buf.labels[:] = labels
         buf.slab[:] = np.frombuffer(blob, dtype=np.uint8, offset=slab_at).reshape(shape)

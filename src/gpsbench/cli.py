@@ -1,8 +1,8 @@
 """Command-line front end: run experiments, sweeps, and single-image demos.
 
 Subcommands: run, sweep, compress, reconstruct, inspect-buffer.
-Exit codes: 0 success, 2 config error, 3 data/format error, 4 numerical
-failure.
+Exit codes: 0 success, 2 config error, 3 data/format error or a path that
+cannot be read, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bench import (
     run_online,
     split_tasks,
 )
-from .buffer import MODE_GPS, PixelBudget, ReplayBuffer
+from .buffer import PixelBudget, ReplayBuffer
 from .config import ExperimentConfig, config_to_dict, load_config
 from .errors import ConfigError, EmptyStateError, FormatError, GpsError, NumericalError
 from .imaging import (
@@ -72,9 +72,10 @@ def run_one_seed(config: ExperimentConfig, seed: int):
             f"a model for {num_classes} classes cannot be allocated: {exc}") from None
     buf = None
     if config.buffer_mode != "none":
-        budget = PixelBudget(config.budget_images, resolution)
-        buf = ReplayBuffer(budget, config.buffer_mode, root.split(DOMAIN_BUFFER),
-                           factor=config.factor, channels=channels)
+        # a full buffer is the factor-1 buffer, whatever `factor` says
+        factor = config.factor if config.buffer_mode == "gps" else 1
+        buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
+                           root.split(DOMAIN_BUFFER), factor=factor, channels=channels)
     status = "ok"
     failure = None
     try:
@@ -240,8 +241,6 @@ def cmd_compress(input_path, factor, seed, output_path) -> int:
 
 def cmd_reconstruct(snapshot_path, class_id, seed, output_path) -> int:
     buf = ReplayBuffer.restore(Path(snapshot_path).read_bytes())
-    if buf.mode != MODE_GPS:
-        raise ConfigError("reconstruction needs a gps-mode buffer snapshot")
     group_size = buf.factor ** 2
     rng = Rng(seed)
     class_slots = buf.class_slots()
@@ -266,7 +265,7 @@ def cmd_reconstruct(snapshot_path, class_id, seed, output_path) -> int:
 
 def cmd_inspect_buffer(snapshot_path) -> int:
     buf = ReplayBuffer.restore(Path(snapshot_path).read_bytes())
-    print(f"mode={buf.mode}")
+    print(f"mode={'gps' if buf.factor > 1 else 'full'}")
     print(f"budget_images={buf.budget.image_count}")
     print(f"resolution={buf.budget.resolution}")
     print(f"factor={buf.factor}")
@@ -328,6 +327,8 @@ def _build_parser():
 def _dispatch(args) -> int:
     if args.command in ("run", "sweep") and args.workers < 1:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    if args.command in ("compress", "reconstruct") and args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.command == "run":
         config = load_config(args.config)
         if args.seed is not None:
@@ -353,7 +354,7 @@ def main(argv=None) -> int:
     except GpsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return FormatError.exit_code
 

@@ -137,13 +137,18 @@ class ExperimentConfig:
 _BOOL_WORDS = {"true": True, "false": False}
 
 
+def _number(kind, text):
+    """kind(text) for ASCII text without '_'; int() would also read '1_0' as 10."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"expected an ASCII number without '_', got {text!r}")
+    return kind(text)
+
+
 def _parse_value(name, kind, raw):
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
+        if kind in (int, float):
+            return _number(kind, raw)
         if kind is bool:
             if raw.lower() not in _BOOL_WORDS:
                 raise ValueError(f"expected true or false, got {raw!r}")
@@ -151,7 +156,7 @@ def _parse_value(name, kind, raw):
         if kind is tuple:
             if not raw:
                 return ()
-            return tuple(int(p.strip()) for p in raw.split(","))
+            return tuple(_number(int, p.strip()) for p in raw.split(","))
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from exc
@@ -181,8 +186,12 @@ def parse_config(text) -> ExperimentConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def serialize_config(config: ExperimentConfig) -> str:

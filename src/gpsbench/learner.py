@@ -207,8 +207,8 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer, normalize=False):
     """(labels, means): the buffered class ids, ascending, and an
     (n_classes, d) array whose row k is the mean embedding of class labels[k].
 
-    Exemplars are upsampled by the buffer's factor (the identity in full
-    mode) to the model resolution first. With `normalize`, each embedding
+    Exemplars are upsampled by the buffer's factor (the identity at factor
+    1) to the model resolution first. With `normalize`, each embedding
     is scaled to unit length before averaging.
     """
     class_slots = buf.class_slots()

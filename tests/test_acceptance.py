@@ -17,7 +17,7 @@ import pytest
 import gpsbench.learner as L
 from gpsbench.assembly import grid_concat, upsample
 from gpsbench.bench import average_end_accuracy
-from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import main as cli_main
 from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig
@@ -96,12 +96,12 @@ def test_criterion_01_structural_laws():
 def test_criterion_02_budget_arithmetic():
     budget = PixelBudget(20, 32)
     rng = Rng(102)
-    full = ReplayBuffer(budget, MODE_FULL, rng.split(0))
-    gps = ReplayBuffer(budget, MODE_GPS, rng.split(1), factor=2)
+    full = ReplayBuffer(budget, rng.split(0))
+    gps = ReplayBuffer(budget, rng.split(1), factor=2)
     assert gps.slot_count == 4 * full.slot_count == 80
 
     # pixel budget honored under a 10^4-offer fuzz sequence
-    buf = ReplayBuffer(budget, MODE_GPS, rng.split(2), factor=2)
+    buf = ReplayBuffer(budget, rng.split(2), factor=2)
     for k in range(10_000):
         img = random_image(rng.split(3, k), 32)
         buf.offer(gps_sample(img, 2, rng.split(4, k)), k % 9)
@@ -113,7 +113,7 @@ def test_criterion_03_reservoir_statistics():
     counts = np.zeros(n)
     blank = np.zeros((4, 4, 3), dtype=np.uint8)
     for t in range(trials):
-        buf = ReplayBuffer(PixelBudget(m, 4), MODE_FULL, Rng(t))
+        buf = ReplayBuffer(PixelBudget(m, 4), Rng(t))
         for k in range(n):
             buf.offer(blank, k)
         for label in buf.labels.tolist():
@@ -126,7 +126,7 @@ def test_criterion_03_reservoir_statistics():
     # class-index map equals a from-slots recomputation after fuzz sequences
     rng = Rng(103)
     for trial in range(20):
-        buf = ReplayBuffer(PixelBudget(5, 8), MODE_GPS, rng.split(trial),
+        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(trial),
                            factor=2)
         for k in range(int(rng.split(trial, 0).integer(1, 150))):
             img = random_image(rng.split(trial, 1, k), 8)
@@ -204,7 +204,7 @@ def test_criterion_05_ncm_oracle_equivalence():
     for seed in range(10):
         rng = Rng(200 + seed)
         params = L.init_params(8, 3, 16, 8, 4, rng.split(0))
-        buf = ReplayBuffer(PixelBudget(4, 8), MODE_GPS, rng.split(1), factor=2)
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(1), factor=2)
         for k in range(100):
             img = random_image(rng.split(2, k), 8)
             buf.offer(gps_sample(img, 2, rng.split(3, k)), k % 4)
@@ -266,8 +266,8 @@ def _desk_scale_run(seed, mode, head="ncm"):
 def desk_scale_results():
     seeds = range(10)
     return {
-        "gps": [_desk_scale_run(s, MODE_GPS) for s in seeds],
-        "full": [_desk_scale_run(s, MODE_FULL) for s in seeds],
+        "gps": [_desk_scale_run(s, "gps") for s in seeds],
+        "full": [_desk_scale_run(s, "full") for s in seeds],
         "finetune": [_desk_scale_run(s, "none", head="softmax") for s in seeds],
     }
 

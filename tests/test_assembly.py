@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gpsbench.assembly import draw_replay_batch, grid_concat, upsample
-from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample
 
@@ -107,7 +107,7 @@ class TestUpsample:
 def filled_gps_buffer(seed, budget_images=5, r=8, f=2, labels=(0, 1, 2),
                       offers=200):
     rng = Rng(seed)
-    buf = ReplayBuffer(PixelBudget(budget_images, r), MODE_GPS, rng.split(0),
+    buf = ReplayBuffer(PixelBudget(budget_images, r), rng.split(0),
                        factor=f)
     for k in range(offers):
         img = rng.split(1, k).integers(0, 256, (r, r, 3)).astype(np.uint8)
@@ -144,7 +144,7 @@ class TestDrawReplayBatch:
         # 3 surrogates of class 9 with f=2: no complete group of 4, so class 9
         # can never appear in a reconstruction
         rng = Rng(2)
-        buf = ReplayBuffer(PixelBudget(4, 8), MODE_GPS, rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0), factor=2)
         for k in range(3):
             img = rng.split(1, k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
             buf.offer(gps_sample(img, 2, rng.split(2, k)), 9)
@@ -153,7 +153,7 @@ class TestDrawReplayBatch:
             buf.offer(gps_sample(img, 2, rng.split(4, k)), 1)
         # class 9 may have lost slots to eviction; rebuild a buffer where it
         # holds exactly 3 by construction
-        buf2 = ReplayBuffer(PixelBudget(4, 8), MODE_GPS, rng.split(5), factor=2)
+        buf2 = ReplayBuffer(PixelBudget(4, 8), rng.split(5), factor=2)
         for k in range(3):
             img = rng.split(6, k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
             buf2.offer(gps_sample(img, 2, rng.split(7, k)), 9)
@@ -185,13 +185,20 @@ class TestDrawReplayBatch:
         b = draw_replay_batch(buf, 5, Rng(99))
         np.testing.assert_array_equal(a, b)
 
-    def test_full_mode_buffer_rejected(self):
+    def test_factor_one_chooses_among_occupied_slots(self):
+        # every occupied slot is a group of one; the draw is one choose over
+        # the occupied slots in slot order, with no shuffle
         rng = Rng(6)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
-        with pytest.raises(ValueError):
-            draw_replay_batch(buf, 1, rng.split(1))
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
+        for k in range(3):
+            buf.offer(np.full((8, 8, 3), k, dtype=np.uint8), k)
+        groups = draw_replay_batch(buf, 2, rng.split(1))
+        assert groups.tolist() == [[slot] for slot in rng.split(1).choose(3, 2)]
+        assert sorted(draw_replay_batch(buf, 9, rng.split(2))[:, 0].tolist()) == [0, 1, 2]
+        empty = ReplayBuffer(PixelBudget(4, 8), rng.split(3))
+        assert draw_replay_batch(empty, 5, rng.split(4)).shape == (0, 1)
 
     def test_empty_buffer_returns_empty(self):
         rng = Rng(7)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_GPS, rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
         assert draw_replay_batch(buf, 5, rng.split(1)).shape == (0, 4)

@@ -17,7 +17,7 @@ from gpsbench.bench import (
     run_online,
     split_tasks,
 )
-from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig, parse_config, serialize_config
 from gpsbench.errors import ConfigError, FormatError, StateError
@@ -284,7 +284,7 @@ class TestAccuracyMatrix:
             assert average_end_accuracy(m) == pytest.approx(expected, abs=1e-12)
 
 
-def small_setup(seed=0, mode=MODE_GPS, head="ncm", factor=2, replay_batch=16,
+def small_setup(seed=0, mode="gps", head="ncm", factor=2, replay_batch=16,
                 replay_weight=1.0, classes=4, tasks=2, budget_images=4):
     """(stream, params, buffer, config, root rng) of a small run_online call.
 
@@ -301,8 +301,8 @@ def small_setup(seed=0, mode=MODE_GPS, head="ncm", factor=2, replay_batch=16,
     params = L.init_params(8, 3, 16, 8, classes, root.split(DOMAIN_MODEL_INIT))
     buf = None
     if mode != "none":
-        buf = ReplayBuffer(PixelBudget(budget_images, 8), mode, root.split(DOMAIN_BUFFER),
-                           factor=factor if mode == MODE_GPS else 1)
+        buf = ReplayBuffer(PixelBudget(budget_images, 8), root.split(DOMAIN_BUFFER),
+                           factor=factor if mode == "gps" else 1)
     return stream, params, buf, config, root
 
 
@@ -313,11 +313,11 @@ def small_run(**kwargs):
 
 class TestRunOnline:
     def test_buffer_holds_stream_items_with_their_labels(self):
-        stream, params, buf, cfg, root = small_setup(seed=11, mode=MODE_FULL, factor=1,
+        stream, params, buf, cfg, root = small_setup(seed=11, mode="full", factor=1,
                                                      head="softmax")
         run_online(stream, params, buf, cfg, root)
         ds = stream.dataset
-        for slot in buf.occupied_indices:
+        for slot in np.flatnonzero(buf.labels >= 0):
             same = (ds.train_pixels == buf.slab[slot]).all(axis=(1, 2, 3))
             assert buf.labels[slot] in ds.train_labels[same]
 
@@ -349,7 +349,7 @@ class TestRunOnline:
         assert not np.array_equal(a.matrix, b.matrix, equal_nan=True)
 
     def test_full_mode_and_softmax_head(self):
-        result, _ = small_run(seed=6, mode=MODE_FULL, factor=1, head="softmax")
+        result, _ = small_run(seed=6, mode="full", factor=1, head="softmax")
         assert 0.0 <= average_end_accuracy(result.matrix) <= 1.0
 
     def test_no_buffer_needs_softmax_head(self):

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.errors import ConfigError, FormatError
 from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample
@@ -21,16 +21,16 @@ class TestSlotArithmetic:
     def test_gps_mode_multiplies_slots_by_factor_squared(self):
         budget = PixelBudget(20, 32)
         rng = Rng(0)
-        full = ReplayBuffer(budget, MODE_FULL, rng.split(1))
-        gps = ReplayBuffer(budget, MODE_GPS, rng.split(2), factor=2)
+        full = ReplayBuffer(budget, rng.split(1))
+        gps = ReplayBuffer(budget, rng.split(2), factor=2)
         assert full.slot_count == 20
         assert gps.slot_count == 80
         assert gps.slot_count == 4 * full.slot_count
 
     def test_exemplar_side(self):
         budget = PixelBudget(5, 32)
-        assert ReplayBuffer(budget, MODE_FULL, Rng(0)).exemplar_side == 32
-        assert ReplayBuffer(budget, MODE_GPS, Rng(0), factor=4).exemplar_side == 8
+        assert ReplayBuffer(budget, Rng(0)).exemplar_side == 32
+        assert ReplayBuffer(budget, Rng(0), factor=4).exemplar_side == 8
 
     def test_capacity_pixels(self):
         assert PixelBudget(20, 32).capacity_pixels == 20 * 32 * 32
@@ -38,7 +38,7 @@ class TestSlotArithmetic:
     def test_full_buffer_stays_within_pixel_budget(self):
         budget = PixelBudget(20, 32)
         rng = Rng(1)
-        buf = ReplayBuffer(budget, MODE_GPS, rng.split(0), factor=2, channels=3)
+        buf = ReplayBuffer(budget, rng.split(0), factor=2, channels=3)
         for k in range(10_000):
             buf.offer(surrogate(rng.split(1, k), r=32, f=2), k % 7)
             assert buf.occupied_pixels <= budget.capacity_pixels
@@ -46,13 +46,13 @@ class TestSlotArithmetic:
 
     def test_bad_factor_resolution_combo(self):
         with pytest.raises(ConfigError):
-            ReplayBuffer(PixelBudget(5, 4), MODE_GPS, Rng(0), factor=5)
+            ReplayBuffer(PixelBudget(5, 4), Rng(0), factor=5)
 
 
 class TestReservoir:
     def test_first_offers_fill_slots_in_order(self):
         rng = Rng(2)
-        buf = ReplayBuffer(PixelBudget(4, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
         for k in range(4):
             accepted, evicted = buf.offer(full_image(rng.split(k)), k)
             assert accepted and evicted is None
@@ -60,7 +60,7 @@ class TestReservoir:
 
     def test_rejection_keeps_slots(self):
         rng = Rng(3)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
         buf.offer(full_image(rng.split(1)), 0)
         buf.offer(full_image(rng.split(2)), 1)
         before = buf.slab.copy(), buf.labels.tolist()
@@ -73,29 +73,9 @@ class TestReservoir:
                 return
             before = buf.slab.copy(), buf.labels.tolist()
 
-    def test_inclusion_frequency_matches_reservoir_law(self):
-        # m = 10 slots, n = 100 offers, 1e4 trials: every item retained with
-        # frequency 10/100 within 3 standard errors; the offer index rides in
-        # the label so survivors are identifiable
-        m, n, trials = 10, 100, 10_000
-        counts = np.zeros(n)
-        item = np.zeros((4, 4, 3), dtype=np.uint8)
-        for t in range(trials):
-            buf = ReplayBuffer(PixelBudget(m, 4), MODE_FULL, Rng(t))
-            for k in range(n):
-                buf.offer(item, k)
-            assert buf.occupied_count == m
-            counts[buf.labels] += 1
-        freq = counts / trials
-        p = m / n
-        se = np.sqrt(p * (1 - p) / trials)
-        assert np.all(np.abs(freq - p) <= 3 * se), (
-            f"worst deviation {np.max(np.abs(freq - p)) / se:.2f} se"
-        )
-
     def test_seen_count_tracks_offers(self):
         rng = Rng(4)
-        buf = ReplayBuffer(PixelBudget(3, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(3, 8), rng.split(0))
         for k in range(50):
             buf.offer(full_image(rng.split(k)), 0)
         assert buf.seen_count == 50
@@ -104,38 +84,38 @@ class TestReservoir:
 class TestItemValidation:
     def test_full_mode_rejects_surrogates(self):
         rng = Rng(5)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
         with pytest.raises(ValueError):
             buf.offer(surrogate(rng.split(1)), 0)
 
     def test_gps_mode_rejects_full_images(self):
         rng = Rng(6)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_GPS, rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
         with pytest.raises(ValueError):
             buf.offer(full_image(rng.split(1)), 0)
 
     def test_gps_mode_rejects_factor_mismatch(self):
         rng = Rng(7)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_GPS, rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
         with pytest.raises(ValueError):
             buf.offer(surrogate(rng.split(1), r=8, f=4), 0)
 
     def test_wrong_side_rejected(self):
         rng = Rng(8)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
         with pytest.raises(ValueError):
             buf.offer(full_image(rng.split(1), r=16), 0)
 
     def test_unlabeled_rejected(self):
         # -1 is the empty-slot marker, so no exemplar may carry it
         rng = Rng(9)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
         with pytest.raises(ValueError):
             buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), -1)
 
     def test_non_uint8_rejected(self):
         rng = Rng(12)
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_GPS, rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
         with pytest.raises(ValueError, match="uint8"):
             buf.offer(np.zeros((4, 4, 3), dtype=np.float64), 0)
 
@@ -151,7 +131,7 @@ class TestClassIndex:
     def test_index_matches_recomputation_under_fuzz(self):
         rng = Rng(10)
         for trial in range(30):
-            buf = ReplayBuffer(PixelBudget(6, 8), MODE_GPS, rng.split(trial),
+            buf = ReplayBuffer(PixelBudget(6, 8), rng.split(trial),
                                factor=2)
             n_offers = int(rng.split(trial, 1).integer(1, 200))
             for k in range(n_offers):
@@ -162,7 +142,7 @@ class TestClassIndex:
 
     def test_class_counts(self):
         rng = Rng(11)
-        buf = ReplayBuffer(PixelBudget(4, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
         for label in (2, 2, 5, 7):
             buf.offer(full_image(rng.split(label, buf.seen_count)), label)
         assert buf.class_counts() == {2: 2, 5: 1, 7: 1}
@@ -170,7 +150,7 @@ class TestClassIndex:
 
     def test_missing_class_returns_empty(self):
         # -1 marks the empty slot, so it must not be listed as a class
-        buf = ReplayBuffer(PixelBudget(2, 8), MODE_FULL, Rng(0))
+        buf = ReplayBuffer(PixelBudget(2, 8), Rng(0))
         assert buf.class_slots() == {}
         buf.offer(full_image(Rng(1)), 5)
         assert {c: s.tolist() for c, s in buf.class_slots().items()} == {5: [0]}
@@ -179,7 +159,7 @@ class TestClassIndex:
 class TestSnapshot:
     def fill(self, seed, n_offers=120):
         rng = Rng(seed)
-        buf = ReplayBuffer(PixelBudget(5, 8), MODE_GPS, rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(0), factor=2)
         for k in range(n_offers):
             buf.offer(surrogate(rng.split(1, k)), k % 4)
         return buf, rng
@@ -187,7 +167,6 @@ class TestSnapshot:
     def test_round_trip_preserves_contents(self):
         buf, _ = self.fill(0)
         restored = ReplayBuffer.restore(buf.snapshot())
-        assert restored.mode == buf.mode
         assert restored.slot_count == buf.slot_count
         assert restored.seen_count == buf.seen_count
         assert restored.factor == buf.factor
@@ -213,7 +192,7 @@ class TestSnapshot:
 
     def test_partial_buffer_round_trip(self):
         rng = Rng(3)
-        buf = ReplayBuffer(PixelBudget(5, 8), MODE_FULL, rng.split(0))
+        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(0))
         buf.offer(full_image(rng.split(1)), 2)
         restored = ReplayBuffer.restore(buf.snapshot())
         assert restored.occupied_count == 1
@@ -249,7 +228,7 @@ class TestSnapshot:
         buf, _ = self.fill(8, n_offers=7)
         blob = buf.snapshot()
         rng_bytes = buf.rng.state_bytes()
-        header = struct.pack("<4sHBHIIBQ", b"GPSB", 2, 1, 2, 5, 8, 3, 7)
+        header = struct.pack("<4sHHIIBQ", b"GPSB", 3, 2, 5, 8, 3, 7)
         assert blob == (header + rng_bytes + buf.labels.astype("<i4").tobytes()
                         + buf.slab.tobytes())
 
@@ -262,33 +241,31 @@ class TestSnapshot:
     def test_huge_image_count_rejected_before_allocating(self):
         # header claims 2^31 budget images; the length check must fire first
         with pytest.raises(FormatError, match="truncated"):
-            ReplayBuffer.restore(self.patched(9, "<I", 2 ** 31))
+            ReplayBuffer.restore(self.patched(8, "<I", 2 ** 31))
 
     def test_factor_zero_is_format_error(self):
         with pytest.raises(FormatError, match="factor"):
-            ReplayBuffer.restore(self.patched(7, "<H", 0))
-
-    def test_full_mode_factor_must_be_one(self):
-        # a full-mode buffer ignores its factor, so a restore that accepted
-        # factor 2 would write a different snapshot back
-        blob = bytearray(ReplayBuffer(PixelBudget(2, 4), MODE_FULL, Rng(0)).snapshot())
-        struct.pack_into("<H", blob, 7, 2)
-        with pytest.raises(FormatError, match="factor 2"):
-            ReplayBuffer.restore(bytes(blob))
+            ReplayBuffer.restore(self.patched(6, "<H", 0))
 
     def test_seven_channels_is_format_error(self):
         with pytest.raises(FormatError, match="channel"):
-            ReplayBuffer.restore(self.patched(17, "<B", 7))
+            ReplayBuffer.restore(self.patched(16, "<B", 7))
 
     def test_version_1_blob_rejected_by_name(self):
         with pytest.raises(FormatError, match="version 1"):
             ReplayBuffer.restore(self.patched(4, "<H", 1))
 
+    def test_version_2_blob_rejected_by_name(self):
+        # version 2 had a mode byte after the version: 0 for full, 1 for gps
+        blob = self.patched(4, "<H", 2)
+        with pytest.raises(FormatError, match="version 2"):
+            ReplayBuffer.restore(blob[:6] + b"\x01" + blob[6:])
+
     def test_labels_must_match_seen_count(self):
         # only 3 offers: slots 3.. must be empty (-1)
         buf, _ = self.fill(10, n_offers=3)
         blob = bytearray(buf.snapshot())
-        labels_at = 26 + len(buf.rng.state_bytes())
+        labels_at = 25 + len(buf.rng.state_bytes())
         struct.pack_into("<i", blob, labels_at + 4 * 5, 1)
         with pytest.raises(FormatError, match="seen count"):
             ReplayBuffer.restore(bytes(blob))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gpsbench.cli as cli
-from gpsbench.buffer import MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import main
 from gpsbench.config import parse_config
 from gpsbench.imaging import Rng, load_ppm, save_ppm
@@ -166,11 +166,20 @@ class TestRunCommand:
                for name in PINNED_SHA256}
         assert got == PINNED_SHA256
 
+    def test_full_is_the_factor_one_gps_buffer(self):
+        # `full` ignores `factor`, and gps at factor 1 keeps every pixel, so
+        # both configs fill the same buffer and replay it through one draw
+        full = cli.run_one_seed(parse_config(
+            BASE_CONFIG.replace("buffer_mode = gps", "buffer_mode = full")), 0)
+        gps = cli.run_one_seed(parse_config(BASE_CONFIG.replace("factor = 2", "factor = 1")), 0)
+        assert full["entries"] == gps["entries"]
+        assert full["snapshot"] == gps["snapshot"]
+
     def test_buffer_snapshot_restores(self, tmp_path, config_file):
         out = tmp_path / "out"
         run_cli("run", "--config", config_file, "--out", out)
         buf = ReplayBuffer.restore((out / "seed_0_buffer.gpsb").read_bytes())
-        assert buf.mode == "gps"
+        assert buf.factor == 2
         assert buf.occupied_count > 0
 
 
@@ -235,17 +244,50 @@ class TestExitCodes:
             assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
             assert shape in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["compress", "reconstruct"])
+    def test_negative_seed_is_2(self, tmp_path, capsys, command):
+        # numpy's seeding would end in a raw ValueError
+        path = tmp_path / "input"
+        if command == "compress":
+            save_ppm(path, np.zeros((8, 8, 3), dtype=np.uint8))
+        else:
+            buf = ReplayBuffer(PixelBudget(1, 8), Rng(0), factor=2)
+            for _ in range(4):
+                buf.offer(np.zeros((4, 4, 3), dtype=np.uint8), 0)
+            path.write_bytes(buf.snapshot())
+        out = tmp_path / "o.ppm"
+        assert run_cli(command, path, "--seed", "-1", "--out", out) == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("blob", [b"tasks = 3\n\xff\n",
+                                      b"P6\n1 1\n255\n\xff\x00\x80"],
+                             ids=["0xff", "ppm"])
+    def test_config_that_is_not_utf8_is_2(self, tmp_path, capsys, blob):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(blob)
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert f"config file {path} is not UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("run", "--config", "."), ("inspect-buffer", "."),
+                                      ("compress", ".", "--out", "o.ppm")],
+                             ids=["run", "inspect-buffer", "compress"])
+    def test_directory_path_is_3(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(*argv) == 3
+        assert "error:" in capsys.readouterr().err
+
     def test_malformed_snapshot_is_3(self, tmp_path):
         path = tmp_path / "junk.gpsb"
         path.write_bytes(b"JUNKJUNKJUNK")
         assert run_cli("inspect-buffer", path) == 3
 
     def test_hostile_snapshot_header_is_3(self, tmp_path, capsys):
-        # a 26-byte header claiming 2^31 budget images, and one claiming
+        # a 25-byte header claiming 2^31 budget images, and one claiming
         # 7 channels: both are format errors, reported before any allocation
         for image_count, channels in ((2 ** 31, 3), (8, 7)):
             path = tmp_path / "hostile.gpsb"
-            path.write_bytes(struct.pack("<4sHBHIIBQ", b"GPSB", 2, 1, 2,
+            path.write_bytes(struct.pack("<4sHHIIBQ", b"GPSB", 3, 2,
                                          image_count, 16, channels, 0)
                              + Rng(0).state_bytes())
             assert run_cli("inspect-buffer", path) == 3
@@ -258,7 +300,7 @@ class TestExitCodes:
         run_cli("run", "--config", config_file, "--out", out)
         blob = (out / "seed_0_buffer.gpsb").read_bytes()
         capsys.readouterr()
-        rng_at = 26
+        rng_at = 25
         key_count = struct.unpack_from("<I", blob, rng_at + 8)[0]
         uinteger_at = rng_at + 12 + 4 * key_count + 32 + 16 + 32 + 8
         for offset, fmt, value in ((rng_at, "<q", -1), (uinteger_at, "<Q", 2 ** 32)):
@@ -340,7 +382,7 @@ class TestReconstructAndInspect:
 
     def test_reconstruct_never_tiles_empty_slots(self, tmp_path, capsys):
         # 16 slots, 6 filled: the 10 empty ones carry the marker label -1
-        buf = ReplayBuffer(PixelBudget(4, 8), MODE_GPS, Rng(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(4, 8), Rng(0), factor=2)
         for k in range(6):
             buf.offer(np.full((4, 4, 3), k, dtype=np.uint8), 0)
         snap = tmp_path / "b.gpsb"
@@ -349,6 +391,24 @@ class TestReconstructAndInspect:
         assert run_cli("reconstruct", snap, "--class-id", "-1", "--out", out) == 3
         assert "class -1 holds 0 exemplars" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_reconstruct_at_factor_one_writes_a_stored_image(self, tmp_path, capsys):
+        buf = ReplayBuffer(PixelBudget(3, 8), Rng(0))
+        images = [Rng(1).split(k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
+                  for k in range(3)]
+        for k, image in enumerate(images):
+            buf.offer(image, k % 2)  # class 0 in slots 0 and 2, class 1 in slot 1
+        snap = tmp_path / "b.gpsb"
+        snap.write_bytes(buf.snapshot())
+        out = tmp_path / "r.ppm"
+        assert run_cli("reconstruct", snap, "--class-id", "1", "--out", out) == 0
+        assert "class=1 side=8 slots=[1]" in capsys.readouterr().out
+        np.testing.assert_array_equal(load_ppm(out), images[1])
+        assert run_cli("reconstruct", snap, "--out", out) == 0
+        assert any((load_ppm(out) == images[k]).all() for k in (0, 2))
+        assert run_cli("inspect-buffer", snap) == 0
+        printed = capsys.readouterr().out
+        assert "mode=full\n" in printed and "factor=1\n" in printed
 
     def test_inspect_reports_occupancy(self, tmp_path, config_file, capsys):
         snap = self.make_snapshot(tmp_path, config_file)

@@ -5,7 +5,7 @@ import pytest
 
 import gpsbench.learner as L
 from gpsbench.assembly import upsample
-from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.errors import EmptyStateError, FormatError, NumericalError
 from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample
@@ -165,14 +165,14 @@ class TestGradients:
             assert "17" in str(exc)
 
 
-def filled_buffer(seed, mode=MODE_GPS, r=8, f=2, budget=4, classes=3,
+def filled_buffer(seed, mode="gps", r=8, f=2, budget=4, classes=3,
                   offers=120):
     rng = Rng(seed)
-    factor = f if mode == MODE_GPS else 1
-    buf = ReplayBuffer(PixelBudget(budget, r), mode, rng.split(0), factor=factor)
+    factor = f if mode == "gps" else 1
+    buf = ReplayBuffer(PixelBudget(budget, r), rng.split(0), factor=factor)
     for k in range(offers):
         img = rng.split(1, k).integers(0, 256, (r, r, 3)).astype(np.uint8)
-        item = gps_sample(img, f, rng.split(2, k)) if mode == MODE_GPS else img
+        item = gps_sample(img, factor, rng.split(2, k))
         buf.offer(item, k % classes)
     return buf
 
@@ -182,7 +182,7 @@ def brute_force_prototypes(params, buf, normalize=False):
     for item, label in zip(buf.slab, buf.labels.tolist()):
         if label < 0:
             continue
-        img = upsample(item, buf.factor) if buf.mode == MODE_GPS else item
+        img = upsample(item, buf.factor)
         emb = L.embed_batch(params, img[None])[0].astype(np.float64)
         if normalize:
             norm = np.linalg.norm(emb)
@@ -194,7 +194,7 @@ def brute_force_prototypes(params, buf, normalize=False):
 
 
 class TestNcm:
-    @pytest.mark.parametrize("mode", [MODE_GPS, MODE_FULL])
+    @pytest.mark.parametrize("mode", ["gps", "full"])
     def test_prototypes_match_brute_force(self, mode):
         for seed in range(10):
             rng = Rng(100 + seed)
@@ -246,7 +246,7 @@ class TestNcm:
     def test_labels_ascend_whatever_the_fill_order(self):
         rng = Rng(401)
         params = L.init_params(8, 3, 16, 8, 6, rng.split(1))
-        buf = ReplayBuffer(PixelBudget(3, 8), MODE_FULL, rng.split(2))
+        buf = ReplayBuffer(PixelBudget(3, 8), rng.split(2))
         for label in (5, 3, 0):  # descending; slot k holds the k-th offer
             img = rng.split(3, label).integers(0, 256, (8, 8, 3)).astype(np.uint8)
             buf.offer(img, label)
@@ -260,7 +260,7 @@ class TestNcm:
     def test_empty_buffer_raises(self):
         rng = Rng(400)
         params = L.init_params(8, 3, 16, 8, 3, rng.split(1))
-        buf = ReplayBuffer(PixelBudget(4, 8), MODE_GPS, rng.split(2), factor=2)
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(2), factor=2)
         with pytest.raises(EmptyStateError):
             L.ncm_prototypes(params, buf)
 
@@ -270,7 +270,7 @@ class TestNcm:
         # exemplar equals embedding of its upsampled image
         rng = Rng(500)
         params = L.init_params(8, 3, 16, 8, 2, rng.split(1))
-        buf = ReplayBuffer(PixelBudget(1, 8), MODE_GPS, rng.split(2), factor=2)
+        buf = ReplayBuffer(PixelBudget(1, 8), rng.split(2), factor=2)
         img = rng.split(3).integers(0, 256, (8, 8, 3)).astype(np.uint8)
         s = gps_sample(img, 2, rng.split(4))
         buf.offer(s, 1)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import gpsbench.learner as L
-from gpsbench.buffer import MODE_FULL, MODE_GPS, PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.config import ExperimentConfig, parse_config, serialize_config
 from gpsbench.errors import ConfigError, FormatError
 from gpsbench.imaging import Rng, load_ppm, save_ppm
@@ -56,11 +56,11 @@ def mutated(draw, valid_blobs, fields=()):
 
 
 def _snapshots():
-    """A full gps-mode buffer and a partly filled full-mode one."""
+    """A full factor-2 buffer and a partly filled factor-1 one."""
     rng = Rng(0)
     out = []
-    for mode, factor, offers in ((MODE_GPS, 2, 40), (MODE_FULL, 1, 1)):
-        buf = ReplayBuffer(PixelBudget(2, 4), mode, rng.split(len(out)), factor=factor)
+    for factor, offers in ((2, 40), (1, 1)):
+        buf = ReplayBuffer(PixelBudget(2, 4), rng.split(len(out)), factor=factor)
         side = buf.exemplar_side
         for k in range(offers):
             pixels = rng.split(9, len(out), k).integers(0, 256, (side, side, 3))
@@ -72,10 +72,9 @@ def _snapshots():
 SNAPSHOTS = _snapshots()
 
 
-# version, mode, factor, image count, resolution, channels, seen count; then
-# the rng seed, its key count and its cached uint32
-SNAPSHOT_FIELDS = [(4, 2), (6, 1), (7, 2), (9, 4), (13, 4), (17, 1), (18, 8),
-                   (26, 8), (34, 4)]
+# version, factor, image count, resolution, channels, seen count; then the
+# rng seed and its key count
+SNAPSHOT_FIELDS = [(4, 2), (6, 2), (8, 4), (12, 4), (16, 1), (17, 8), (25, 8), (33, 4)]
 # side, channels, hidden, embedding and class counts
 CHECKPOINT_FIELDS = [(offset, 4) for offset in range(4, 24, 4)]
 
@@ -188,6 +187,27 @@ LINES = st.one_of(
               st.one_of(st.sampled_from(VALUES), st.text(max_size=8))),
     st.text(max_size=16),
 )
+
+
+@pytest.mark.parametrize("line", ["tasks = 1_0", "seeds = 0_1,2", "tasks = \u0663",
+                                  "learning_rate = 1_0.5"])
+def test_config_number_with_underscore_or_non_ascii_digit_is_config_error(line):
+    # int() and float() take these as 10, (1, 2), 3 and 10.5
+    key = line.split(" = ")[0]
+    with pytest.raises(ConfigError, match=f"bad value for {key}: expected an ASCII number"):
+        parse_config(line)
+
+
+NUMBER_TEXT = st.text(st.one_of(st.sampled_from("0123456789_.-e"),
+                                st.characters(categories=["Nd"])), min_size=1, max_size=6)
+
+
+@BOUNDED
+@given(st.sampled_from(["tasks", "seeds", "learning_rate"]),
+       NUMBER_TEXT.filter(lambda text: not text.isascii() or "_" in text))
+def test_config_number_is_ascii_without_underscore(key, text):
+    with pytest.raises(ConfigError, match=f"bad value for {key}"):
+        parse_config(f"{key} = {text}")
 
 
 @BOUNDED
