@@ -57,10 +57,10 @@ def draw_replay_batch(buf: ReplayBuffer, batch_size: int, rng: Rng) -> np.ndarra
     else:
         pool = [np.empty((0, group_size), dtype=np.intp)]
         for slots in buf.class_slots().values():
-            indices = rng.shuffled(slots)
+            indices = rng.permutation(slots)
             complete = len(indices) - len(indices) % group_size
             pool.append(indices[:complete].reshape(-1, group_size))
         pool = np.concatenate(pool)
     if not len(pool):
         return pool
-    return pool[rng.choose(len(pool), min(batch_size, len(pool)))]
+    return pool[rng.choice(len(pool), min(batch_size, len(pool)), replace=False)]

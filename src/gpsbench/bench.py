@@ -63,18 +63,6 @@ class TaskStream:
     def task_count(self):
         return len(self.train_tasks)
 
-    def check_invariants(self):
-        seen = set()
-        for t, classes in enumerate(self.class_sets):
-            if seen & classes:
-                raise ValueError(f"task {t} shares classes {seen & classes} with earlier tasks")
-            seen |= classes
-            labels = np.concatenate([self.dataset.train_labels[self.train_tasks[t]],
-                                     self.dataset.test_labels[self.test_tasks[t]]])
-            stray = set(labels.tolist()) - classes
-            if stray:
-                raise ValueError(f"task {t} holds images labeled {sorted(stray)}")
-
 
 def average_end_accuracy(matrix: np.ndarray) -> float:
     """Mean of the final row of a (T, T) accuracy matrix, in which entry
@@ -100,7 +88,7 @@ def class_pattern(config: ExperimentConfig, label) -> np.ndarray:
     ys, xs = np.mgrid[0:r, 0:r].astype(np.float64)
     channels = []
     for _ in range(config.synthetic_channels):
-        amps = rng.normal((len(_PATTERN_WAVES),))
+        amps = rng.standard_normal((len(_PATTERN_WAVES),))
         phases = rng.uniform(0.0, 2.0 * np.pi, (len(_PATTERN_WAVES),))
         acc = np.zeros((r, r))
         for (p, q), a, phi in zip(_PATTERN_WAVES, amps, phases):
@@ -141,7 +129,7 @@ def generate_synthetic(config: ExperimentConfig, rng: Rng) -> Dataset:
         # Chunked draws yield the same normals as one draw per image.
         for c, pattern in enumerate(patterns):
             for start in range(c * count, (c + 1) * count, rows):
-                noisy = noise_rng.normal((min(rows, (c + 1) * count - start), *shape))
+                noisy = noise_rng.standard_normal((min(rows, (c + 1) * count - start), *shape))
                 noisy *= config.synthetic_noise
                 noisy += pattern
                 np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
@@ -201,7 +189,7 @@ def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
             if img.shape != shape:
                 raise ConfigError(f"mixed image sizes: {f} is {img.shape[0]}x{img.shape[1]}, "
                                   f"expected {shape[0]}x{shape[1]}")
-        pixels = rng.split(label).shuffled(images)
+        pixels = rng.split(label).permutation(images)
         n_test = max(1, int(round(len(pixels) * test_fraction)))
         if n_test >= len(pixels):
             raise ConfigError(
@@ -226,17 +214,15 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
             f"need {needed} classes for {task_count} tasks x {classes_per_task}, "
             f"dataset has {len(classes)}"
         )
-    order = rng.shuffled(classes).tolist()
+    order = rng.permutation(classes).tolist()
     train_tasks, test_tasks, class_sets = [], [], []
     for t in range(task_count):
         chosen = order[t * classes_per_task : (t + 1) * classes_per_task]
         train = np.flatnonzero(np.isin(dataset.train_labels, chosen))
-        train_tasks.append(rng.shuffled(train))
+        train_tasks.append(rng.permutation(train))
         test_tasks.append(np.flatnonzero(np.isin(dataset.test_labels, chosen)))
         class_sets.append(frozenset(chosen))
-    stream = TaskStream(dataset, train_tasks, test_tasks, class_sets)
-    stream.check_invariants()
-    return stream
+    return TaskStream(dataset, train_tasks, test_tasks, class_sets)
 
 
 # --- the online protocol ---
@@ -260,14 +246,13 @@ def _replay_batch(buf, config, replay_rng):
 def _evaluate_row(matrix, t, stream, params, buf, config):
     ds = stream.dataset
     if config.head == HEAD_NCM:
-        prototypes = L.ncm_prototypes(params, buf, normalize=config.normalize_embeddings)
+        prototypes = L.ncm_prototypes(params, buf)
     for i in range(t + 1):
         test = stream.test_tasks[i]
         if not len(test):
             raise StateError(f"task {i} has an empty test set")
         if config.head == HEAD_NCM:
-            preds = L.classify_batch(prototypes, params, ds.test_pixels[test],
-                                     normalize=config.normalize_embeddings)
+            preds = L.classify_batch(prototypes, params, ds.test_pixels[test])
         else:
             preds = L.softmax_classify_batch(params, ds.test_pixels[test])
         matrix[t, i] = np.mean(preds == ds.test_labels[test])

@@ -103,7 +103,7 @@ class ReplayBuffer:
         if self.seen_count < self.slot_count:
             slot = self.seen_count
         else:
-            slot = self.rng.integer(0, self.seen_count + 1)
+            slot = int(self.rng.integers(0, self.seen_count + 1))
             if slot >= self.slot_count:
                 self.seen_count += 1
                 return False, None

@@ -30,7 +30,7 @@ from .bench import (
     split_tasks,
 )
 from .buffer import PixelBudget, ReplayBuffer
-from .config import ExperimentConfig, config_to_dict, load_config
+from .config import ExperimentConfig, _number, config_to_dict, load_config
 from .errors import ConfigError, EmptyStateError, FormatError, GpsError, NumericalError
 from .imaging import (
     DOMAIN_BUFFER,
@@ -74,8 +74,12 @@ def run_one_seed(config: ExperimentConfig, seed: int):
     if config.buffer_mode != "none":
         # a full buffer is the factor-1 buffer, whatever `factor` says
         factor = config.factor if config.buffer_mode == "gps" else 1
-        buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
-                           root.split(DOMAIN_BUFFER), factor=factor, channels=channels)
+        try:
+            buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
+                               root.split(DOMAIN_BUFFER), factor=factor, channels=channels)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"a buffer of budget_images = {config.budget_images} "
+                              f"cannot be allocated: {exc}") from None
     status = "ok"
     failure = None
     try:
@@ -189,7 +193,7 @@ def _sweep_point(config: ExperimentConfig, axis_field: str, raw_value: str):
         value = raw_value.strip().lower()
     else:
         try:
-            value = int(raw_value)
+            value = _number(int, raw_value)
         except ValueError:
             raise ConfigError(f"sweep value {raw_value!r} is not an integer") from None
     return replace(config, **{axis_field: value}), value
@@ -203,10 +207,10 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
     axis_field = _SWEEP_AXES[axis_key]
     if not values:
         raise ConfigError("sweep needs at least one value")
+    points = [_sweep_point(config, axis_field, raw) for raw in values]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for raw in values:
-        point_config, value = _sweep_point(config, axis_field, raw)
+    for point_config, value in points:
         point_dir = out_dir / f"{axis_field}_{value}"
         point_dir.mkdir(parents=True, exist_ok=True)
         records = _execute_runs(point_config, workers)
@@ -256,7 +260,7 @@ def cmd_reconstruct(snapshot_path, class_id, seed, output_path) -> int:
         raise EmptyStateError(
             f"class {class_id} holds {len(indices)} exemplars, need {group_size}"
         )
-    chosen = rng.shuffled(indices)[:group_size]
+    chosen = rng.permutation(indices)[:group_size]
     image = grid_concat(buf.slab[chosen], buf.factor)
     save_ppm(output_path, image)
     print(f"class={class_id} side={image.shape[0]} slots={chosen.tolist()}")
@@ -281,6 +285,11 @@ def cmd_inspect_buffer(snapshot_path) -> int:
     return 0
 
 
+def integer(text):
+    """A CLI integer, read by the config file rule: ASCII, no '_'."""
+    return _number(int, text)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="gps",
@@ -291,10 +300,10 @@ def _build_parser():
 
     p_run = sub.add_parser("run", help="run an experiment config across its seeds")
     p_run.add_argument("--config", required=True, help="path to the experiment config")
-    p_run.add_argument("--seed", type=int, default=None,
+    p_run.add_argument("--seed", type=integer, default=None,
                        help="override the config's seed list with one seed")
     p_run.add_argument("--out", default=None, help="output directory override")
-    p_run.add_argument("--workers", type=int, default=1,
+    p_run.add_argument("--workers", type=integer, default=1,
                        help="worker processes across seeds")
 
     p_sweep = sub.add_parser("sweep", help="run one config over an axis of values")
@@ -303,20 +312,20 @@ def _build_parser():
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 1,2,4")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1,
+    p_sweep.add_argument("--workers", type=integer, default=1,
                          help="worker processes across seeds")
 
     p_comp = sub.add_parser("compress", help="compress one PPM image into a surrogate")
     p_comp.add_argument("input", help="square binary PPM file")
-    p_comp.add_argument("--factor", "-f", type=int, default=2)
-    p_comp.add_argument("--seed", type=int, default=0)
+    p_comp.add_argument("--factor", "-f", type=integer, default=2)
+    p_comp.add_argument("--seed", type=integer, default=0)
     p_comp.add_argument("--out", required=True, help="output PPM path")
 
     p_rec = sub.add_parser("reconstruct",
                            help="tile same-class surrogates from a buffer snapshot")
     p_rec.add_argument("snapshot", help="buffer snapshot (.gpsb) path")
-    p_rec.add_argument("--class-id", type=int, default=None)
-    p_rec.add_argument("--seed", type=int, default=0)
+    p_rec.add_argument("--class-id", type=integer, default=None)
+    p_rec.add_argument("--seed", type=integer, default=0)
     p_rec.add_argument("--out", required=True, help="output PPM path")
 
     p_ins = sub.add_parser("inspect-buffer", help="report a buffer snapshot's contents")

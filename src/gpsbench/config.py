@@ -60,7 +60,6 @@ class ExperimentConfig:
     embedding_units: int = 64
     # inference
     head: str = "ncm"
-    normalize_embeddings: bool = False
     # runs
     seeds: tuple = (0,)
     out_dir: str = "runs"
@@ -134,9 +133,6 @@ class ExperimentConfig:
         return self
 
 
-_BOOL_WORDS = {"true": True, "false": False}
-
-
 def _number(kind, text):
     """kind(text) for ASCII text without '_'; int() would also read '1_0' as 10."""
     if not text.isascii() or "_" in text:
@@ -149,10 +145,6 @@ def _parse_value(name, kind, raw):
     try:
         if kind in (int, float):
             return _number(kind, raw)
-        if kind is bool:
-            if raw.lower() not in _BOOL_WORDS:
-                raise ValueError(f"expected true or false, got {raw!r}")
-            return _BOOL_WORDS[raw.lower()]
         if kind is tuple:
             if not raw:
                 return ()
@@ -162,7 +154,7 @@ def _parse_value(name, kind, raw):
         raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
-_KIND = {"int": int, "float": float, "str": str, "bool": bool, "tuple": tuple}
+_KIND = {"int": int, "float": float, "str": str, "tuple": tuple}
 
 
 def parse_config(text) -> ExperimentConfig:
@@ -199,9 +191,7 @@ def serialize_config(config: ExperimentConfig) -> str:
     lines = []
     for f in fields(ExperimentConfig):
         value = getattr(config, f.name)
-        if f.type == "bool":
-            text = "true" if value else "false"
-        elif f.type == "tuple":
+        if f.type == "tuple":
             text = ",".join(str(v) for v in value)
         else:
             text = str(value)

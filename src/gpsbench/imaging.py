@@ -62,105 +62,65 @@ DOMAIN_REPLAY = 5
 DOMAIN_STREAM = 6
 
 
-class Rng:
-    """Deterministic random source: Philox4x64 (numpy), split via spawn keys.
+# Philox state after the key path: counter, key and buffer words, then
+# buffer_pos, has_uint32 and the cached uint32.
+_PHILOX = struct.Struct("<4Q2Q4QIIQ")
+
+
+class Rng(np.random.Generator):
+    """Deterministic numpy Generator over Philox4x64, split via spawn keys.
 
     Equal (seed, key path) always yields the same draw sequence, on any
     platform. `split` derives an independent child stream without consuming
-    state from the parent, so splitting order never perturbs draws.
+    state from the parent, so splitting order never perturbs draws. Draws
+    are numpy's own `Generator` methods. numpy pickles and copies a
+    Generator as a plain one, which loses `split` and `state_bytes`; nothing
+    copies an Rng (worker processes get configs and seeds, not generators).
     """
 
     def __init__(self, seed, _spawn_key=()):
         self.seed = int(seed)
         self.spawn_key = tuple(int(k) for k in _spawn_key)
-        seq = np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)
-        self._bitgen = np.random.Philox(seq)
-        self._gen = np.random.Generator(self._bitgen)
+        super().__init__(np.random.Philox(
+            np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)))
 
     def split(self, *path):
         """Child generator for the given purpose path, e.g. split(DOMAIN_STREAM, step)."""
         return Rng(self.seed, self.spawn_key + tuple(int(p) for p in path))
 
-    def integer(self, low, high):
-        """One integer drawn uniformly from [low, high)."""
-        return int(self._gen.integers(low, high))
-
-    def integers(self, low, high, shape):
-        """Array of integers drawn uniformly from [low, high)."""
-        return self._gen.integers(low, high, size=shape)
-
-    def normal(self, shape):
-        return self._gen.standard_normal(size=shape)
-
-    def uniform(self, low, high, shape):
-        return self._gen.uniform(low, high, size=shape)
-
-    def shuffled(self, items):
-        """New array with the items (rows of an array) in shuffled order.
-
-        A list and an array of the same length get the same permutation.
-        """
-        out = np.array(items)
-        self._gen.shuffle(out)
-        return out
-
-    def choose(self, n, k):
-        """k distinct indices from range(n), uniformly without replacement."""
-        return [int(i) for i in self._gen.choice(n, size=k, replace=False)]
-
     # --- binary state (used by buffer snapshots) ---
 
     def state_bytes(self):
         """Fixed-layout little-endian serialization of seed, key path, and PRNG state."""
-        st = self._bitgen.state
-        parts = [struct.pack("<q", self.seed)]
-        parts.append(struct.pack("<I", len(self.spawn_key)))
-        for k in self.spawn_key:
-            parts.append(struct.pack("<I", k))
-        parts.append(st["state"]["counter"].astype("<u8").tobytes())
-        parts.append(st["state"]["key"].astype("<u8").tobytes())
-        parts.append(st["buffer"].astype("<u8").tobytes())
-        parts.append(struct.pack("<II", st["buffer_pos"], st["has_uint32"]))
-        parts.append(struct.pack("<Q", st["uinteger"]))
-        return b"".join(parts)
+        st = self.bit_generator.state
+        n = len(self.spawn_key)
+        return struct.pack(f"<qI{n}I", self.seed, n, *self.spawn_key) + _PHILOX.pack(
+            *st["state"]["counter"], *st["state"]["key"], *st["buffer"],
+            st["buffer_pos"], st["has_uint32"], st["uinteger"])
 
     @classmethod
     def from_state_bytes(cls, blob, offset=0):
         """Rebuild a generator from `state_bytes` output; returns (rng, bytes consumed)."""
         try:
-            pos = offset
-            (seed,) = struct.unpack_from("<q", blob, pos)
-            pos += 8
-            (n_key,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            spawn = struct.unpack_from(f"<{n_key}I", blob, pos) if n_key else ()
-            pos += 4 * n_key
-            counter = np.frombuffer(blob, dtype="<u8", count=4, offset=pos).copy()
-            pos += 32
-            key = np.frombuffer(blob, dtype="<u8", count=2, offset=pos).copy()
-            pos += 16
-            buf = np.frombuffer(blob, dtype="<u8", count=4, offset=pos).copy()
-            pos += 32
-            buffer_pos, has_uint32 = struct.unpack_from("<II", blob, pos)
-            pos += 8
-            (uinteger,) = struct.unpack_from("<Q", blob, pos)
-            pos += 8
-        except (struct.error, ValueError) as exc:
+            seed, n = struct.unpack_from("<qI", blob, offset)
+            spawn = struct.unpack_from(f"<{n}I", blob, offset + 12)
+            words = _PHILOX.unpack_from(blob, offset + 12 + 4 * n)
+        except struct.error as exc:
             raise FormatError(f"truncated rng state: {exc}") from exc
         # numpy rejects a negative seed and out-of-range state fields itself
         try:
             rng = cls(seed, spawn)
-            rng._bitgen.state = {
+            rng.bit_generator.state = {
                 "bit_generator": "Philox",
-                "state": {"counter": counter, "key": key},
-                "buffer": buf,
-                "buffer_pos": buffer_pos,
-                "has_uint32": has_uint32,
-                "uinteger": uinteger,
+                "state": {"counter": words[0:4], "key": words[4:6]},
+                "buffer": words[6:10],
+                "buffer_pos": words[10],
+                "has_uint32": words[11],
+                "uinteger": words[12],
             }
         except (ValueError, OverflowError) as exc:
             raise FormatError(f"invalid rng state: {exc}") from None
-        return rng, pos - offset
+        return rng, 12 + 4 * n + _PHILOX.size
 
 
 def as_pixels(data):

@@ -196,20 +196,12 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     return TrainStepReport(combined, stream_loss, replay_loss, n_stream, n_replay)
 
 
-def _maybe_normalize(emb, normalize):
-    if not normalize:
-        return emb
-    norms = np.linalg.norm(emb, axis=-1, keepdims=True)
-    return np.where(norms > 0, emb / np.where(norms > 0, norms, 1), emb)
-
-
-def ncm_prototypes(params: ModelParams, buf: ReplayBuffer, normalize=False):
+def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
     """(labels, means): the buffered class ids, ascending, and an
     (n_classes, d) array whose row k is the mean embedding of class labels[k].
 
     Exemplars are upsampled by the buffer's factor (the identity at factor
-    1) to the model resolution first. With `normalize`, each embedding
-    is scaled to unit length before averaging.
+    1) to the model resolution first.
     """
     class_slots = buf.class_slots()
     if not class_slots:
@@ -217,8 +209,7 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer, normalize=False):
     means = []
     for slots in class_slots.values():
         images = upsample(buf.slab[slots], buf.factor)
-        emb = _maybe_normalize(embed_batch(params, images), normalize)
-        means.append(emb.mean(axis=0))
+        means.append(embed_batch(params, images).mean(axis=0))
     return np.array(list(class_slots)), np.stack(means)
 
 
@@ -232,11 +223,10 @@ def classify_embedding(labels, means, embeddings) -> np.ndarray:
     return labels[np.argmin(d2, axis=1)]
 
 
-def classify_batch(prototypes, params: ModelParams, pixels, normalize=False) -> np.ndarray:
+def classify_batch(prototypes, params: ModelParams, pixels) -> np.ndarray:
     """NCM labels for an (n, side, side, C) batch; `prototypes` is the
     (labels, means) pair that `ncm_prototypes` returns."""
-    emb = _maybe_normalize(embed_batch(params, pixels), normalize)
-    return classify_embedding(*prototypes, emb)
+    return classify_embedding(*prototypes, embed_batch(params, pixels))
 
 
 def softmax_classify_batch(params: ModelParams, pixels) -> np.ndarray:

@@ -49,8 +49,8 @@ def test_criterion_01_structural_laws():
 
     # patch membership of every sampled pixel
     for trial in range(10):
-        f = int(root.split(2, trial).integer(2, 5))
-        r = f * int(root.split(3, trial).integer(2, 8))
+        f = int(root.split(2, trial).integers(2, 5))
+        r = f * int(root.split(3, trial).integers(2, 8))
         img = random_image(root.split(4, trial), r)
         s = gps_sample(img, f, root.split(5, trial))
         g = GridSpec(f, r)
@@ -75,8 +75,8 @@ def test_criterion_01_structural_laws():
     one = np.full((1, 1, 3), 9, dtype=np.uint8)
     assert (upsample(one, 3) == 9).all()
     for trial in range(10):
-        f = int(root.split(8, trial).integer(2, 5))
-        side = int(root.split(9, trial).integer(1, 6))
+        f = int(root.split(8, trial).integers(2, 5))
+        side = int(root.split(9, trial).integers(1, 6))
         y = root.split(10, trial).integers(0, 256, (side, side, 3)).astype(np.uint8)
         up = upsample(y, f)
         for i in range(side):
@@ -87,7 +87,7 @@ def test_criterion_01_structural_laws():
     for f in (2, 3, 4):
         for seed in range(100):
             rng = root.split(11, f, seed)
-            side = int(rng.integer(1, 9))
+            side = int(rng.integers(1, 9))
             y = rng.split(0).integers(0, 256, (side, side, 3)).astype(np.uint8)
             again = gps_sample(upsample(y, f), f, rng.split(1))
             np.testing.assert_array_equal(again, y)
@@ -128,7 +128,7 @@ def test_criterion_03_reservoir_statistics():
     for trial in range(20):
         buf = ReplayBuffer(PixelBudget(5, 8), rng.split(trial),
                            factor=2)
-        for k in range(int(rng.split(trial, 0).integer(1, 150))):
+        for k in range(int(rng.split(trial, 0).integers(1, 150))):
             img = random_image(rng.split(trial, 1, k), 8)
             buf.offer(gps_sample(img, 2, rng.split(trial, 2, k)), k % 6)
         recomputed = {}
@@ -246,7 +246,7 @@ def test_criterion_06_metric_correctness():
 
     rng = Rng(106)
     for trial in range(25):
-        n = int(rng.split(trial).integer(1, 8))
+        n = int(rng.split(trial).integers(1, 8))
         values = rng.split(trial, 1).uniform(0.0, 1.0, (n, n))
         m = np.full((n, n), np.nan)
         for t in range(n):

@@ -98,7 +98,7 @@ class TestUpsample:
         for f in (2, 3, 4):
             for trial in range(100):
                 rng = root.split(f, trial)
-                side = int(rng.integer(1, 9))
+                side = int(rng.integers(1, 9))
                 y = random_sample(rng.split(0), side)
                 again = gps_sample(upsample(y, f), f, rng.split(1))
                 np.testing.assert_array_equal(again, y)
@@ -186,14 +186,14 @@ class TestDrawReplayBatch:
         np.testing.assert_array_equal(a, b)
 
     def test_factor_one_chooses_among_occupied_slots(self):
-        # every occupied slot is a group of one; the draw is one choose over
+        # every occupied slot is a group of one; the draw is one choice over
         # the occupied slots in slot order, with no shuffle
         rng = Rng(6)
         buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
         for k in range(3):
             buf.offer(np.full((8, 8, 3), k, dtype=np.uint8), k)
         groups = draw_replay_batch(buf, 2, rng.split(1))
-        assert groups.tolist() == [[slot] for slot in rng.split(1).choose(3, 2)]
+        assert groups.tolist() == [[slot] for slot in rng.split(1).choice(3, 2, replace=False)]
         assert sorted(draw_replay_batch(buf, 9, rng.split(2))[:, 0].tolist()) == [0, 1, 2]
         empty = ReplayBuffer(PixelBudget(4, 8), rng.split(3))
         assert draw_replay_batch(empty, 5, rng.split(4)).shape == (0, 1)

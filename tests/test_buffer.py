@@ -133,9 +133,9 @@ class TestClassIndex:
         for trial in range(30):
             buf = ReplayBuffer(PixelBudget(6, 8), rng.split(trial),
                                factor=2)
-            n_offers = int(rng.split(trial, 1).integer(1, 200))
+            n_offers = int(rng.split(trial, 1).integers(1, 200))
             for k in range(n_offers):
-                label = int(rng.split(trial, 2, k).integer(0, 5))
+                label = int(rng.split(trial, 2, k).integers(0, 5))
                 buf.offer(surrogate(rng.split(trial, 3, k)), label)
                 slots = {c: s.tolist() for c, s in buf.class_slots().items()}
                 assert slots == self.recompute(buf)

@@ -244,6 +244,42 @@ class TestExitCodes:
             assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
             assert shape in capsys.readouterr().err
 
+    def test_unallocatable_buffer_is_2(self, tmp_path, capsys):
+        # a 6.82 PiB slab: numpy refuses it before touching memory
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("budget_images = 8",
+                                            "budget_images = 10000000000000"))
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert "budget_images = 10000000000000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--config", "{cfg}", "--seed", "1_0"),
+        ("run", "--config", "{cfg}", "--workers", "1_0"),
+        ("sweep", "--config", "{cfg}", "--axis", "K", "--values", "\u0662"),
+        ("sweep", "--config", "{cfg}", "--axis", "f", "--values", "1_0"),
+        ("compress", "{ppm}", "--factor", "\u0662"),
+        ("reconstruct", "{gpsb}", "--class-id", "1_0"),
+    ], ids=["run-seed", "run-workers", "sweep-K", "sweep-f", "compress-factor",
+            "reconstruct-class-id"])
+    def test_integer_argument_is_ascii_without_underscore(self, tmp_path, config_file,
+                                                           capsys, argv):
+        # as in config files: int() alone would read "1_0" as 10 and an
+        # Arabic-Indic digit two as 2, and each command would then succeed
+        paths = {"cfg": config_file, "ppm": tmp_path / "in.ppm", "gpsb": tmp_path / "in.gpsb"}
+        save_ppm(paths["ppm"], np.zeros((8, 8, 3), dtype=np.uint8))
+        buf = ReplayBuffer(PixelBudget(1, 8), Rng(0), factor=2)
+        for _ in range(4):
+            buf.offer(np.zeros((4, 4, 3), dtype=np.uint8), 10)
+        paths["gpsb"].write_bytes(buf.snapshot())
+        out = tmp_path / "o"
+        try:
+            code = run_cli(*[a.format(**paths) for a in argv], "--out", out)
+        except SystemExit as exc:  # argparse rejects the argument
+            code = exc.code
+        assert code == 2
+        assert "integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["compress", "reconstruct"])
     def test_negative_seed_is_2(self, tmp_path, capsys, command):
         # numpy's seeding would end in a raw ValueError

@@ -88,17 +88,17 @@ class TestRng:
     def test_same_seed_same_stream(self):
         a = Rng(12)
         b = Rng(12)
-        assert [a.integer(0, 100) for _ in range(20)] == [
-            b.integer(0, 100) for _ in range(20)
+        assert [a.integers(0, 100) for _ in range(20)] == [
+            b.integers(0, 100) for _ in range(20)
         ]
 
     def test_split_is_order_independent(self):
         r1 = Rng(5)
         r2 = Rng(5)
         # drawing from the parent must not disturb children
-        r1.integer(0, 10)
-        x = r1.split(3, 7).integer(0, 1000)
-        y = r2.split(3, 7).integer(0, 1000)
+        r1.integers(0, 10)
+        x = r1.split(3, 7).integers(0, 1000)
+        y = r2.split(3, 7).integers(0, 1000)
         assert x == y
 
     def test_distinct_paths_decorrelate(self):
@@ -107,35 +107,14 @@ class TestRng:
         b = root.split(2).integers(0, 1000, (50,))
         assert not np.array_equal(a, b)
 
-    def test_integer_bounds(self):
-        rng = Rng(3)
-        draws = [rng.integer(2, 9) for _ in range(500)]
-        assert min(draws) >= 2 and max(draws) <= 8
-        assert set(draws) == set(range(2, 9))
-
-    def test_shuffled_is_permutation_and_pure(self):
-        rng = Rng(9)
-        items = list(range(30))
-        out = rng.shuffled(items)
-        assert sorted(out) == items
-        assert items == list(range(30))
-
-    def test_choose_without_replacement(self):
-        rng = Rng(11)
-        for _ in range(50):
-            picks = rng.choose(20, 7)
-            assert len(picks) == 7
-            assert len(set(picks)) == 7
-            assert all(0 <= p < 20 for p in picks)
-
     def test_state_round_trip_continues_stream(self):
         rng = Rng(21).split(4)
         rng.integers(0, 100, (13,))  # advance into the buffered block
         blob = rng.state_bytes()
         restored, used = Rng.from_state_bytes(blob)
         assert used == len(blob)
-        assert [rng.integer(0, 10**6) for _ in range(10)] == [
-            restored.integer(0, 10**6) for _ in range(10)
+        assert [rng.integers(0, 10**6) for _ in range(10)] == [
+            restored.integers(0, 10**6) for _ in range(10)
         ]
 
     def test_state_round_trip_at_offset(self):
@@ -143,7 +122,20 @@ class TestRng:
         blob = b"xyz" + rng.state_bytes() + b"tail"
         restored, used = Rng.from_state_bytes(blob, offset=3)
         assert used == len(blob) - 7
-        assert restored.integer(0, 10**6) == Rng(8).integer(0, 10**6)
+        assert restored.integers(0, 10**6) == Rng(8).integers(0, 10**6)
+
+    def test_state_layout_is_pinned(self):
+        rng = Rng(21).split(4)
+        rng.integers(0, 100, (13,))
+        assert rng.state_bytes() == bytes.fromhex(
+            # seed, key path length, key path
+            "1500000000000000" "01000000" "04000000"
+            # Philox counter, key and buffer words
+            "0200000000000000" "0000000000000000" "0000000000000000" "0000000000000000"
+            "8d52fcba78db558d" "e7604d23af2af1bc"
+            "901dee65ab0a8945" "2ac3b2c6c5a16467" "9f09e5ee2758f894" "2a37f28ffd1e836c"
+            # buffer_pos, has_uint32, cached uint32
+            "03000000" "01000000" "2758f89400000000")
 
     def test_truncated_state_raises(self):
         blob = Rng(0).state_bytes()

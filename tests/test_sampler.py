@@ -43,8 +43,8 @@ class TestMembership:
     def test_every_output_pixel_comes_from_its_patch(self):
         rng = Rng(2)
         for trial in range(30):
-            f = int(rng.split(trial).integer(2, 6))
-            r = f * int(rng.split(trial, 1).integer(2, 9))
+            f = int(rng.split(trial).integers(2, 6))
+            r = f * int(rng.split(trial, 1).integers(2, 9))
             img = random_image(rng.split(trial, 2), r)
             s = gps_sample(img, f, rng.split(trial, 3))
             g = GridSpec(f, r)
@@ -140,8 +140,8 @@ class TestBatch:
     def test_each_item_samples_its_own_patches(self):
         rng = Rng(13)
         for trial in range(10):
-            f = int(rng.split(trial).integer(2, 5))
-            r = f * int(rng.split(trial, 1).integer(2, 6)) + trial % 2
+            f = int(rng.split(trial).integers(2, 5))
+            r = f * int(rng.split(trial, 1).integers(2, 6)) + trial % 2
             batch = random_batch(rng.split(trial, 2), 5, r)
             before = batch.copy()
             s = gps_sample(batch, f, rng.split(trial, 3))
