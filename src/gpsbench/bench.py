@@ -4,9 +4,9 @@ and evaluation metrics.
 A class-incremental stream is an ordered list of tasks with disjoint class
 sets; the runner visits every stream item exactly once, mixes each incoming
 mini-batch with a replay batch, trains, then compresses the mini-batch with
-one sampling draw and offers its items to the buffer one by one. After each
-task it fills one row of the accuracy matrix by evaluating on all test sets
-seen so far.
+one sampling draw and offers it to the buffer with one reservoir call. After
+each task it fills one row of the accuracy matrix by evaluating on all test
+sets seen so far.
 """
 
 from __future__ import annotations
@@ -264,10 +264,10 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
 
     Per mini-batch: draw replay, take one SGD step on stream + replay, then
     (at factor > 1) compress the whole mini-batch with one `gps_sample` call
-    on `rng.split(DOMAIN_STREAM, step)`, and offer its images in stream order,
-    one reservoir draw each. On a numerical failure the partial result is
-    attached to the raised error. The buffer is checked here, as the config
-    that built it may not be the one given.
+    on `rng.split(DOMAIN_STREAM, step)`, and offer it with one `buf.offer`
+    call, which decides for its images in stream order. On a numerical
+    failure the partial result is attached to the raised error. The buffer is
+    checked here, as the config that built it may not be the one given.
     """
     ds = stream.dataset
     if config.head == HEAD_NCM and buf is None:
@@ -298,8 +298,7 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
                 continue
             if buf.factor > 1:  # factor 1 keeps every pixel
                 pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
-            for item, label in zip(pixels, labels):
-                buf.offer(item, label)
+            buf.offer(pixels, labels)
             result.offer_count += len(batch)
         _evaluate_row(matrix, t, stream, params, buf, config)
     return result

@@ -85,33 +85,48 @@ class ReplayBuffer:
     def occupied_pixels(self):
         return self.occupied_count * self.exemplar_side ** 2
 
-    def offer(self, pixels: np.ndarray, label: int):
-        """Reservoir update: returns (accepted, evicted label or None).
+    def offer(self, pixels: np.ndarray, labels):
+        """Reservoir update over (..., s, s, C) exemplars in stream order.
 
-        The first slot_count offers always land; offer n+1 is kept with
-        probability slot_count / (n+1), replacing a uniformly random slot.
+        `labels` has shape pixels.shape[:-3], so one (s, s, C) exemplar takes
+        one label. The first slot_count items ever offered always land; item
+        n+1 is kept with probability slot_count / (n+1), replacing a uniformly
+        random slot. Returns (accepted count, evicted labels in stream order).
+        Everything is checked before the buffer or its rng is touched.
         """
-        if pixels.shape != self.slab.shape[1:] or pixels.dtype != np.uint8:
-            raise ValueError(
-                f"exemplar must be a {self.slab.shape[1:]} uint8 array, "
-                f"got {pixels.shape} {pixels.dtype}"
-            )
-        label = int(label)
-        if label < 0:
-            raise ValueError(f"label must be a non-negative integer, got {label}")
-        evicted = None
-        if self.seen_count < self.slot_count:
-            slot = self.seen_count
-        else:
-            slot = int(self.rng.integers(0, self.seen_count + 1))
-            if slot >= self.slot_count:
-                self.seen_count += 1
-                return False, None
-            evicted = int(self.labels[slot])
-        self.seen_count += 1
-        self.slab[slot] = pixels
-        self.labels[slot] = label
-        return True, evicted
+        shape = self.slab.shape[1:]
+        if pixels.shape[-3:] != shape or pixels.dtype != np.uint8:
+            raise ValueError(f"exemplars must be (..., {', '.join(map(str, shape))}) uint8, "
+                             f"got {pixels.shape} {pixels.dtype}")
+        labels = np.asarray(labels)
+        if labels.shape != pixels.shape[:-3]:
+            raise ValueError(f"labels of shape {labels.shape} do not match exemplars "
+                             f"of shape {pixels.shape}")
+        items, labels = pixels.reshape((-1, *shape)), labels.ravel()
+        values = labels.tolist()
+        # int32 label field, and -1 marks an empty slot
+        if values and (labels.dtype.kind not in "iu"
+                       or not 0 <= min(values) <= max(values) < 2 ** 31):
+            raise ValueError(f"labels must be integers in [0, 2^31), got {labels!r}")
+        seen, n = self.seen_count, len(values)
+        self.seen_count = seen + n
+        fill = min(max(self.slot_count - seen, 0), n)
+        if fill:
+            self.slab[seen : seen + fill] = items[:fill]
+            self.labels[seen : seen + fill] = labels[:fill]
+        evicted = []
+        if fill < n:
+            # the same values and rng state as one scalar draw per item; numpy
+            # draws a single bound several times faster as a scalar
+            high = seen + fill + 1
+            slots = (self.rng.integers(0, high + np.arange(n - fill)).tolist() if n - fill > 1
+                     else [int(self.rng.integers(0, high))])
+            for i, slot in enumerate(slots, fill):  # stream order: a later hit on a slot wins
+                if slot < self.slot_count:
+                    evicted.append(int(self.labels[slot]))
+                    self.slab[slot] = items[i]
+                    self.labels[slot] = values[i]
+        return fill + len(evicted), evicted
 
     def class_slots(self):
         """{class: its occupied slot indices, ascending}, ascending by class."""

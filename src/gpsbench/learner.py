@@ -184,13 +184,12 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     dW1 = X.T @ d_h
     db1 = d_h.sum(axis=0)
 
+    # scale each gradient in place: the same products without a temporary
     step_size = dtype.type(lr)
-    params.W1 -= step_size * dW1
-    params.b1 -= step_size * db1
-    params.W2 -= step_size * dW2
-    params.b2 -= step_size * db2
-    params.Wc -= step_size * dWc
-    params.bc -= step_size * dbc
+    for param, grad in ((params.W1, dW1), (params.b1, db1), (params.W2, dW2),
+                        (params.b2, db2), (params.Wc, dWc), (params.bc, dbc)):
+        grad *= step_size
+        param -= grad
     if not params.all_finite():
         raise NumericalError("non-finite parameters after update", step=step)
     return TrainStepReport(combined, stream_loss, replay_loss, n_stream, n_replay)

@@ -25,10 +25,12 @@ def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
     side, f = grid.side, grid.factor
     if f == 1:
         return pixels.copy()
-    lead = pixels.shape[:-3]
+    lead, r, channels = pixels.shape[:-3], pixels.shape[-2], pixels.shape[-1]
     offsets = rng.integers(0, f, (*lead, 2, side, side)).reshape(-1, 2, side, side)
     rows = np.arange(side)[:, None] * f + offsets[:, 0]
     cols = np.arange(side)[None, :] * f + offsets[:, 1]
     images = np.arange(len(offsets))[:, None, None]
-    flat = pixels.reshape(-1, *pixels.shape[-3:])
-    return flat[images, rows, cols].reshape(*lead, side, side, pixels.shape[-1])
+    # one linear index image * r^2 + row * r + col into the (N * r * r, C) pixels
+    flat = pixels.reshape(-1, channels)
+    return flat.take((images * r + rows) * r + cols, axis=0).reshape(
+        *lead, side, side, channels)

@@ -55,7 +55,7 @@ class TestReservoir:
         buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
         for k in range(4):
             accepted, evicted = buf.offer(full_image(rng.split(k)), k)
-            assert accepted and evicted is None
+            assert accepted == 1 and evicted == []
         assert buf.labels.tolist() == [0, 1, 2, 3]
 
     def test_rejection_keeps_slots(self):
@@ -67,7 +67,7 @@ class TestReservoir:
         for k in range(20):
             accepted, evicted = buf.offer(full_image(rng.split(3, k)), 5)
             if not accepted:
-                assert evicted is None
+                assert evicted == []
                 np.testing.assert_array_equal(buf.slab, before[0])
                 assert buf.labels.tolist() == before[1]
                 return
@@ -118,6 +118,134 @@ class TestItemValidation:
         buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
         with pytest.raises(ValueError, match="uint8"):
             buf.offer(np.zeros((4, 4, 3), dtype=np.float64), 0)
+
+    @pytest.mark.parametrize("label", [3.7, 3.0, True, np.float32(2), 2 ** 31, -1, 2 ** 70])
+    def test_non_integer_or_out_of_range_label_rejected(self, label):
+        buf = ReplayBuffer(PixelBudget(2, 8), Rng(13))
+        with pytest.raises(ValueError, match="label"):
+            buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), label)
+        with pytest.raises(ValueError, match="label"):
+            buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([label] * 3))
+
+    def test_largest_int32_label_accepted(self):
+        buf = ReplayBuffer(PixelBudget(2, 8), Rng(14))
+        buf.offer(np.zeros((2, 8, 8, 3), dtype=np.uint8),
+                  np.array([2 ** 31 - 1, 0], dtype=np.uint64))
+        assert buf.labels.tolist() == [2 ** 31 - 1, 0]
+
+    @pytest.mark.parametrize("pixels, labels", [
+        (np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([0, 1, 2 ** 31])),  # would wrap in int32
+        (np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([0.0, 1.0, 2.0])),
+        (np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([0, 1])),
+        (np.zeros((3, 8, 8, 3), dtype=np.uint8), 0),
+        (np.zeros((3, 8, 8, 3), dtype=np.float32), np.array([0, 1, 2])),
+        (np.zeros((3, 8, 8, 1), dtype=np.uint8), np.array([0, 1, 2])),
+    ])
+    def test_rejected_batch_changes_nothing(self, pixels, labels):
+        # buffer both in its fill phase and past it, where offers draw
+        for filled in (1, 5):
+            buf = ReplayBuffer(PixelBudget(2, 8), Rng(15))
+            buf.offer(np.ones((filled, 8, 8, 3), dtype=np.uint8), np.arange(filled))
+            before = buf.snapshot()
+            with pytest.raises(ValueError):
+                buf.offer(pixels, labels)
+            assert buf.snapshot() == before  # slab, labels, seen count and rng state
+
+
+class TestBatchOffer:
+    def buffers(self, seed, factor, seen=0, count=2):
+        """Identical buffers that have seen `seen` items, every slot occupied
+        when `seen` exceeds the slot count (only the count matters then)."""
+        bufs = [ReplayBuffer(PixelBudget(3, 8), Rng(seed), factor=factor) for _ in range(count)]
+        for buf in bufs:
+            buf.seen_count = seen
+            buf.labels[:seen] = 0
+        return bufs
+
+    def assert_same(self, a, b):
+        np.testing.assert_array_equal(a.slab, b.slab)
+        assert a.labels.tolist() == b.labels.tolist()
+        assert a.seen_count == b.seen_count
+        assert a.rng.state_bytes() == b.rng.state_bytes()
+
+    def offer_one_by_one(self, buf, pixels, labels):
+        """One `offer` call per item, each making at most one scalar draw."""
+        accepted, evicted = 0, []
+        for item, label in zip(pixels, labels.tolist()):
+            n, out = buf.offer(item, label)
+            accepted += n
+            evicted += out
+        return accepted, evicted
+
+    def algorithm_r(self, buf, pixels, labels):
+        """Reference: Vitter's Algorithm R, one scalar draw per item."""
+        accepted, evicted = 0, []
+        for item, label in zip(pixels, labels.tolist()):
+            if buf.seen_count < buf.slot_count:
+                slot = buf.seen_count
+            else:
+                slot = int(buf.rng.integers(0, buf.seen_count + 1))
+            buf.seen_count += 1
+            if slot < buf.slot_count:
+                if buf.labels[slot] >= 0:
+                    evicted.append(int(buf.labels[slot]))
+                buf.slab[slot], buf.labels[slot] = item, label
+                accepted += 1
+        return accepted, evicted
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    @pytest.mark.parametrize("seen", [0, 2 ** 32 - 20])  # the last crosses the 2^32 bound
+    def test_batches_equal_one_by_one_offers(self, factor, seen):
+        rng = Rng(20).split(factor)
+        side = 8 // factor
+        for trial in range(20):
+            batched, single, reference = self.buffers(trial, factor, seen, count=3)
+            n_items = int(rng.split(trial).integers(0, 60))
+            pixels = rng.split(trial, 1).integers(0, 256, (n_items, side, side, 3), dtype=np.uint8)
+            labels = rng.split(trial, 2).integers(0, 2 ** 31, n_items)
+            # random cut points, empty batches included; the first batches
+            # cross the fill boundary at slot_count
+            cuts = np.sort(rng.split(trial, 3).integers(0, n_items + 1, 6))
+            for lo, hi in zip([0, *cuts], [*cuts, n_items]):
+                result = batched.offer(pixels[lo:hi], labels[lo:hi])
+                assert type(result[0]) is int
+                assert result == self.offer_one_by_one(single, pixels[lo:hi], labels[lo:hi])
+                assert result == self.algorithm_r(reference, pixels[lo:hi], labels[lo:hi])
+                self.assert_same(batched, single)
+                self.assert_same(batched, reference)
+            assert batched.seen_count == seen + n_items
+
+    def test_later_item_wins_a_shared_slot(self):
+        # one slot: every item kept after the first evicts the one before it
+        for seed in range(100):
+            a, b = (ReplayBuffer(PixelBudget(1, 8), Rng(seed)) for _ in range(2))
+            pixels = np.arange(8, dtype=np.uint8)[:, None, None, None] * np.ones(
+                (8, 8, 3), dtype=np.uint8)
+            labels = np.arange(10, 18)
+            accepted, evicted = a.offer(pixels, labels)
+            kept = [label for item, label in zip(pixels, labels.tolist())
+                    if b.offer(item, label)[0]]
+            assert accepted == len(kept) and evicted == kept[:-1]
+            assert a.labels.tolist() == [kept[-1]]
+            assert (a.slab == kept[-1] - 10).all()
+            if accepted >= 3:  # the first item fills; two later ones share its slot
+                return
+        pytest.fail("no seed kept three items of the batch")
+
+    def test_empty_batch_changes_nothing(self):
+        for seen in (0, 10):
+            a, = self.buffers(1, 2, seen, count=1)
+            before = a.snapshot()
+            assert a.offer(np.zeros((0, 4, 4, 3), dtype=np.uint8), []) == (0, [])
+            assert a.snapshot() == before
+
+    def test_leading_axes_are_stream_order(self):
+        a, b = self.buffers(2, 1)
+        pixels = Rng(3).integers(0, 256, (2, 5, 8, 8, 3), dtype=np.uint8)
+        labels = np.arange(10).reshape(2, 5)
+        assert a.offer(pixels, labels) == self.offer_one_by_one(
+            b, pixels.reshape(10, 8, 8, 3), labels.reshape(10))
+        self.assert_same(a, b)
 
 
 class TestClassIndex:

@@ -194,6 +194,20 @@ class TestDeterminism:
                            [96, 105, 135, 117], [147, 174, 180, 165]], dtype=np.uint8)
         np.testing.assert_array_equal(s, picked[..., None] + np.arange(3, dtype=np.uint8))
 
+    def test_strided_batch_draw_is_pinned(self):
+        # every pixel is distinct, so swapped row and column offsets or a
+        # gather over the covered side instead of the full side would show
+        base = np.zeros((6, 9, 9, 2), dtype=np.uint8)
+        base[::2, :, :, 1] = np.arange(3 * 9 * 9).reshape(3, 9, 9)
+        batch = base[::2, :, :, 1:]  # (3, 9, 9, 1), not contiguous; 9 % 2 != 0
+        s = gps_sample(batch, 2, Rng(7).split(3))
+        picked = [[[0, 2, 14, 7], [28, 29, 31, 24], [36, 39, 50, 43], [64, 65, 59, 69]],
+                  [[82, 93, 95, 96], [99, 102, 103, 105], [118, 128, 122, 123],
+                   [136, 137, 148, 150]],
+                  [[171, 165, 166, 169], [180, 192, 193, 187], [207, 200, 203, 205],
+                   [216, 227, 229, 232]]]
+        np.testing.assert_array_equal(s, np.array(picked, dtype=np.uint8)[..., None])
+
     def test_same_rng_same_surrogate(self):
         img = random_image(Rng(11), 32)
         a = gps_sample(img, 2, Rng(42).split(5))
