@@ -98,16 +98,20 @@ class ReplayBuffer:
         if pixels.shape[-3:] != shape or pixels.dtype != np.uint8:
             raise ValueError(f"exemplars must be (..., {', '.join(map(str, shape))}) uint8, "
                              f"got {pixels.shape} {pixels.dtype}")
-        labels = np.asarray(labels)
+        given, labels = labels, np.asarray(labels)
         if labels.shape != pixels.shape[:-3]:
             raise ValueError(f"labels of shape {labels.shape} do not match exemplars "
                              f"of shape {pixels.shape}")
         items, labels = pixels.reshape((-1, *shape)), labels.ravel()
         values = labels.tolist()
-        # int32 label field, and -1 marks an empty slot
+        # int32 label field, and -1 marks an empty slot; np.asarray turns a
+        # bool among ints in a list into an int, so a list is looked through
         if values and (labels.dtype.kind not in "iu"
-                       or not 0 <= min(values) <= max(values) < 2 ** 31):
-            raise ValueError(f"labels must be integers in [0, 2^31), got {labels!r}")
+                       or not 0 <= min(values) <= max(values) < 2 ** 31
+                       or isinstance(given, (list, tuple)) and any(
+                           isinstance(v, (bool, np.bool_))
+                           for v in np.ravel(np.array(given, dtype=object)))):
+            raise ValueError(f"labels must be integers in [0, 2^31), got {given!r}")
         seen, n = self.seen_count, len(values)
         self.seen_count = seen + n
         fill = min(max(self.slot_count - seen, 0), n)
@@ -116,11 +120,8 @@ class ReplayBuffer:
             self.labels[seen : seen + fill] = labels[:fill]
         evicted = []
         if fill < n:
-            # the same values and rng state as one scalar draw per item; numpy
-            # draws a single bound several times faster as a scalar
-            high = seen + fill + 1
-            slots = (self.rng.integers(0, high + np.arange(n - fill)).tolist() if n - fill > 1
-                     else [int(self.rng.integers(0, high))])
+            # the same values and rng state as one scalar draw per item
+            slots = self.rng.integers(0, seen + fill + 1 + np.arange(n - fill)).tolist()
             for i, slot in enumerate(slots, fill):  # stream order: a later hit on a slot wins
                 if slot < self.slot_count:
                     evicted.append(int(self.labels[slot]))

@@ -126,6 +126,9 @@ class TestItemValidation:
             buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), label)
         with pytest.raises(ValueError, match="label"):
             buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([label] * 3))
+        with pytest.raises(ValueError, match="label"):  # np.asarray would promote True to 1
+            buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), [0, label, 1])
+        assert buf.seen_count == 0
 
     def test_largest_int32_label_accepted(self):
         buf = ReplayBuffer(PixelBudget(2, 8), Rng(14))
