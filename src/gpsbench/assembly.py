@@ -1,9 +1,10 @@
 """Turn buffered surrogates back into trainable and classifiable inputs.
 
 Training uses concatenation: factor^2 same-class surrogates tiled into a
-factor x factor grid rebuild one full-resolution image. Inference uses
-pixel repetition: each surrogate pixel expands into a factor x factor
-constant block.
+factor x factor grid rebuild one full-resolution image. Pixel repetition
+(`upsample`) expands each surrogate pixel into a factor x factor constant
+block; NCM inference applies it implicitly, through a first layer pooled
+over those blocks (`learner.ncm_prototypes`).
 """
 
 from __future__ import annotations

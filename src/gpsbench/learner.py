@@ -4,7 +4,7 @@ The network is a two-layer MLP: pixels in [0,1] -> hidden (ReLU) ->
 embedding (affine) -> class logits (affine). Training takes one SGD step on
    mean_ce(stream batch) + replay_weight * mean_ce(replay batch)
 per call. Inference offers the softmax head or nearest-class-mean over
-buffered exemplars, upsampled by the buffer's factor to the model resolution.
+buffered exemplars, embedded at their own resolution (see ncm_prototypes).
 
 Batches are (n, side, side, C) uint8 pixel arrays; a labeled batch is a
 (pixels, labels) pair.
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import upsample
 from .buffer import ReplayBuffer
 from .errors import EmptyStateError, FormatError, NumericalError
 from .imaging import Rng
@@ -82,21 +81,22 @@ def init_params(input_side, channels, hidden_units, embedding_units, num_classes
     )
 
 
-def _to_matrix(params: ModelParams, pixels) -> np.ndarray:
-    """Flatten an (n, side, side, C) batch into an (n, side * side * C) matrix of [0,1] reals."""
-    expected = (params.input_side, params.input_side, params.channels)
-    if pixels.shape[1:] != expected:
-        raise ValueError(f"input images of shape {pixels.shape[1:]} do not match "
-                         f"model input {expected}")
+def _to_matrix(params: ModelParams, pixels, factor=1) -> np.ndarray:
+    """Flatten an (n, s, s, C) batch, s = input_side // factor, into an
+    (n, s * s * C) matrix of [0,1] reals."""
+    side = params.input_side // factor
+    if pixels.shape[1:] != (side, side, params.channels):
+        raise ValueError(f"input images of shape {pixels.shape[1:]} at factor {factor} do "
+                         f"not match model input {(params.input_side,) * 2 + (params.channels,)}")
     dtype = params.W1.dtype
     X = pixels.reshape(len(pixels), -1).astype(dtype)
     X /= dtype.type(255)
     return X
 
 
-def _forward_matrix(params: ModelParams, X):
-    """Returns (hidden pre-activation, hidden, embeddings, logits)."""
-    h_pre = X @ params.W1 + params.b1
+def _forward_matrix(params: ModelParams, X, W1=None):
+    """Returns (hidden pre-activation, hidden, embeddings, logits); W1 overrides params.W1."""
+    h_pre = X @ (params.W1 if W1 is None else W1) + params.b1
     h = np.maximum(h_pre, 0)
     emb = h @ params.W2 + params.b2
     logits = emb @ params.Wc + params.bc
@@ -199,16 +199,24 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
     """(labels, means): the buffered class ids, ascending, and an
     (n_classes, d) array whose row k is the mean embedding of class labels[k].
 
-    Exemplars are upsampled by the buffer's factor (the identity at factor
-    1) to the model resolution first.
+    Exemplars are embedded at their own side s = input_side / f, f the
+    buffer's factor. Pixel repetition makes each f x f block of the model's
+    input one value, so W1's rows are summed over each block first:
+        upsample(x, f).reshape(n, -1) @ W1 == x.reshape(n, -1) @ W1p,
+        W1p = W1.reshape(s, f, s, f, C, H).sum(axis=(1, 3)).reshape(s*s*C, H)
+    up to float rounding, at 1/f^2 of the first layer's work; at f = 1, W1p
+    equals W1. Exemplars that do not upsample to the model input are a
+    ValueError.
     """
     class_slots = buf.class_slots()
     if not class_slots:
         raise EmptyStateError("cannot build prototypes from an empty buffer")
-    means = []
-    for slots in class_slots.values():
-        images = upsample(buf.slab[slots], buf.factor)
-        means.append(embed_batch(params, images).mean(axis=0))
+    f = buf.factor
+    side = params.input_side // f
+    W1p = params.W1.reshape(side, f, side, f, params.channels, -1).sum(axis=(1, 3))
+    W1p = W1p.reshape(side * side * params.channels, -1)
+    means = [_forward_matrix(params, _to_matrix(params, buf.slab[slots], f), W1p)[2].mean(axis=0)
+             for slots in class_slots.values()]
     return np.array(list(class_slots)), np.stack(means)
 
 

@@ -114,10 +114,13 @@ def test_criterion_03_reservoir_statistics():
     blank = np.zeros((4, 4, 3), dtype=np.uint8)
     for t in range(trials):
         buf = ReplayBuffer(PixelBudget(m, 4), Rng(t))
-        for k in range(n):
-            buf.offer(blank, k)
+        # one batched offer makes the same draws as n single offers (TestBatchOffer)
+        buf.offer(np.broadcast_to(blank, (n, 4, 4, 3)), np.arange(n))
         for label in buf.labels.tolist():
             counts[label] += 1
+    # the statistic of the n-single-offers loop, bit for bit
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == (
+        "4b0bf91dd466ec4cdc2c3b21d998c3bd6bad2214c27d9dc6b44535686d2cd140")
     freq = counts / trials
     p = m / n
     se = np.sqrt(p * (1 - p) / trials)

@@ -264,6 +264,32 @@ class TestNcm:
         direct = L.embed_batch(params, upsample(s, 2)[None])[0]
         np.testing.assert_allclose(means[0], direct, atol=1e-6)
 
+    @pytest.mark.parametrize("f", [2, 4, 8])
+    def test_pooled_first_layer_matches_upsampled_oracle(self, f):
+        # a desk-sized model: 32x32x3 input, 128 hidden, 64 embedding units
+        params = L.init_params(32, 3, 128, 64, 3, Rng(700 + f))
+        buf = filled_buffer(710 + f, r=32, f=f)
+        labels, means = L.ncm_prototypes(params, buf)
+        expected, _ = brute_force_prototypes(params, buf)
+        assert labels.tolist() == sorted(expected)
+        for label, mean in zip(labels.tolist(), means):
+            np.testing.assert_allclose(mean.astype(np.float64), expected[label], atol=1e-6)
+
+    def test_factor_one_is_the_unpooled_embedding_bit_for_bit(self):
+        params = L.init_params(32, 3, 128, 64, 3, Rng(720))
+        buf = filled_buffer(721, mode="full", r=32)
+        labels, means = L.ncm_prototypes(params, buf)
+        for label, mean in zip(labels.tolist(), means):
+            direct = L.embed_batch(params, buf.slab[buf.labels == label]).mean(axis=0)
+            assert np.array_equal(mean, direct)
+
+    @pytest.mark.parametrize("resolution, f", [(16, 1), (16, 2), (30, 4)])
+    def test_buffer_must_upsample_to_the_model_side(self, resolution, f):
+        params = L.init_params(32, 3, 128, 64, 3, Rng(730))
+        buf = filled_buffer(731, r=resolution, f=f)
+        with pytest.raises(ValueError, match="do not match model input"):
+            L.ncm_prototypes(params, buf)
+
 
 class TestSoftmaxHead:
     def test_predicts_argmax_logit(self):
