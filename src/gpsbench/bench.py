@@ -151,10 +151,6 @@ def load_cifar100(path):
     return np.ascontiguousarray(pixels), records[:, 1].astype(np.int64)
 
 
-def load_cifar100_dataset(train_path, test_path) -> Dataset:
-    return Dataset(*load_cifar100(train_path), *load_cifar100(test_path))
-
-
 def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
     """Per-class subdirectories of PPM files; seeded per-class train/test split.
 

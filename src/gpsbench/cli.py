@@ -24,7 +24,7 @@ from .bench import (
     Dataset,
     average_end_accuracy,
     generate_synthetic,
-    load_cifar100_dataset,
+    load_cifar100,
     load_image_dir,
     run_online,
     split_tasks,
@@ -50,7 +50,8 @@ def build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     if config.dataset == "synthetic":
         return generate_synthetic(config, rng)
     if config.dataset == "cifar100":
-        return load_cifar100_dataset(config.cifar_train_path, config.cifar_test_path)
+        return Dataset(*load_cifar100(config.cifar_train_path),
+                       *load_cifar100(config.cifar_test_path))
     return load_image_dir(config.image_dir, config.image_test_fraction, rng)
 
 
@@ -172,7 +173,6 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
         else:
             print(f"{label}: FAILED ({r['failure']})")
     if a_ends:
-        mean, std = _summary_stats(a_ends)
         print(f"summary: mean a_end = {mean:.4f} +- {std:.4f} over {len(a_ends)} seeds")
     if len(ok) != len(records):
         raise NumericalError("one or more seeds failed; partial artifacts written")

@@ -130,6 +130,9 @@ class ExperimentConfig:
             # buffer snapshots store the seed as a signed 64-bit integer
             if not 0 <= s < 2 ** 63:
                 raise ConfigError(f"seeds must lie in [0, 2^63), got {s}")
+        if len(set(self.seeds)) != len(self.seeds):
+            # a repeated seed rewrites its own files yet counts twice in the summary
+            raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
         return self
 
 

@@ -201,7 +201,10 @@ def load_ppm(path):
         raise FormatError(f"malformed header: non-positive dimensions {width}x{height}")
     if maxval != 255:
         raise FormatError(f"unsupported maxval {maxval}: only 255 is supported")
-    pos += 1  # single whitespace byte after maxval
+    if pos < len(data) and not data[pos : pos + 1].isspace():
+        raise FormatError(f"malformed header: expected one whitespace byte after maxval, "
+                          f"got {data[pos : pos + 1]!r}")
+    pos += 1
     payload = data[pos : pos + height * width * 3]
     if len(payload) != height * width * 3:
         raise FormatError(

@@ -12,17 +12,13 @@ Batches are (n, side, side, C) uint8 pixel arrays; a labeled batch is a
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .buffer import ReplayBuffer
-from .errors import EmptyStateError, FormatError, NumericalError
+from .errors import EmptyStateError, NumericalError
 from .imaging import Rng
-
-CHECKPOINT_MAGIC = b"GPSM"
 
 
 @dataclass
@@ -31,9 +27,6 @@ class ModelParams:
 
     input_side: int
     channels: int
-    hidden_units: int
-    embedding_units: int
-    num_classes: int
     W1: np.ndarray
     b1: np.ndarray
     W2: np.ndarray
@@ -48,9 +41,7 @@ class ModelParams:
         return all(np.isfinite(t).all() for t in self.tensors())
 
     def copy(self):
-        return ModelParams(self.input_side, self.channels, self.hidden_units,
-                           self.embedding_units, self.num_classes,
-                           *[t.copy() for t in self.tensors()])
+        return ModelParams(self.input_side, self.channels, *[t.copy() for t in self.tensors()])
 
 
 @dataclass(frozen=True)
@@ -71,7 +62,7 @@ def init_params(input_side, channels, hidden_units, embedding_units, num_classes
                 rng: Rng, dtype=np.float32) -> ModelParams:
     """Seeded uniform +-sqrt(6/(fan_in+fan_out)) weights, zero biases."""
     return ModelParams(
-        input_side, channels, hidden_units, embedding_units, num_classes,
+        input_side, channels,
         W1=_glorot(rng, input_side * input_side * channels, hidden_units, dtype),
         b1=np.zeros(hidden_units, dtype=dtype),
         W2=_glorot(rng, hidden_units, embedding_units, dtype),
@@ -143,9 +134,10 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
         labels = np.concatenate([stream_labels, replay_batch[1]]).astype(np.intp)
     else:
         pixels, labels = stream_pixels, np.asarray(stream_labels, dtype=np.intp)
-    if labels.min() < 0 or labels.max() >= params.num_classes:
+    num_classes = params.Wc.shape[1]
+    if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError(
-            f"labels must lie in [0, {params.num_classes}), got range "
+            f"labels must lie in [0, {num_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
         )
     dtype = params.W1.dtype
@@ -239,44 +231,3 @@ def classify_batch(prototypes, params: ModelParams, pixels) -> np.ndarray:
 def softmax_classify_batch(params: ModelParams, pixels) -> np.ndarray:
     """Argmax-logit labels; ties go to the smallest class id."""
     return np.argmax(logits_batch(params, pixels), axis=1)
-
-
-# --- checkpoint I/O ---
-
-
-def save_params(path, params: ModelParams):
-    """Checkpoint: 'GPSM', u32 LE dims, then row-major float32 LE tensors."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<5I", params.input_side, params.channels,
-                             params.hidden_units, params.embedding_units,
-                             params.num_classes))
-        for t in params.tensors():
-            fh.write(np.ascontiguousarray(t, dtype="<f4").tobytes())
-
-
-def load_params(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}: expected {CHECKPOINT_MAGIC!r}")
-    if len(blob) < 24:
-        raise FormatError("truncated checkpoint header")
-    dims = struct.unpack_from("<5I", blob, 4)
-    if min(dims) < 1:
-        raise FormatError(f"checkpoint dimensions must be >= 1, got {dims}")
-    side, channels, hidden, embed, classes = dims
-    shapes = [(side * side * channels, hidden), (hidden,), (hidden, embed), (embed,),
-              (embed, classes), (classes,)]
-    pos = 24
-    tensors = []
-    for shape in shapes:
-        count = math.prod(shape)  # exact: np.prod wraps around int64
-        if pos + 4 * count > len(blob):
-            raise FormatError("truncated checkpoint tensors")
-        tensors.append(np.frombuffer(blob, dtype="<f4", count=count, offset=pos)
-                       .reshape(shape).copy())
-        pos += 4 * count
-    if pos != len(blob):
-        raise FormatError(f"checkpoint has {len(blob) - pos} trailing bytes")
-    return ModelParams(side, channels, hidden, embed, classes, *tensors)

@@ -508,6 +508,13 @@ class TestExperimentConfig:
             with pytest.raises(ConfigError, match="seeds"):
                 parse_config(f"seeds = {seed}\n").validate()
 
+    def test_repeated_seed_rejected(self):
+        # one seed_3_* file set, but the summary would count two seeds
+        with pytest.raises(ConfigError, match="^seeds must not repeat"):
+            parse_config("seeds = 3,3\n")
+        with pytest.raises(ConfigError, match="^seeds must not repeat"):
+            replace(ExperimentConfig(), seeds=(0, 3, 1, 3))
+
     def test_negative_pattern_seed_rejected(self):
         assert parse_config("synthetic_pattern_seed = 0\n").validate() is not None
         with pytest.raises(ConfigError, match="pattern_seed"):

@@ -1,0 +1,29 @@
+"""numpy stays the only runtime dependency: the package imports nothing else
+outside the standard library."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gpsbench"
+ALLOWED = sys.stdlib_module_names | {"numpy"}
+
+
+def foreign_imports(source):
+    """The absolute imports in `source` whose top-level package is neither
+    numpy nor standard library; relative imports are the package's own."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.partition(".")[0] not in ALLOWED]
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    found = {m.name: foreign_imports(m.read_text(encoding="utf-8")) for m in modules}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+

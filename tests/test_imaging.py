@@ -191,6 +191,7 @@ class TestPpm:
             (b"P6\n0 2\n255\n", "dimensions"),
             (b"P6\n2 2\n255\n" + bytes(5), "truncated"),
             (b"P6\n2 2\n", "header"),
+            (b"P6\n1 1\n255#xyz", "whitespace byte after maxval"),
         ],
     )
     def test_malformed_files_name_the_field(self, tmp_path, raw, fragment):

@@ -1,12 +1,10 @@
-import struct
-
 import numpy as np
 import pytest
 
 import gpsbench.learner as L
 from gpsbench.assembly import upsample
 from gpsbench.buffer import PixelBudget, ReplayBuffer
-from gpsbench.errors import EmptyStateError, FormatError, NumericalError
+from gpsbench.errors import EmptyStateError, NumericalError
 from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample
 
@@ -306,62 +304,6 @@ class TestSoftmaxHead:
         p = L.softmax(logits)
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
         assert (p >= 0).all()
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        rng = Rng(700)
-        params = L.init_params(4, 3, 8, 4, 5, rng.split(1))
-        path = tmp_path / "model.gpsm"
-        L.save_params(path, params)
-        back = L.load_params(path)
-        assert back.input_side == 4 and back.num_classes == 5
-        for ta, tb in zip(params.tensors(), back.tensors()):
-            np.testing.assert_array_equal(ta, tb)
-
-    def test_forward_agrees_after_reload(self, tmp_path):
-        rng = Rng(701)
-        params = L.init_params(4, 3, 8, 4, 5, rng.split(1))
-        images, _ = tiny_images(rng.split(2), 6, r=4, num_classes=5)
-        path = tmp_path / "model.gpsm"
-        L.save_params(path, params)
-        back = L.load_params(path)
-        np.testing.assert_array_equal(
-            L.logits_batch(params, images), L.logits_batch(back, images))
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.gpsm"
-        path.write_bytes(b"NOPE" + bytes(40))
-        with pytest.raises(FormatError):
-            L.load_params(path)
-
-    def test_truncated(self, tmp_path):
-        rng = Rng(702)
-        params = L.init_params(4, 3, 8, 4, 5, rng.split(1))
-        path = tmp_path / "model.gpsm"
-        L.save_params(path, params)
-        blob = path.read_bytes()
-        path.write_bytes(blob[: len(blob) // 2])
-        with pytest.raises(FormatError):
-            L.load_params(path)
-
-    def test_hostile_header_dimensions_rejected(self, tmp_path):
-        # W1 of (2^34, 2^30) floats: 2^64, which np.prod wraps to 0 in int64;
-        # zero hidden units: an empty (2^72, 0) W1, which numpy cannot shape
-        path = tmp_path / "hostile.gpsm"
-        for dims in ((2 ** 17, 1, 2 ** 30, 1, 1), (2 ** 24, 2 ** 24, 0, 3, 4)):
-            path.write_bytes(L.CHECKPOINT_MAGIC + struct.pack("<5I", *dims))
-            with pytest.raises(FormatError):
-                L.load_params(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        rng = Rng(703)
-        params = L.init_params(4, 3, 8, 4, 5, rng.split(1))
-        path = tmp_path / "model.gpsm"
-        L.save_params(path, params)
-        path.write_bytes(path.read_bytes() + b"\x01")
-        with pytest.raises(FormatError):
-            L.load_params(path)
 
 
 class TestInit:

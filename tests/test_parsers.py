@@ -12,7 +12,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import gpsbench.learner as L
 from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.config import ExperimentConfig, parse_config, serialize_config
 from gpsbench.errors import ConfigError, FormatError
@@ -75,8 +74,6 @@ SNAPSHOTS = _snapshots()
 # version, factor, image count, resolution, channels, seen count; then the
 # rng seed and its key count
 SNAPSHOT_FIELDS = [(4, 2), (6, 2), (8, 4), (12, 4), (16, 1), (17, 8), (25, 8), (33, 4)]
-# side, channels, hidden, embedding and class counts
-CHECKPOINT_FIELDS = [(offset, 4) for offset in range(4, 24, 4)]
 
 
 def with_edge_values(valid, fields):
@@ -96,22 +93,6 @@ def check_snapshot(blob):
     assert buf.snapshot() == blob
 
 
-def check_checkpoint(path, blob):
-    path.write_bytes(blob)
-    try:
-        params = L.load_params(path)
-    except FormatError:
-        return
-    L.save_params(path, params)
-    assert path.read_bytes() == blob
-
-
-def checkpoint_bytes(tmp_path):
-    path = tmp_path / "valid.gpsm"
-    L.save_params(path, L.init_params(2, 3, 4, 3, 3, Rng(1)))
-    return path.read_bytes()
-
-
 def test_snapshot_header_edge_values():
     for valid in SNAPSHOTS:
         for blob in with_edge_values(valid, SNAPSHOT_FIELDS):
@@ -122,18 +103,6 @@ def test_snapshot_header_edge_values():
 @given(mutated(SNAPSHOTS, SNAPSHOT_FIELDS))
 def test_snapshot_restores_exactly_or_is_format_error(blob):
     check_snapshot(blob)
-
-
-def test_checkpoint_header_edge_values(tmp_path):
-    for blob in with_edge_values(checkpoint_bytes(tmp_path), CHECKPOINT_FIELDS):
-        check_checkpoint(tmp_path / "model.gpsm", blob)
-
-
-@BOUNDED
-@given(data=st.data())
-def test_checkpoint_loads_exactly_or_is_format_error(tmp_path, data):
-    blob = data.draw(mutated([checkpoint_bytes(tmp_path)], CHECKPOINT_FIELDS))
-    check_checkpoint(tmp_path / "model.gpsm", blob)
 
 
 PPM = (b"P6\n# a comment\n3 2\n255\n"
