@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -55,12 +55,40 @@ def build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     return load_image_dir(config.image_dir, config.image_test_fraction, rng)
 
 
+# Config fields that shape a run on a seed's data but not the data itself.
+# Every other field, including any added later, is part of the data key.
+ARM_FIELDS = frozenset({
+    "buffer_mode", "budget_images", "factor", "stream_batch", "replay_batch",
+    "learning_rate", "replay_weight", "hidden_units", "embedding_units", "head",
+    "seeds", "out_dir",
+})
+
+# At most one entry: data key -> (dataset, stream).
+_seed_data_memo = {}
+
+
+def seed_data(config: ExperimentConfig, seed: int):
+    """The seed's (dataset, stream), read-only. Runs that differ only in
+    ARM_FIELDS share it: it is built once per process until a run on other
+    data replaces it (an image_dir tree is read once)."""
+    key = (seed, *(getattr(config, f.name) for f in fields(config)
+                   if f.name not in ARM_FIELDS))
+    if key not in _seed_data_memo:
+        _seed_data_memo.clear()  # free the old data before building the new
+        root = Rng(seed)
+        dataset = build_dataset(config, root.split(DOMAIN_DATA))
+        stream = split_tasks(dataset, config.tasks, config.classes_per_task,
+                             root.split(DOMAIN_TASK_SPLIT))
+        for array in (*vars(dataset).values(), *stream.train_tasks, *stream.test_tasks):
+            array.flags.writeable = False
+        _seed_data_memo[key] = dataset, stream
+    return _seed_data_memo[key]
+
+
 def run_one_seed(config: ExperimentConfig, seed: int):
     """Execute one seeded run; returns a dict of everything the writer needs."""
+    dataset, stream = seed_data(config, seed)
     root = Rng(seed)
-    dataset = build_dataset(config, root.split(DOMAIN_DATA))
-    stream = split_tasks(dataset, config.tasks, config.classes_per_task,
-                         root.split(DOMAIN_TASK_SPLIT))
     resolution = require_square(dataset.train_pixels[0])
     channels = dataset.train_pixels.shape[3]
     num_classes = max(max(cs) for cs in stream.class_sets) + 1
@@ -129,20 +157,28 @@ def _summary_stats(a_ends):
     return mean, std
 
 
-def _execute_runs(config: ExperimentConfig, workers: int):
-    """All seeds of one config in order, optionally in a process pool, which
-    starts all its workers up front and so gets at most one per seed."""
-    seeds = list(config.seeds)
+def _run_seed(configs, seed):
+    return [run_one_seed(config, seed) for config in configs]
+
+
+def _execute_runs(configs: list[ExperimentConfig], workers: int):
+    """Every seed of the configs, which share one seed list, run seed by seed
+    so that the configs share each seed's data; returns each config's records
+    in seed order. A process pool maps over seeds; it starts all its workers
+    up front and so gets at most one per seed."""
+    seeds = list(configs[0].seeds)
     workers = min(workers, len(seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one_seed, [config] * len(seeds), seeds))
-    return [run_one_seed(config, s) for s in seeds]
+            by_seed = list(pool.map(_run_seed, [configs] * len(seeds), seeds))
+    else:
+        by_seed = [_run_seed(configs, s) for s in seeds]
+    return list(zip(*by_seed))
 
 
 def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    records = _execute_runs(config, workers)
+    [records] = _execute_runs([config], workers)
     for record in records:
         _write_matrix_csvs(out_dir, record)
     ok = [r for r in records if r["status"] == "ok"]
@@ -208,22 +244,30 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
     if not values:
         raise ConfigError("sweep needs at least one value")
     points = [_sweep_point(config, axis_field, raw) for raw in values]
+    first = {}  # normalised value -> its first spelling
+    for raw, (_, value) in zip(values, points):
+        if value in first:
+            raise ConfigError(f"sweep values {first[value]!r} and {raw!r} both give "
+                              f"{axis_field} = {value}")
+        first[value] = raw
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-    for point_config, value in points:
+    failure = None
+    point_records = _execute_runs([point_config for point_config, _ in points], workers)
+    for (_, value), records in zip(points, point_records):
         point_dir = out_dir / f"{axis_field}_{value}"
         point_dir.mkdir(parents=True, exist_ok=True)
-        records = _execute_runs(point_config, workers)
         for record in records:
             _write_matrix_csvs(point_dir, record)
-        bad = [r for r in records if r["status"] != "ok"]
+        bad = [r["seed"] for r in records if r["status"] != "ok"]
         if bad:
-            raise NumericalError(
-                f"sweep point {axis_field}={value} failed on seed {bad[0]['seed']}"
-            )
+            failure = failure or f"sweep point {axis_field}={value} failed on seed {bad[0]}"
+            continue
         mean, std = _summary_stats([r["a_end"] for r in records])
         rows.append((value, mean, std))
         print(f"{axis_field} = {value}: mean a_end = {mean:.4f} +- {std:.4f}")
+    if failure:
+        raise NumericalError(failure)
     with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{axis_field},mean_a_end,std_a_end\n")
         for value, mean, std in rows:

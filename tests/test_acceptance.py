@@ -267,12 +267,13 @@ def _desk_scale_run(seed, mode, head="ncm"):
 
 @pytest.fixture(scope="module")
 def desk_scale_results():
-    seeds = range(10)
-    return {
-        "gps": [_desk_scale_run(s, "gps") for s in seeds],
-        "full": [_desk_scale_run(s, "full") for s in seeds],
-        "finetune": [_desk_scale_run(s, "none", head="softmax") for s in seeds],
-    }
+    # seed by seed, so that the three arms share each seed's data
+    results = {"gps": [], "full": [], "finetune": []}
+    for s in range(10):
+        results["gps"].append(_desk_scale_run(s, "gps"))
+        results["full"].append(_desk_scale_run(s, "full"))
+        results["finetune"].append(_desk_scale_run(s, "none", head="softmax"))
+    return results
 
 
 def test_criterion_07_gps_beats_full_at_low_budget(desk_scale_results):

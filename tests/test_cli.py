@@ -1,8 +1,11 @@
+import copy
 import hashlib
 import importlib.util
 import json
 import struct
 import sys
+import weakref
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +14,8 @@ import pytest
 import gpsbench.cli as cli
 from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import main
-from gpsbench.config import parse_config
+from gpsbench.config import ExperimentConfig, parse_config
+from gpsbench.errors import NumericalError
 from gpsbench.imaging import Rng, load_ppm, save_ppm
 
 
@@ -152,9 +156,10 @@ class TestRunCommand:
                        "--workers", "8") == 0
         assert run_cli("run", "--config", config_file, "--out", tmp_path / "b",
                        "--workers", "8", "--seed", "3") == 0
-        assert run_cli("sweep", "--config", config_file, "--axis", "f", "--values", "2",
+        assert run_cli("sweep", "--config", config_file, "--axis", "f", "--values", "1,2",
                        "--out", tmp_path / "c", "--workers", "2") == 0
-        # two seeds: two workers, not eight; one seed runs without a pool
+        # two seeds: two workers, not eight; one seed runs without a pool;
+        # a sweep makes one pool for all its points
         assert sizes == [2, 2]
 
     def test_matrix_with_fractional_accuracies_is_pinned(self, tmp_path):
@@ -181,6 +186,108 @@ class TestRunCommand:
         buf = ReplayBuffer.restore((out / "seed_0_buffer.gpsb").read_bytes())
         assert buf.factor == 2
         assert buf.occupied_count > 0
+
+
+# The config fields that only shape a run on a seed's data.
+ARM_FIELDS = {"buffer_mode", "budget_images", "factor", "stream_batch", "replay_batch",
+              "learning_rate", "replay_weight", "hidden_units", "embedding_units", "head",
+              "seeds", "out_dir"}
+
+# A value other than BASE_CONFIG's for every config field; a field added to
+# ExperimentConfig needs one here. The memo test builds the data from
+# BASE_CONFIG whatever the dataset fields say, so a value need only differ.
+OTHER_VALUE = {
+    "schema_version": 2, "dataset": "image_dir", "synthetic_classes": 7,
+    "synthetic_resolution": 8, "synthetic_channels": 1, "synthetic_train_per_class": 21,
+    "synthetic_test_per_class": 6, "synthetic_noise": 21.0, "synthetic_pattern_seed": 8,
+    "synthetic_contrast": 26.0, "synthetic_baseline": 33.0, "cifar_train_path": "train.bin",
+    "cifar_test_path": "test.bin", "image_dir": "images", "image_test_fraction": 0.5,
+    "tasks": 2, "classes_per_task": 1, "buffer_mode": "full", "budget_images": 9,
+    "factor": 4, "stream_batch": 4, "replay_batch": 32, "replay_units": "images",
+    "learning_rate": 0.2, "replay_weight": 0.5, "hidden_units": 16, "embedding_units": 8,
+    "head": "softmax", "seeds": (5,), "out_dir": "elsewhere",
+}
+
+
+def unchecked(config, name, value):
+    """A copy of a frozen config with one field changed, not validated."""
+    changed = copy.copy(config)
+    object.__setattr__(changed, name, value)
+    return changed
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Configs passed to build_dataset from here on, starting from an empty memo."""
+    built = []
+    build = cli.build_dataset
+
+    def counting(config, rng):
+        built.append(config)
+        return build(config, rng)
+
+    cli._seed_data_memo.clear()
+    monkeypatch.setattr(cli, "build_dataset", counting)
+    return built
+
+
+class TestSeedData:
+    def test_shared_data_gives_the_record_of_fresh_data(self, builds):
+        base = parse_config(BASE_CONFIG)
+        full = replace(base, buffer_mode="full")
+        cli.run_one_seed(full, 0)
+        shared = cli.run_one_seed(base, 0)
+        assert len(builds) == 1
+        cli._seed_data_memo.clear()
+        fresh = cli.run_one_seed(base, 0)
+        assert len(builds) == 2
+        for key in ("entries", "end_row", "snapshot"):
+            assert shared[key] == fresh[key]
+
+    def test_data_is_read_only(self):
+        dataset, stream = cli.seed_data(parse_config(BASE_CONFIG), 0)
+        arrays = [*vars(dataset).values(), *stream.train_tasks, *stream.test_tasks]
+        assert len(arrays) == 4 + 2 * 3
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(ExperimentConfig)])
+    def test_only_arm_fields_share_data(self, name, builds, monkeypatch):
+        base = parse_config(BASE_CONFIG)
+        build = cli.build_dataset
+        monkeypatch.setattr(cli, "build_dataset", lambda config, rng: build(base, rng))
+        changed = unchecked(base, name, OTHER_VALUE[name])
+        assert getattr(changed, name) != getattr(base, name)
+        first = cli.seed_data(base, 0)
+        second = cli.seed_data(changed, 0)
+        if name in ARM_FIELDS:
+            assert len(builds) == 1 and second is first
+        else:
+            assert len(builds) == 2
+
+    def test_another_seed_rebuilds(self, builds):
+        config = parse_config(BASE_CONFIG)
+        for seed in (0, 0, 1, 1, 0):
+            cli.seed_data(config, seed)
+        assert len(builds) == 3
+
+    def test_old_data_is_freed_before_the_next_build(self, monkeypatch):
+        cli._seed_data_memo.clear()
+        build = cli.build_dataset
+        built, alive = [], []
+
+        def tracking(config, rng):
+            alive.append([ref() is not None for ref in built])
+            dataset = build(config, rng)
+            built.append(weakref.ref(dataset))
+            return dataset
+
+        monkeypatch.setattr(cli, "build_dataset", tracking)
+        config = parse_config(BASE_CONFIG)
+        for seed in (0, 1, 0):
+            cli.run_one_seed(config, seed)
+        assert alive == [[], [False], [False, False]]
 
 
 class TestExitCodes:
@@ -481,6 +588,79 @@ class TestSweep:
         assert run_cli("sweep", "--config", config_file, "--axis", "f",
                        "--values", "two", "--out", tmp_path / "s") == 2
 
+    @pytest.mark.parametrize("axis, values, named", [
+        ("f", "2,2", "'2' and '2'"),
+        ("f", "2,02", "'2' and '02'"),
+        ("mode", "gps,GPS", "'gps' and 'GPS'"),
+    ])
+    def test_repeated_value_is_2_before_any_output(self, tmp_path, config_file, capsys,
+                                                    axis, values, named):
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--config", config_file, "--axis", axis,
+                       "--values", values, "--out", out) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_builds_each_seed_once(self, tmp_path, config_file, builds):
+        assert run_cli("sweep", "--config", config_file, "--axis", "f",
+                       "--values", "1,2,4", "--out", tmp_path / "s") == 0
+        assert len(builds) == 2
+
+    def test_pool_output_identical_to_serial(self, tmp_path, config_file, capsys):
+        outputs = []
+        for workers in ("1", "2"):
+            out = tmp_path / workers
+            assert run_cli("sweep", "--config", config_file, "--axis", "f", "--values",
+                           "1,2", "--out", out, "--workers", workers) == 0
+            files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            outputs.append((files, capsys.readouterr().out))
+        assert len(outputs[0][0]) == 1 + 2 * 2 * 3
+        assert outputs[0] == outputs[1]
+
+    def test_each_point_equals_its_run(self, tmp_path, config_file):
+        sweep = tmp_path / "sweep"
+        assert run_cli("sweep", "--config", config_file, "--axis", "f",
+                       "--values", "1,4", "--out", sweep) == 0
+        for factor in (1, 4):
+            point_config = tmp_path / f"f{factor}.cfg"
+            point_config.write_text(BASE_CONFIG.replace("factor = 2", f"factor = {factor}"))
+            run = tmp_path / f"run{factor}"
+            assert run_cli("run", "--config", point_config, "--out", run) == 0
+            point = sweep / f"factor_{factor}"
+            names = sorted(p.name for p in point.iterdir())
+            assert len(names) == 6
+            for name in names:
+                assert (point / name).read_bytes() == (run / name).read_bytes()
+
+    def test_failure_names_first_point_in_axis_order(self, tmp_path, config_file, capsys,
+                                                     monkeypatch):
+        # seed by seed, factor 4 fails on seed 0 before factor 2 fails on seed 1
+        failing = {(2, 1), (4, 0), (4, 1)}
+        run_online = cli.run_online
+
+        def fake(stream, params, buf, config, rng):
+            if (buf.factor, rng.seed) in failing:
+                exc = NumericalError("loss is nan")
+                exc.partial_result = None
+                raise exc
+            return run_online(stream, params, buf, config, rng)
+
+        monkeypatch.setattr(cli, "run_online", fake)
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--config", config_file, "--axis", "f",
+                       "--values", "1,2,4", "--out", out) == 4
+        captured = capsys.readouterr()
+        assert "sweep point factor=2 failed on seed 1" in captured.err
+        assert captured.out.startswith("factor = 1: mean a_end")
+        assert not (out / "sweep.csv").exists()
+        written = {d.name: sorted(p.name for p in d.glob("*.csv")) for d in out.iterdir()}
+        assert written == {
+            "factor_1": ["seed_0_end.csv", "seed_0_matrix.csv",
+                         "seed_1_end.csv", "seed_1_matrix.csv"],
+            "factor_2": ["seed_0_end.csv", "seed_0_matrix.csv", "seed_1_matrix.partial.csv"],
+            "factor_4": ["seed_0_matrix.partial.csv", "seed_1_matrix.partial.csv"],
+        }
+
 
 class TestImageDirDataset:
     def build_tree(self, tmp_path, classes=3, per_class=8, r=8):
@@ -576,6 +756,7 @@ class TestBenchmarkContract:
         assert tracer.Tracer(tracer.TARGETS).absent == ["assembly.upsample"]
 
     def test_traced_run_reaches_every_target(self, tracer):
+        cli._seed_data_memo.clear()  # so that this run builds its data
         traced = tracer.Tracer(tracer.TARGETS)
         with traced:
             cli.run_one_seed(parse_config(BASE_CONFIG), 0)
