@@ -1,10 +1,10 @@
 """Turn buffered surrogates back into trainable and classifiable inputs.
 
-Training uses concatenation: factor^2 same-class surrogates tiled into a
-factor x factor grid rebuild one full-resolution image. Pixel repetition
-(`upsample`) expands each surrogate pixel into a factor x factor constant
-block; NCM inference applies it implicitly, through a first layer pooled
-over those blocks (`learner.ncm_prototypes`).
+Pixel repetition (`upsample`) expands each surrogate pixel into a factor x
+factor constant block. Replay trains on uniformly drawn surrogates, each
+upsampled to one full-resolution image; NCM inference applies it implicitly,
+through a first layer pooled over those blocks (`learner.ncm_prototypes`).
+`grid_concat` tiles factor^2 surrogates into one image for `gps reconstruct`.
 """
 
 from __future__ import annotations
@@ -36,32 +36,26 @@ def grid_concat(parts, factor: int) -> np.ndarray:
 
 
 def upsample(pixels: np.ndarray, factor: int) -> np.ndarray:
-    """Expand each pixel of a (..., side, side, C) array into a factor x factor constant block."""
-    return np.repeat(np.repeat(pixels, factor, axis=-3), factor, axis=-2)
+    """Expand each pixel of a (..., side, side, C) array into a factor x factor constant block.
+
+    Factor 1 returns the input. Otherwise one byte-wise `take` widens each
+    row and whole rows are repeated, so no copy moves one pixel at a time.
+    """
+    if factor == 1:
+        return pixels
+    *lead, height, width, channels = pixels.shape
+    # byte (j*factor + k)*C + c of a widened row is byte j*C + c of the row
+    columns = np.repeat(np.arange(width * channels).reshape(width, 1, channels), factor, axis=1)
+    rows = pixels.reshape(*lead, height, width * channels).take(columns.reshape(-1), axis=-1)
+    return np.repeat(rows, factor, axis=-2).reshape(
+        *lead, height * factor, width * factor, channels)
 
 
 def draw_replay_batch(buf: ReplayBuffer, batch_size: int, rng: Rng) -> np.ndarray:
-    """Draw up to batch_size slot groups, one per replay image.
-
-    Per class: shuffle its slot indices, cut into consecutive groups of
-    factor^2, drop the incomplete tail. All complete groups form one pool;
-    min(batch_size, pool) groups are drawn uniformly without replacement.
-    At factor 1 the pool is every occupied slot, in slot order, unshuffled.
-    Returns an (n, factor^2) array of slot indices in grid order, so
-    `grid_concat(buf.slab[groups], buf.factor)` tiles the n replay images
-    and `buf.labels[groups[:, 0]]` labels them. Groups re-randomize on
-    every call.
+    """Draw min(batch_size, occupied // factor^2) occupied slots uniformly
+    without replacement, as a 1-D array; the cap is the number of full images
+    the stored pixels make up. An empty draw leaves `rng` untouched.
     """
-    group_size = buf.factor ** 2
-    if group_size == 1:
-        pool = np.flatnonzero(buf.labels >= 0)[:, None]
-    else:
-        pool = [np.empty((0, group_size), dtype=np.intp)]
-        for slots in buf.class_slots().values():
-            indices = rng.permutation(slots)
-            complete = len(indices) - len(indices) % group_size
-            pool.append(indices[:complete].reshape(-1, group_size))
-        pool = np.concatenate(pool)
-    if not len(pool):
-        return pool
-    return pool[rng.choice(len(pool), min(batch_size, len(pool)), replace=False)]
+    occupied = np.flatnonzero(buf.labels >= 0)
+    count = min(batch_size, len(occupied) // buf.factor ** 2)
+    return occupied[rng.choice(len(occupied), count, replace=False)]

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import learner as L
-from .assembly import draw_replay_batch, grid_concat
+from .assembly import draw_replay_batch, upsample
 from .buffer import ReplayBuffer
 from .config import HEAD_NCM, ExperimentConfig
 from .errors import ConfigError, FormatError, NumericalError, StateError
@@ -235,8 +235,8 @@ def _replay_batch(buf, config, replay_rng):
     """(pixels, labels) of one replay batch, or None when nothing is replayed."""
     if buf is None or config.replay_batch == 0:
         return None
-    groups = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
-    return grid_concat(buf.slab[groups], buf.factor), buf.labels[groups[:, 0]]
+    slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
+    return upsample(buf.slab[slots], buf.factor), buf.labels[slots]
 
 
 def _evaluate_row(matrix, t, stream, params, buf, config):
@@ -258,12 +258,13 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
                config: ExperimentConfig, rng: Rng) -> RunResult:
     """Single pass over the task stream; returns the accuracy matrix and counters.
 
-    Per mini-batch: draw replay, take one SGD step on stream + replay, then
-    (at factor > 1) compress the whole mini-batch with one `gps_sample` call
-    on `rng.split(DOMAIN_STREAM, step)`, and offer it with one `buf.offer`
-    call, which decides for its images in stream order. On a numerical
-    failure the partial result is attached to the raised error. The buffer is
-    checked here, as the config that built it may not be the one given.
+    Per mini-batch: draw replay_batch // factor^2 stored surrogates and
+    upsample each to one full-resolution row, take one SGD step on stream +
+    replay, then (at factor > 1) compress the whole mini-batch with one
+    `gps_sample` call on `rng.split(DOMAIN_STREAM, step)`, and offer it with
+    one `buf.offer` call, which decides for its images in stream order. On a
+    numerical failure the partial result is attached to the raised error. The
+    buffer is checked here, as the config that built it may not be the one given.
     """
     ds = stream.dataset
     if config.head == HEAD_NCM and buf is None:

@@ -53,7 +53,7 @@ class ExperimentConfig:
     # training
     stream_batch: int = 10
     replay_batch: int = 100
-    replay_units: str = "samples"  # replay_batch counts stored exemplars
+    replay_units: str = "samples"  # a step replays replay_batch // factor^2 exemplars
     learning_rate: float = 0.1
     replay_weight: float = 1.0
     hidden_units: int = 128

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gpsbench.assembly import draw_replay_batch, grid_concat, upsample
+from gpsbench.bench import _replay_batch
 from gpsbench.buffer import PixelBudget, ReplayBuffer
+from gpsbench.config import ExperimentConfig
 from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample
 
@@ -67,7 +69,24 @@ class TestGridConcat:
             grid_concat(parts, 2)
 
 
+def repeat_upsample(pixels, factor):
+    """The definition of pixel repetition: repeat rows, then columns."""
+    return np.repeat(np.repeat(pixels, factor, axis=-3), factor, axis=-2)
+
+
 class TestUpsample:
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_equals_repeat_definition(self, factor, channels, lead):
+        pixels = Rng(factor).integers(0, 256, (*lead, 3, 4, channels)).astype(np.uint8)
+        np.testing.assert_array_equal(upsample(pixels, factor),
+                                      repeat_upsample(pixels, factor))
+
+    def test_factor_one_returns_its_input(self):
+        pixels = random_sample(Rng(0), 4)
+        assert upsample(pixels, 1) is pixels
+
     def test_repetition_definition(self):
         # 1x1 sample valued v at f=3 -> 3x3 all v
         out = upsample(constant_sample(77, side=1), 3)
@@ -115,57 +134,31 @@ def filled_gps_buffer(seed, budget_images=5, r=8, f=2, labels=(0, 1, 2),
     return buf, rng
 
 
-def tile(buf, groups):
-    return grid_concat(buf.slab[groups], buf.factor)
+def occupied_slots(buf):
+    return np.flatnonzero(buf.labels >= 0)
 
 
 class TestDrawReplayBatch:
-    def test_images_are_same_class_tilings(self):
-        buf, rng = filled_gps_buffer(0)
-        groups = draw_replay_batch(buf, 4, rng.split(3))
-        assert groups.shape == (4, 4)
-        images = tile(buf, groups)
-        assert images.shape == (4, 8, 8, 3)
-        for group, image in zip(groups, images):
-            assert len(set(buf.labels[group].tolist())) == 1
-            # block k of the tiling is slot group[k], verbatim
-            for k, slot in enumerate(group):
-                i, j = divmod(k, 2)
-                np.testing.assert_array_equal(
-                    image[4 * i:4 * i + 4, 4 * j:4 * j + 4], buf.slab[slot])
-
-    def test_constituents_use_distinct_slots(self):
+    def test_draws_distinct_occupied_slots(self):
         buf, rng = filled_gps_buffer(1)
+        occupied = set(occupied_slots(buf).tolist())
         for trial in range(20):
-            for group in draw_replay_batch(buf, 6, rng.split(4, trial)):
-                assert len(set(group.tolist())) == len(group)
+            slots = draw_replay_batch(buf, 3, rng.split(4, trial))
+            assert slots.shape == (3,)
+            assert len(set(slots.tolist())) == 3
+            assert set(slots.tolist()) <= occupied
 
-    def test_incomplete_groups_are_discarded(self):
-        # 3 surrogates of class 9 with f=2: no complete group of 4, so class 9
-        # can never appear in a reconstruction
-        rng = Rng(2)
-        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0), factor=2)
-        for k in range(3):
-            img = rng.split(1, k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
-            buf.offer(gps_sample(img, 2, rng.split(2, k)), 9)
-        for k in range(12):
-            img = rng.split(3, k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
-            buf.offer(gps_sample(img, 2, rng.split(4, k)), 1)
-        # class 9 may have lost slots to eviction; rebuild a buffer where it
-        # holds exactly 3 by construction
-        buf2 = ReplayBuffer(PixelBudget(4, 8), rng.split(5), factor=2)
-        for k in range(3):
-            img = rng.split(6, k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
-            buf2.offer(gps_sample(img, 2, rng.split(7, k)), 9)
-        for k in range(13):
-            img = rng.split(8, k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
-            accepted, _ = buf2.offer(gps_sample(img, 2, rng.split(9, k)), 1)
-            if buf2.occupied_count == buf2.slot_count:
-                break
-        counts = buf2.class_counts()
-        if counts.get(9, 0) == 3:
-            groups = draw_replay_batch(buf2, 10, rng.split(10))
-            assert 9 not in buf2.labels[groups].tolist()
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_count_is_capped_by_full_images(self, factor):
+        # occupied // f^2 is the number of full images the stored pixels make up
+        rng, side = Rng(0), 8 // factor
+        for occupied in range(4 * factor ** 2 + 1):
+            buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0, occupied), factor=factor)
+            buf.offer(np.zeros((occupied, side, side, 3), dtype=np.uint8), [0] * occupied)
+            assert buf.occupied_count == occupied
+            for n in (0, 1, 2, 5):
+                slots = draw_replay_batch(buf, n, rng.split(1, occupied, n))
+                assert len(slots) == min(n, occupied // factor ** 2)
 
     def test_draw_capped_by_available_groups(self):
         buf, rng = filled_gps_buffer(3, budget_images=2, labels=(0,), offers=50)
@@ -175,8 +168,8 @@ class TestDrawReplayBatch:
 
     def test_redraw_differs(self):
         buf, rng = filled_gps_buffer(4)
-        a = tile(buf, draw_replay_batch(buf, 5, rng.split(6, 0)))
-        b = tile(buf, draw_replay_batch(buf, 5, rng.split(6, 1)))
+        a = draw_replay_batch(buf, 5, rng.split(6, 0))
+        b = draw_replay_batch(buf, 5, rng.split(6, 1))
         assert not np.array_equal(a, b)
 
     def test_deterministic_under_same_rng(self):
@@ -186,19 +179,53 @@ class TestDrawReplayBatch:
         np.testing.assert_array_equal(a, b)
 
     def test_factor_one_chooses_among_occupied_slots(self):
-        # every occupied slot is a group of one; the draw is one choice over
-        # the occupied slots in slot order, with no shuffle
+        # the draw is one choice over the occupied slots in slot order
         rng = Rng(6)
         buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
         for k in range(3):
             buf.offer(np.full((8, 8, 3), k, dtype=np.uint8), k)
-        groups = draw_replay_batch(buf, 2, rng.split(1))
-        assert groups.tolist() == [[slot] for slot in rng.split(1).choice(3, 2, replace=False)]
-        assert sorted(draw_replay_batch(buf, 9, rng.split(2))[:, 0].tolist()) == [0, 1, 2]
-        empty = ReplayBuffer(PixelBudget(4, 8), rng.split(3))
-        assert draw_replay_batch(empty, 5, rng.split(4)).shape == (0, 1)
+        occupied = occupied_slots(buf)
+        slots = draw_replay_batch(buf, 2, rng.split(1))
+        np.testing.assert_array_equal(
+            slots, occupied[rng.split(1).choice(len(occupied), 2, replace=False)])
+        assert sorted(draw_replay_batch(buf, 9, rng.split(2)).tolist()) == [0, 1, 2]
 
     def test_empty_buffer_returns_empty(self):
         rng = Rng(7)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
-        assert draw_replay_batch(buf, 5, rng.split(1)).shape == (0, 4)
+        for factor in (1, 2):
+            buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0, factor), factor=factor)
+            draw_rng = rng.split(1, factor)
+            state = draw_rng.state_bytes()
+            assert draw_replay_batch(buf, 5, draw_rng).shape == (0,)
+            assert draw_rng.state_bytes() == state
+
+
+class TestReplayBatch:
+    def test_rows_are_upsampled_drawn_slots(self):
+        buf, rng = filled_gps_buffer(8)
+        # replay_batch counts stored samples: 12 samples at f = 2 are 3 rows
+        pixels, labels = _replay_batch(buf, ExperimentConfig(replay_batch=12), rng.split(1))
+        slots = draw_replay_batch(buf, 3, rng.split(1))
+        assert pixels.shape == (3, 8, 8, 3)
+        np.testing.assert_array_equal(pixels, upsample(buf.slab[slots], 2))
+        np.testing.assert_array_equal(labels, buf.labels[slots])
+
+    def test_class_below_factor_squared_is_replayed(self):
+        # class 9 holds 3 surrogates at f = 2, too few to tile one image;
+        # each of them still replays as one upsampled row
+        rng = Rng(2)
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0), factor=2)
+        labels = [9] * 3 + [1] * (buf.slot_count - 3)
+        surrogates = rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8)
+        buf.offer(surrogates, labels)
+        assert buf.class_counts() == {1: buf.slot_count - 3, 9: 3}
+        replayed = set()
+        for trial in range(20):
+            pixels, drawn = _replay_batch(buf, ExperimentConfig(replay_batch=16),
+                                          rng.split(2, trial))
+            for image, label in zip(pixels, drawn):
+                if label == 9:
+                    # the row is one of class 9's surrogates, upsampled
+                    replayed.update(k for k in range(3)
+                                    if np.array_equal(image, upsample(surrogates[k], 2)))
+        assert replayed == {0, 1, 2}

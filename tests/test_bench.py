@@ -367,8 +367,8 @@ class TestRunOnline:
             small_run(seed=9, factor=3)
 
     def test_gps_replay_below_one_group_rejected(self):
-        # factor-2 buffer: a replay batch of 1 to 3 samples fills no 4-sample
-        # group, whatever factor the config names
+        # factor-2 buffer: a replay batch of 1 to 3 samples is replay_batch // 4
+        # = 0 rows, whatever factor the config names
         stream, params, buf, cfg, root = small_setup(seed=12)
         for replay_batch in (1, 3):
             bad = replace(cfg, factor=1, replay_batch=replay_batch)
