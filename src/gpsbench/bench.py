@@ -17,12 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from . import learner as L
-from .assembly import draw_replay_batch, upsample
-from .buffer import ReplayBuffer
+from .buffer import ReplayBuffer, draw_replay_batch
 from .config import HEAD_NCM, ExperimentConfig
 from .errors import ConfigError, FormatError, NumericalError, StateError
 from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Rng, load_ppm
-from .sampler import gps_sample
+from .sampler import gps_sample, upsample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
 
@@ -58,10 +57,6 @@ class TaskStream:
     train_tasks: list[np.ndarray]
     test_tasks: list[np.ndarray]
     class_sets: list[frozenset[int]]
-
-    @property
-    def task_count(self):
-        return len(self.train_tasks)
 
 
 def average_end_accuracy(matrix: np.ndarray) -> float:
@@ -202,7 +197,10 @@ def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
 
 
 def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> TaskStream:
-    """Assign classes to tasks by seeded shuffle; shuffle within-task sample order."""
+    """Assign classes to tasks by seeded shuffle; shuffle within-task sample order.
+
+    A task whose classes have no test image is a FormatError.
+    """
     classes = np.unique(dataset.train_labels).tolist()
     needed = task_count * classes_per_task
     if needed > len(classes):
@@ -216,7 +214,10 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
         chosen = order[t * classes_per_task : (t + 1) * classes_per_task]
         train = np.flatnonzero(np.isin(dataset.train_labels, chosen))
         train_tasks.append(rng.permutation(train))
-        test_tasks.append(np.flatnonzero(np.isin(dataset.test_labels, chosen)))
+        test = np.flatnonzero(np.isin(dataset.test_labels, chosen))
+        if not len(test):
+            raise FormatError(f"task {t} has no test images of its classes {sorted(chosen)}")
+        test_tasks.append(test)
         class_sets.append(frozenset(chosen))
     return TaskStream(dataset, train_tasks, test_tasks, class_sets)
 
@@ -245,8 +246,6 @@ def _evaluate_row(matrix, t, stream, params, buf, config):
         prototypes = L.ncm_prototypes(params, buf)
     for i in range(t + 1):
         test = stream.test_tasks[i]
-        if not len(test):
-            raise StateError(f"task {i} has an empty test set")
         if config.head == HEAD_NCM:
             preds = L.classify_batch(prototypes, params, ds.test_pixels[test])
         else:
@@ -275,7 +274,7 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
                f"factor {f} must divide resolution {resolution} for replay training")
         _check(not 0 < config.replay_batch < f * f, f"replay_batch {config.replay_batch} < "
                f"factor^2 would replay nothing in gps mode; use 0 or >= {f * f}")
-    matrix = np.full((stream.task_count, stream.task_count), np.nan)
+    matrix = np.full((len(stream.train_tasks),) * 2, np.nan)
     replay_rng = rng.split(DOMAIN_REPLAY)
     result = RunResult(matrix, 0, 0)
     for t, task in enumerate(stream.train_tasks):

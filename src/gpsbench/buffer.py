@@ -6,7 +6,7 @@ the same budget buys f^2 times as many slots, each holding a compressed
 exemplar of side floor(r / f); at f = 1 that is the full image. Exemplars
 live in one (slots, side, side, C) array beside a label vector in which -1
 marks an empty slot; the per-class index is computed from the labels on
-demand.
+demand, and `draw_replay_batch` draws a replay step's slots from them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .imaging import GridSpec, Rng
+from .imaging import Rng
+from .sampler import grid_side
 
 SNAPSHOT_MAGIC = b"GPSB"
 SNAPSHOT_VERSION = 3
@@ -49,7 +50,7 @@ def _geometry(budget: PixelBudget, factor: int, channels: int):
     """(exemplar side, slot count) of a buffer; ConfigError if impossible."""
     if channels not in (1, 3):
         raise ConfigError(f"channel count must be 1 or 3, got {channels}")
-    return GridSpec(factor, budget.resolution).side, budget.image_count * factor ** 2
+    return grid_side(factor, budget.resolution), budget.image_count * factor ** 2
 
 
 class ReplayBuffer:
@@ -190,3 +191,13 @@ class ReplayBuffer:
         buf.labels[:] = labels
         buf.slab[:] = np.frombuffer(blob, dtype=np.uint8, offset=slab_at).reshape(shape)
         return buf
+
+
+def draw_replay_batch(buf: ReplayBuffer, batch_size: int, rng: Rng) -> np.ndarray:
+    """Draw min(batch_size, occupied // factor^2) occupied slots uniformly
+    without replacement, as a 1-D array; the cap is the number of full images
+    the stored pixels make up. An empty draw leaves `rng` untouched.
+    """
+    occupied = np.flatnonzero(buf.labels >= 0)
+    count = min(batch_size, len(occupied) // buf.factor ** 2)
+    return occupied[rng.choice(len(occupied), count, replace=False)]

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import __version__
 from . import learner as L
-from .assembly import grid_concat
 from .bench import (
     Dataset,
     average_end_accuracy,
@@ -37,13 +36,12 @@ from .imaging import (
     DOMAIN_DATA,
     DOMAIN_MODEL_INIT,
     DOMAIN_TASK_SPLIT,
-    GridSpec,
     Rng,
     load_ppm,
     require_square,
     save_ppm,
 )
-from .sampler import gps_sample
+from .sampler import gps_sample, grid_concat, grid_side
 
 
 def build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
@@ -215,13 +213,7 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
     return 0
 
 
-_SWEEP_AXES = {
-    "f": "factor",
-    "factor": "factor",
-    "k": "budget_images",
-    "budget": "budget_images",
-    "mode": "buffer_mode",
-}
+_SWEEP_AXES = {"f": "factor", "k": "budget_images", "mode": "buffer_mode"}
 
 
 def _sweep_point(config: ExperimentConfig, axis_field: str, raw_value: str):
@@ -278,11 +270,11 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
 def cmd_compress(input_path, factor, seed, output_path) -> int:
     image = load_ppm(input_path)
     resolution = require_square(image)
-    grid = GridSpec(factor, resolution)
+    side = grid_side(factor, resolution)
     save_ppm(output_path, gps_sample(image, factor, Rng(seed)))
     print(
-        f"resolution={resolution} surrogate_side={grid.side} factor={factor} "
-        f"ratio={factor * factor} dropped_pixels={grid.dropped_pixels}"
+        f"resolution={resolution} surrogate_side={side} factor={factor} "
+        f"ratio={factor * factor} dropped_pixels={resolution ** 2 - (side * factor) ** 2}"
     )
     return 0
 

@@ -189,19 +189,6 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(text)
 
 
-def serialize_config(config: ExperimentConfig) -> str:
-    """Canonical text form; parse(serialize(c)) equals c field-wise."""
-    lines = []
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        if f.type == "tuple":
-            text = ",".join(str(v) for v in value)
-        else:
-            text = str(value)
-        lines.append(f"{f.name} = {text}")
-    return "\n".join(lines) + "\n"
-
-
 def config_to_dict(config: ExperimentConfig) -> dict:
     out = {}
     for f in fields(ExperimentConfig):

@@ -1,54 +1,18 @@
-"""Pixel arrays, grid geometry, deterministic randomness, and file I/O.
+"""Pixel arrays, deterministic randomness, and file I/O.
 
 An image is a C-contiguous (height, width, channels) uint8 array with 1 or 3
 channels; a batch of images stacks them as (n, height, width, channels).
 Everything downstream (sampling, buffering, training) builds on these arrays
-and on the two types defined here: `GridSpec` and `Rng`.
+and on the one type defined here: `Rng`.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Uniform partition of an r x r image into side x side patches of factor x factor pixels.
-
-    The grid covers the top-left (side*factor)^2 region; trailing rows and
-    columns beyond it belong to no patch.
-    """
-
-    factor: int
-    resolution: int
-    side: int = field(init=False)
-
-    def __post_init__(self):
-        if self.factor < 1:
-            raise ConfigError(f"factor must be >= 1, got {self.factor}")
-        if self.resolution < 1:
-            raise ConfigError(f"resolution must be >= 1, got {self.resolution}")
-        side = self.resolution // self.factor
-        if side < 1:
-            raise ConfigError(
-                f"factor {self.factor} exceeds resolution {self.resolution}: grid would be empty"
-            )
-        object.__setattr__(self, "side", side)
-
-    @property
-    def covered(self):
-        """Side length of the region covered by patches (= side * factor)."""
-        return self.side * self.factor
-
-    @property
-    def dropped_pixels(self):
-        """Pixel positions outside every patch."""
-        return self.resolution ** 2 - self.covered ** 2
 
 
 # Purpose tags used to derive independent child generators from one
@@ -123,32 +87,6 @@ class Rng(np.random.Generator):
         return rng, 12 + 4 * n + _PHILOX.size
 
 
-def as_pixels(data):
-    """Check an image and return it as a C-contiguous (H, W, C) uint8 array.
-
-    2-D input gains a single channel axis. Integer data in [0, 255] is
-    converted; floats, out-of-range values and channel counts other than 1
-    or 3 raise ValueError instead of being coerced.
-    """
-    arr = np.asarray(data)
-    if arr.ndim == 2:
-        arr = arr[:, :, np.newaxis]
-    if arr.ndim != 3:
-        raise ValueError(f"image data must be HxWxC, got shape {arr.shape}")
-    if arr.shape[2] not in (1, 3):
-        raise ValueError(f"channel count must be 1 or 3, got {arr.shape[2]}")
-    if arr.dtype != np.uint8:
-        if arr.dtype.kind not in "iu":
-            raise ValueError(f"image data must be integers, got dtype {arr.dtype}")
-        if arr.size and (arr.min() < 0 or arr.max() > 255):
-            raise ValueError(
-                f"channel values must lie in [0, 255], got range "
-                f"[{arr.min()}, {arr.max()}]"
-            )
-        arr = arr.astype(np.uint8)
-    return np.ascontiguousarray(arr)
-
-
 def require_square(pixels):
     """Raise ConfigError unless (..., H, W, C) images are square; returns their side length."""
     height, width = pixels.shape[-3:-1]
@@ -214,8 +152,14 @@ def load_ppm(path):
 
 
 def save_ppm(path, pixels):
-    """Write an image as binary PPM (P6). Single-channel input is replicated to RGB."""
-    arr = as_pixels(pixels)
+    """Write an (H, W, C) uint8 image with 1 or 3 channels as binary PPM (P6).
+
+    Single-channel input is replicated to RGB. Any other array raises
+    ValueError before the file is opened.
+    """
+    arr = np.asarray(pixels)
+    if arr.ndim != 3 or arr.shape[2] not in (1, 3) or arr.dtype != np.uint8:
+        raise ValueError(f"image must be (H, W, 1 or 3) uint8, got {arr.shape} {arr.dtype}")
     if arr.shape[2] == 1:
         arr = np.repeat(arr, 3, axis=2)
     header = f"P6\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")

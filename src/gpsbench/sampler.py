@@ -1,16 +1,37 @@
-"""Grid-based patch sampling: compress an image into a low-resolution surrogate.
+"""Grid-based patch sampling and its inverses.
 
 An r x r image is partitioned into a side x side grid of factor x factor
 patches and one pixel is picked uniformly at random from each patch. The
 picks keep the original spatial layout, so the surrogate preserves coarse
-structure at 1/factor^2 of the pixel count.
+structure at 1/factor^2 of the pixel count. The grid covers the top-left
+(side*factor)^2 region; trailing rows and columns belong to no patch.
+
+Pixel repetition (`upsample`) expands each surrogate pixel back into a
+factor x factor constant block: replay trains on each drawn surrogate
+upsampled to one full-resolution image, and NCM inference applies it
+implicitly, through a first layer pooled over those blocks
+(`learner.ncm_prototypes`). `grid_concat` tiles factor^2 surrogates into one
+image for `gps reconstruct`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .imaging import GridSpec, Rng, require_square
+from .errors import ConfigError
+from .imaging import Rng, require_square
+
+
+def grid_side(factor: int, resolution: int) -> int:
+    """Side of the grid of factor x factor patches in an r x r image: floor(r / factor)."""
+    if factor < 1:
+        raise ConfigError(f"factor must be >= 1, got {factor}")
+    if resolution < 1:
+        raise ConfigError(f"resolution must be >= 1, got {resolution}")
+    side = resolution // factor
+    if side < 1:
+        raise ConfigError(f"factor {factor} exceeds resolution {resolution}: grid would be empty")
+    return side
 
 
 def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
@@ -21,8 +42,7 @@ def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
     one (..., 2, side, side) draw, so a single (r, r, C) image draws
     (2, side, side). The input is unchanged.
     """
-    grid = GridSpec(factor, require_square(pixels))
-    side, f = grid.side, grid.factor
+    side, f = grid_side(factor, require_square(pixels)), factor
     if f == 1:
         return pixels.copy()
     lead, r, channels = pixels.shape[:-3], pixels.shape[-2], pixels.shape[-1]
@@ -34,3 +54,39 @@ def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
     flat = pixels.reshape(-1, channels)
     return flat.take((images * r + rows) * r + cols, axis=0).reshape(
         *lead, side, side, channels)
+
+
+def upsample(pixels: np.ndarray, factor: int) -> np.ndarray:
+    """Expand each pixel of a (..., side, side, C) array into a factor x factor constant block.
+
+    Factor 1 returns the input. Otherwise one byte-wise `take` widens each
+    row and whole rows are repeated, so no copy moves one pixel at a time.
+    """
+    if factor == 1:
+        return pixels
+    *lead, height, width, channels = pixels.shape
+    # byte (j*factor + k)*C + c of a widened row is byte j*C + c of the row
+    columns = np.repeat(np.arange(width * channels).reshape(width, 1, channels), factor, axis=1)
+    rows = pixels.reshape(*lead, height, width * channels).take(columns.reshape(-1), axis=-1)
+    return np.repeat(rows, factor, axis=-2).reshape(
+        *lead, height * factor, width * factor, channels)
+
+
+def grid_concat(parts, factor: int) -> np.ndarray:
+    """Tile factor^2 surrogates into one image: part k fills cell (k // factor, k % factor).
+
+    `parts` has shape (..., factor^2, side, side, C) and the result
+    (..., factor*side, factor*side, C): leading axes are kept, so one call
+    tiles a whole batch of groups.
+    """
+    if factor < 1:
+        raise ValueError(f"factor must be >= 1, got {factor}")
+    parts = np.asarray(parts)
+    if parts.ndim < 4 or parts.shape[-4] != factor * factor:
+        raise ValueError(f"expected {factor * factor} parts of shape (side, side, C), "
+                         f"got an array of shape {parts.shape}")
+    *lead, _, height, width, channels = parts.shape
+    # (g, i, j, y, x, c) -> (g, i, y, j, x, c): block (i, j) holds part i*factor + j
+    grid = parts.reshape(-1, factor, factor, height, width, channels)
+    grid = grid.transpose(0, 1, 3, 2, 4, 5)
+    return grid.reshape(*lead, factor * height, factor * width, channels)

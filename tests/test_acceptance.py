@@ -15,14 +15,13 @@ import numpy as np
 import pytest
 
 import gpsbench.learner as L
-from gpsbench.assembly import grid_concat, upsample
 from gpsbench.bench import average_end_accuracy
 from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import main as cli_main
 from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig
-from gpsbench.imaging import GridSpec, Rng
-from gpsbench.sampler import gps_sample
+from gpsbench.imaging import Rng
+from gpsbench.sampler import gps_sample, grid_concat, grid_side, upsample
 
 
 def random_image(rng, r):
@@ -53,9 +52,9 @@ def test_criterion_01_structural_laws():
         r = f * int(root.split(3, trial).integers(2, 8))
         img = random_image(root.split(4, trial), r)
         s = gps_sample(img, f, root.split(5, trial))
-        g = GridSpec(f, r)
-        for i in range(g.side):
-            for j in range(g.side):
+        side = grid_side(f, r)
+        for i in range(side):
+            for j in range(side):
                 patch = img[i * f:(i + 1) * f, j * f:(j + 1) * f].reshape(-1, 3)
                 assert any(np.array_equal(s[i, j], px) for px in patch)
 

@@ -1,14 +1,18 @@
+"""Replay assembly: the replay slot draw (`buffer.draw_replay_batch`), the
+inverses of sampling (`sampler.upsample` and `sampler.grid_concat`) and the
+replay rows that `run_online` builds from them. The `assembly.*` benchmark
+metrics keep this name for the same layer."""
+
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from gpsbench.assembly import draw_replay_batch, grid_concat, upsample
 from gpsbench.bench import _replay_batch
-from gpsbench.buffer import PixelBudget, ReplayBuffer
+from gpsbench.buffer import PixelBudget, ReplayBuffer, draw_replay_batch
 from gpsbench.config import ExperimentConfig
 from gpsbench.imaging import Rng
-from gpsbench.sampler import gps_sample
+from gpsbench.sampler import gps_sample, grid_concat, upsample
 
 
 def constant_sample(value, side=2):

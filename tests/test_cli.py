@@ -421,6 +421,24 @@ class TestExitCodes:
         assert run_cli(*argv) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_task_without_test_images_is_3_before_any_output(self, tmp_path, capsys):
+        # 40 training records of classes 0-3 and 5 test records of class 0
+        # only: whichever task draws classes 1-3 has nothing to evaluate on
+        def cifar_file(name, labels):
+            path = tmp_path / name
+            path.write_bytes(b"".join(bytes([0, label]) + bytes(3072) for label in labels))
+            return path
+
+        train = cifar_file("train.bin", [k % 4 for k in range(40)])
+        test = cifar_file("test.bin", [0] * 5)
+        path = tmp_path / "exp.cfg"
+        path.write_text(f"dataset = cifar100\ncifar_train_path = {train}\n"
+                        f"cifar_test_path = {test}\ntasks = 2\nclasses_per_task = 2\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", path, "--out", out) == 3
+        assert "has no test images of its classes" in capsys.readouterr().err
+        assert not list(out.glob("seed_*"))
+
     def test_malformed_snapshot_is_3(self, tmp_path):
         path = tmp_path / "junk.gpsb"
         path.write_bytes(b"JUNKJUNKJUNK")
@@ -582,8 +600,11 @@ class TestSweep:
         assert lines[0] == "buffer_mode,mean_a_end,std_a_end"
 
     def test_unknown_axis_is_2(self, tmp_path, config_file):
-        assert run_cli("sweep", "--config", config_file, "--axis", "lr",
-                       "--values", "1", "--out", tmp_path / "s") == 2
+        # only f, K and mode name an axis; the field names factor and
+        # budget_images do not
+        for axis in ("lr", "factor", "budget", "budget_images"):
+            assert run_cli("sweep", "--config", config_file, "--axis", axis,
+                           "--values", "1", "--out", tmp_path / "s") == 2
 
     def test_bad_value_is_2(self, tmp_path, config_file):
         assert run_cli("sweep", "--config", config_file, "--axis", "f",

@@ -1,7 +1,9 @@
 """numpy stays the only runtime dependency: the package imports nothing else
-outside the standard library."""
+outside the standard library, and the README's layout table lists every
+module."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -27,3 +29,12 @@ def test_package_imports_only_numpy_and_the_standard_library():
     found = {m.name: foreign_imports(m.read_text(encoding="utf-8")) for m in modules}
     assert {name: bad for name, bad in found.items() if bad} == {}
 
+
+
+def test_readme_layout_table_lists_every_module():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `gpsbench\.(\w+)` \|", layout, flags=re.MULTILINE)
+    modules = [m.stem for m in PACKAGE.glob("*.py") if m.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
+    assert len(listed) == len(set(listed))

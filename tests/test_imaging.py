@@ -2,41 +2,39 @@ import numpy as np
 import pytest
 
 from gpsbench.errors import ConfigError, FormatError
-from gpsbench.imaging import (
-    GridSpec,
-    Rng,
-    as_pixels,
-    load_ppm,
-    require_square,
-    save_ppm,
-)
+from gpsbench.imaging import Rng, load_ppm, require_square, save_ppm
 
 
 class TestImage:
-    """Images are (H, W, C) uint8 arrays; `as_pixels` checks them at the edges."""
+    """Images are (H, W, C) uint8 arrays; `save_ppm` rejects anything else
+    before it opens the file."""
 
-    def test_promotes_2d_to_single_channel(self):
-        assert as_pixels(np.zeros((4, 6), dtype=np.uint8)).shape == (4, 6, 1)
+    @staticmethod
+    def rejected(tmp_path, data, match=None):
+        path = tmp_path / "out.ppm"
+        with pytest.raises(ValueError, match=match):
+            save_ppm(path, data)
+        assert not path.exists()
 
-    def test_accepts_int_array_in_range(self):
-        arr = as_pixels(np.array([[[0, 128, 255]]], dtype=np.int64))
-        assert arr.dtype == np.uint8
-        assert arr.tolist() == [[[0, 128, 255]]]
+    def test_rejects_out_of_range_values(self, tmp_path):
+        self.rejected(tmp_path, np.array([[[300, 0, 0]]], dtype=np.int64))
+        self.rejected(tmp_path, np.array([[[-1.0, 0.0, 0.0]]]))
 
-    def test_rejects_out_of_range_values(self):
-        with pytest.raises(ValueError):
-            as_pixels(np.array([[[300, 0, 0]]], dtype=np.int64))
-        with pytest.raises(ValueError):
-            as_pixels(np.array([[[-1.0, 0.0, 0.0]]]))
-
-    def test_rejects_float_and_nan_instead_of_truncating(self):
+    def test_rejects_float_and_nan_instead_of_truncating(self, tmp_path):
         for bad in ([[[1.7, 0.0, 0.0]]], [[[np.nan, 0.0, 0.0]]]):
-            with pytest.raises(ValueError, match="integers"):
-                as_pixels(np.array(bad))
+            self.rejected(tmp_path, np.array(bad), match="uint8")
 
-    def test_rejects_bad_channel_count(self):
-        with pytest.raises(ValueError):
-            as_pixels(np.zeros((2, 2, 4), dtype=np.uint8))
+    def test_rejects_bad_channel_count(self, tmp_path):
+        self.rejected(tmp_path, np.zeros((2, 2, 4), dtype=np.uint8))
+        self.rejected(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8))
+
+    def test_rejects_other_dimensions_and_dtypes(self, tmp_path):
+        # a 2-D array gains no channel axis and in-range integers are not
+        # converted: the caller passes the image it means
+        self.rejected(tmp_path, np.zeros((4, 6), dtype=np.uint8), match="uint8")
+        self.rejected(tmp_path, np.zeros((1, 4, 6, 3), dtype=np.uint8))
+        self.rejected(tmp_path, np.array([[[0, 128, 255]]], dtype=np.int64))
+        self.rejected(tmp_path, [[[0, 128, 255]]])
 
     def test_is_square(self):
         assert require_square(np.zeros((3, 3, 1), dtype=np.uint8)) == 3
@@ -46,42 +44,6 @@ class TestImage:
     def test_require_square_raises_config_error(self):
         with pytest.raises(ConfigError):
             require_square(np.zeros((3, 4, 1), dtype=np.uint8))
-
-
-class TestGridSpec:
-    def test_side_is_floor_division(self):
-        for f in range(1, 9):
-            for r in range(8, 65):
-                assert GridSpec(f, r).side == r // f
-
-    def test_rejects_empty_grid(self):
-        with pytest.raises(ConfigError):
-            GridSpec(5, 4)
-
-    def test_rejects_bad_factor(self):
-        with pytest.raises(ConfigError):
-            GridSpec(0, 8)
-        with pytest.raises(ConfigError):
-            GridSpec(-2, 8)
-
-    def test_patch_bounds_partition_covered_region(self):
-        # patch (i, j) spans rows [i*f, (i+1)*f) and columns [j*f, (j+1)*f)
-        g = GridSpec(3, 10)
-        f, c = g.factor, g.covered
-        seen = np.zeros((10, 10), dtype=int)
-        for i in range(g.side):
-            for j in range(g.side):
-                seen[i * f:(i + 1) * f, j * f:(j + 1) * f] += 1
-        # every covered pixel exactly once, dropped margin untouched
-        assert c == 9
-        assert (seen[:c, :c] == 1).all()
-        assert (seen[c:, :] == 0).all() and (seen[:, c:] == 0).all()
-        assert (seen == 0).sum() == g.dropped_pixels
-
-    def test_dropped_pixels(self):
-        assert GridSpec(2, 4).dropped_pixels == 0
-        # 83x83 with f=2 covers 82x82
-        assert GridSpec(2, 83).dropped_pixels == 83 * 83 - 82 * 82
 
 
 class TestRng:

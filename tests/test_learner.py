@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 import gpsbench.learner as L
-from gpsbench.assembly import upsample
 from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.errors import EmptyStateError, NumericalError
 from gpsbench.imaging import Rng
-from gpsbench.sampler import gps_sample
+from gpsbench.sampler import gps_sample, upsample
 
 
 def tiny_images(rng, count, r=1, channels=3, num_classes=2):

@@ -7,13 +7,15 @@ numpy or struct exception may escape. Hypothesis runs derandomized with a
 bounded example count, so the suite stays deterministic and fast.
 """
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gpsbench.buffer import PixelBudget, ReplayBuffer
-from gpsbench.config import ExperimentConfig, parse_config, serialize_config
+from gpsbench.config import ExperimentConfig, parse_config
 from gpsbench.errors import ConfigError, FormatError
 from gpsbench.imaging import Rng, load_ppm, save_ppm
 
@@ -145,8 +147,14 @@ def test_ppm_non_digit_header_token_is_format_error(tmp_path, field, token):
         load_ppm(path)
 
 
-VALID_LINES = serialize_config(ExperimentConfig()).splitlines()
-KEYS = [line.split(" = ")[0] for line in VALID_LINES]
+def default_line(name):
+    """`name = value` with the field's default, as a config file spells it."""
+    value = getattr(ExperimentConfig(), name)
+    return f"{name} = {','.join(map(str, value)) if isinstance(value, tuple) else value}"
+
+
+KEYS = [f.name for f in fields(ExperimentConfig)]
+VALID_LINES = [default_line(key) for key in KEYS]
 VALUES = ["0", "1", "-1", "3", "2.5", "nan", "inf", "-inf", "1e999", "true", "no", "",
           "0,1", "1,,2", "samples", "images", "gps", "full", "none", "ncm", "softmax",
           "synthetic", "cifar100", "image_dir", "# only a comment"]
@@ -183,7 +191,6 @@ def test_config_number_is_ascii_without_underscore(key, text):
 @given(st.lists(LINES, max_size=12))
 def test_config_text_validates_or_is_config_error(lines):
     try:
-        config = parse_config("\n".join(lines)).validate()
+        parse_config("\n".join(lines)).validate()
     except ConfigError:
-        return
-    assert parse_config(serialize_config(config)) == config
+        pass

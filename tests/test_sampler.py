@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from gpsbench.errors import ConfigError
-from gpsbench.imaging import GridSpec, Rng
-from gpsbench.sampler import gps_sample
+from gpsbench.imaging import Rng
+from gpsbench.sampler import gps_sample, grid_side
 
 
 def random_image(rng, r, channels=3):
@@ -16,10 +16,45 @@ def random_batch(rng, n, r):
 
 def expected_surrogate(pixels, factor):
     """Per-patch mean raster as float64: the expectation of gps_sample."""
-    grid = GridSpec(factor, pixels.shape[0])
-    side, f = grid.side, grid.factor
+    side, f = grid_side(factor, pixels.shape[0]), factor
     covered = pixels[: side * f, : side * f].astype(np.float64)
     return covered.reshape(side, f, side, f, pixels.shape[2]).mean(axis=(1, 3))
+
+
+class TestGridSide:
+    def test_side_is_floor_division(self):
+        for f in range(1, 9):
+            for r in range(8, 65):
+                assert grid_side(f, r) == r // f
+
+    def test_rejects_empty_grid(self):
+        with pytest.raises(ConfigError, match="grid would be empty"):
+            grid_side(5, 4)
+
+    def test_rejects_bad_factor(self):
+        with pytest.raises(ConfigError, match="factor must be >= 1"):
+            grid_side(0, 8)
+        with pytest.raises(ConfigError, match="factor must be >= 1"):
+            grid_side(-2, 8)
+
+    def test_rejects_bad_resolution(self):
+        with pytest.raises(ConfigError, match="resolution must be >= 1"):
+            grid_side(2, 0)
+
+    def test_patch_bounds_partition_covered_region(self):
+        # patch (i, j) spans rows [i*f, (i+1)*f) and columns [j*f, (j+1)*f);
+        # 83x83 at f = 2 covers 82x82 and drops a 165-pixel margin
+        for f, r, covered in ((3, 10, 9), (2, 4, 4), (2, 83, 82)):
+            side = grid_side(f, r)
+            seen = np.zeros((r, r), dtype=int)
+            for i in range(side):
+                for j in range(side):
+                    seen[i * f:(i + 1) * f, j * f:(j + 1) * f] += 1
+            # every covered pixel exactly once, the dropped margin untouched
+            assert side * f == covered
+            assert (seen[:covered, :covered] == 1).all()
+            assert (seen[covered:, :] == 0).all() and (seen[:, covered:] == 0).all()
+            assert (seen == 0).sum() == r * r - covered * covered
 
 
 class TestShapeLaw:
@@ -47,9 +82,9 @@ class TestMembership:
             r = f * int(rng.split(trial, 1).integers(2, 9))
             img = random_image(rng.split(trial, 2), r)
             s = gps_sample(img, f, rng.split(trial, 3))
-            g = GridSpec(f, r)
-            for i in range(g.side):
-                for j in range(g.side):
+            side = grid_side(f, r)
+            for i in range(side):
+                for j in range(side):
                     patch = img[i * f:(i + 1) * f, j * f:(j + 1) * f].reshape(-1, 3)
                     assert any(
                         np.array_equal(s[i, j], px) for px in patch
@@ -146,11 +181,11 @@ class TestBatch:
             before = batch.copy()
             s = gps_sample(batch, f, rng.split(trial, 3))
             np.testing.assert_array_equal(batch, before)
-            g = GridSpec(f, r)
-            assert s.shape == (5, g.side, g.side, 3)
+            side = grid_side(f, r)
+            assert s.shape == (5, side, side, 3)
             for n in range(5):
-                for i in range(g.side):
-                    for j in range(g.side):
+                for i in range(side):
+                    for j in range(side):
                         patch = batch[n, i * f:(i + 1) * f, j * f:(j + 1) * f].reshape(-1, 3)
                         assert (patch == s[n, i, j]).all(axis=1).any(), (n, i, j)
 
