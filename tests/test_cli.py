@@ -423,7 +423,7 @@ class TestExitCodes:
 
     def test_task_without_test_images_is_3_before_any_output(self, tmp_path, capsys):
         # 40 training records of classes 0-3 and 5 test records of class 0
-        # only: whichever task draws classes 1-3 has nothing to evaluate on
+        # only: the task that does not draw class 0 has nothing to evaluate on
         def cifar_file(name, labels):
             path = tmp_path / name
             path.write_bytes(b"".join(bytes([0, label]) + bytes(3072) for label in labels))
@@ -600,8 +600,8 @@ class TestSweep:
         assert lines[0] == "buffer_mode,mean_a_end,std_a_end"
 
     def test_unknown_axis_is_2(self, tmp_path, config_file):
-        # only f, K and mode name an axis; the field names factor and
-        # budget_images do not
+        # only f, K and mode name an axis; factor, budget and budget_images
+        # do not
         for axis in ("lr", "factor", "budget", "budget_images"):
             assert run_cli("sweep", "--config", config_file, "--axis", axis,
                            "--values", "1", "--out", tmp_path / "s") == 2

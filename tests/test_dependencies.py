@@ -30,7 +30,6 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert {name: bad for name, bad in found.items() if bad} == {}
 
 
-
 def test_readme_layout_table_lists_every_module():
     readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
     layout = readme.split("## Layout", 1)[1].split("\n## ", 1)[0]

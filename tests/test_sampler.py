@@ -43,8 +43,8 @@ class TestGridSide:
 
     def test_patch_bounds_partition_covered_region(self):
         # patch (i, j) spans rows [i*f, (i+1)*f) and columns [j*f, (j+1)*f);
-        # 83x83 at f = 2 covers 82x82 and drops a 165-pixel margin
-        for f, r, covered in ((3, 10, 9), (2, 4, 4), (2, 83, 82)):
+        # 83x83 at f = 2 covers 82x82 and drops 83^2 - 82^2 = 165 pixels
+        for f, r, covered, dropped in ((3, 10, 9, 19), (2, 4, 4, 0), (2, 83, 82, 165)):
             side = grid_side(f, r)
             seen = np.zeros((r, r), dtype=int)
             for i in range(side):
@@ -54,7 +54,7 @@ class TestGridSide:
             assert side * f == covered
             assert (seen[:covered, :covered] == 1).all()
             assert (seen[covered:, :] == 0).all() and (seen[:, covered:] == 0).all()
-            assert (seen == 0).sum() == r * r - covered * covered
+            assert (seen == 0).sum() == dropped
 
 
 class TestShapeLaw:
