@@ -42,9 +42,8 @@ class TestGridSide:
             grid_side(2, 0)
 
     def test_patch_bounds_partition_covered_region(self):
-        # patch (i, j) spans rows [i*f, (i+1)*f) and columns [j*f, (j+1)*f);
-        # 83x83 at f = 2 covers 82x82 and drops 83^2 - 82^2 = 165 pixels
-        for f, r, covered, dropped in ((3, 10, 9, 19), (2, 4, 4, 0), (2, 83, 82, 165)):
+        # patch (i, j) spans rows [i*f, (i+1)*f) and columns [j*f, (j+1)*f)
+        for f, r, covered in ((3, 10, 9), (2, 4, 4), (2, 83, 82)):
             side = grid_side(f, r)
             seen = np.zeros((r, r), dtype=int)
             for i in range(side):
@@ -54,7 +53,13 @@ class TestGridSide:
             assert side * f == covered
             assert (seen[:covered, :covered] == 1).all()
             assert (seen[covered:, :] == 0).all() and (seen[:, covered:] == 0).all()
-            assert (seen == 0).sum() == dropped
+            assert (seen == 0).sum() == r * r - covered * covered
+
+    def test_dropped_pixels(self):
+        # the margin past side * f rows and columns; 83x83 at f = 2 covers
+        # 82x82 and drops 83^2 - 82^2 = 165 pixels
+        for f, r, dropped in ((2, 4, 0), (3, 10, 19), (2, 83, 165)):
+            assert r * r - (grid_side(f, r) * f) ** 2 == dropped
 
 
 class TestShapeLaw:
