@@ -17,18 +17,14 @@ from pathlib import Path
 import numpy as np
 
 from . import learner as L
-from .buffer import ReplayBuffer, draw_replay_batch
+from .buffer import PixelBudget, ReplayBuffer, draw_replay_batch
 from .config import HEAD_NCM, ExperimentConfig
 from .errors import ConfigError, FormatError, NumericalError, StateError
-from .imaging import DOMAIN_REPLAY, DOMAIN_STREAM, Rng, load_ppm
+from .imaging import (DOMAIN_BUFFER, DOMAIN_MODEL_INIT, DOMAIN_REPLAY, DOMAIN_STREAM, Rng,
+                      load_ppm, require_square)
 from .sampler import gps_sample, upsample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
-
-
-def _check(ok, message):
-    if not ok:
-        raise ConfigError(message)
 
 
 @dataclass
@@ -228,8 +224,10 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
 @dataclass
 class RunResult:
     matrix: np.ndarray  # (T, T) float64; NaN where no entry is written
-    offer_count: int
+    params: L.ModelParams
+    buf: ReplayBuffer | None
     step_count: int
+    failure: str | None = None  # the message of the NumericalError that ended the run
 
 
 def _replay_batch(buf, config, replay_rng):
@@ -253,30 +251,44 @@ def _evaluate_row(matrix, t, stream, params, buf, config):
         matrix[t, i] = np.mean(preds == ds.test_labels[test])
 
 
-def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | None,
-               config: ExperimentConfig, rng: Rng) -> RunResult:
-    """Single pass over the task stream; returns the accuracy matrix and counters.
+def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResult:
+    """Single pass over the task stream with the model and buffer the config
+    describes; returns the accuracy matrix, the model, the buffer and counters.
 
-    Per mini-batch: draw replay_batch // factor^2 stored surrogates and
+    The model is built on `rng.split(DOMAIN_MODEL_INIT)` and the buffer, if
+    any, on `rng.split(DOMAIN_BUFFER)`. Per mini-batch: draw replay_batch // factor^2 stored surrogates and
     upsample each to one full-resolution row, take one SGD step on stream +
     replay, then (at factor > 1) compress the whole mini-batch with one
     `gps_sample` call on `rng.split(DOMAIN_STREAM, step)`, and offer it with
-    one `buf.offer` call, which decides for its images in stream order. On a
-    numerical failure the partial result is attached to the raised error. The
-    buffer is checked here, as the config that built it may not be the one given.
+    one `buf.offer` call, which decides for its images in stream order. A
+    NumericalError from a step ends the run; its message is the `failure`.
     """
     ds = stream.dataset
-    if config.head == HEAD_NCM and buf is None:
-        raise ConfigError("ncm head requires a replay buffer; use head=softmax")
-    if buf is not None:
-        f, resolution = buf.factor, buf.budget.resolution
-        _check(resolution % f == 0,
-               f"factor {f} must divide resolution {resolution} for replay training")
-        _check(not 0 < config.replay_batch < f * f, f"replay_batch {config.replay_batch} < "
-               f"factor^2 would replay nothing in gps mode; use 0 or >= {f * f}")
-    matrix = np.full((len(stream.train_tasks),) * 2, np.nan)
+    resolution = require_square(ds.train_pixels[0])
+    channels = ds.train_pixels.shape[3]
+    num_classes = max(max(cs) for cs in stream.class_sets) + 1
+    try:
+        params = L.init_params(resolution, channels, config.hidden_units,
+                               config.embedding_units, num_classes,
+                               rng.split(DOMAIN_MODEL_INIT))
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(
+            f"a model for {num_classes} classes cannot be allocated: {exc}") from None
+    buf = None
+    if config.buffer_mode != "none":
+        # a full buffer is the factor-1 buffer, whatever `factor` says
+        factor = config.factor if config.buffer_mode == "gps" else 1
+        try:
+            buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
+                               rng.split(DOMAIN_BUFFER), factor=factor, channels=channels)
+        except (MemoryError, ValueError) as exc:
+            raise ConfigError(f"a buffer of budget_images = {config.budget_images} "
+                              f"cannot be allocated: {exc}") from None
+        if resolution % factor:
+            raise ConfigError(
+                f"factor {factor} must divide resolution {resolution} for replay training")
+    result = RunResult(np.full((len(stream.train_tasks),) * 2, np.nan), params, buf, 0)
     replay_rng = rng.split(DOMAIN_REPLAY)
-    result = RunResult(matrix, 0, 0)
     for t, task in enumerate(stream.train_tasks):
         for start in range(0, len(task), config.stream_batch):
             batch = task[start : start + config.stream_batch]
@@ -287,14 +299,13 @@ def run_online(stream: TaskStream, params: L.ModelParams, buf: ReplayBuffer | No
                 L.train_step(params, (pixels, labels), replay, config.replay_weight,
                              config.learning_rate, step=step)
             except NumericalError as exc:
-                exc.partial_result = result
-                raise
+                result.failure = str(exc)
+                return result
             result.step_count += 1
             if buf is None:
                 continue
             if buf.factor > 1:  # factor 1 keeps every pixel
                 pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
             buf.offer(pixels, labels)
-            result.offer_count += len(batch)
-        _evaluate_row(matrix, t, stream, params, buf, config)
+        _evaluate_row(result.matrix, t, stream, params, buf, config)
     return result

@@ -2,7 +2,7 @@
 
 Subcommands: run, sweep, compress, reconstruct, inspect-buffer.
 Exit codes: 0 success, 2 config error, 3 data/format error or a path that
-cannot be read, 4 numerical failure.
+cannot be read or written, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import learner as L
 from .bench import (
     Dataset,
     average_end_accuracy,
@@ -28,19 +27,10 @@ from .bench import (
     run_online,
     split_tasks,
 )
-from .buffer import PixelBudget, ReplayBuffer
+from .buffer import ReplayBuffer
 from .config import ExperimentConfig, _number, config_to_dict, load_config
 from .errors import ConfigError, EmptyStateError, FormatError, GpsError, NumericalError
-from .imaging import (
-    DOMAIN_BUFFER,
-    DOMAIN_DATA,
-    DOMAIN_MODEL_INIT,
-    DOMAIN_TASK_SPLIT,
-    Rng,
-    load_ppm,
-    require_square,
-    save_ppm,
-)
+from .imaging import DOMAIN_DATA, DOMAIN_TASK_SPLIT, Rng, load_ppm, require_square, save_ppm
 from .sampler import gps_sample, grid_concat, grid_side
 
 
@@ -85,50 +75,18 @@ def seed_data(config: ExperimentConfig, seed: int):
 
 def run_one_seed(config: ExperimentConfig, seed: int):
     """Execute one seeded run; returns a dict of everything the writer needs."""
-    dataset, stream = seed_data(config, seed)
-    root = Rng(seed)
-    resolution = require_square(dataset.train_pixels[0])
-    channels = dataset.train_pixels.shape[3]
-    num_classes = max(max(cs) for cs in stream.class_sets) + 1
-    try:
-        params = L.init_params(resolution, channels, config.hidden_units,
-                               config.embedding_units, num_classes,
-                               root.split(DOMAIN_MODEL_INIT))
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(
-            f"a model for {num_classes} classes cannot be allocated: {exc}") from None
-    buf = None
-    if config.buffer_mode != "none":
-        # a full buffer is the factor-1 buffer, whatever `factor` says
-        factor = config.factor if config.buffer_mode == "gps" else 1
-        try:
-            buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
-                               root.split(DOMAIN_BUFFER), factor=factor, channels=channels)
-        except (MemoryError, ValueError) as exc:
-            raise ConfigError(f"a buffer of budget_images = {config.budget_images} "
-                              f"cannot be allocated: {exc}") from None
-    status = "ok"
-    failure = None
-    try:
-        result = run_online(stream, params, buf, config, root)
-    except NumericalError as exc:
-        result = exc.partial_result
-        status = "numerical_failure"
-        failure = str(exc)
-    out = {"seed": seed, "status": status, "failure": failure,
-           "entries": [], "task_count": config.tasks,
-           "end_row": None, "a_end": None, "snapshot": None}
-    if result is not None:
-        matrix = result.matrix
-        filled = ~np.isnan(matrix)
-        out["entries"] = [(t, i, a) for (t, i), a in
-                          zip(np.argwhere(filled).tolist(), matrix[filled].tolist())]
-        if filled[-1].all():
-            out["end_row"] = matrix[-1].tolist()
-            out["a_end"] = average_end_accuracy(matrix)
-        if buf is not None:
-            out["snapshot"] = buf.snapshot()
-    return out
+    _, stream = seed_data(config, seed)
+    result = run_online(stream, config, Rng(seed))
+    matrix = result.matrix
+    filled = ~np.isnan(matrix)
+    complete = filled[-1].all()
+    return {"seed": seed, "failure": result.failure,
+            "status": "ok" if result.failure is None else "numerical_failure",
+            "entries": [(t, i, a) for (t, i), a in
+                        zip(np.argwhere(filled).tolist(), matrix[filled].tolist())],
+            "end_row": matrix[-1].tolist() if complete else None,
+            "a_end": average_end_accuracy(matrix) if complete else None,
+            "snapshot": None if result.buf is None else result.buf.snapshot()}
 
 
 def _write_matrix_csvs(out_dir: Path, record):
@@ -174,9 +132,18 @@ def _execute_runs(configs: list[ExperimentConfig], workers: int):
     return list(zip(*by_seed))
 
 
+def _require_out_dir(out_dir: Path):
+    """Fail before any run unless out_dir is or can become a directory, since
+    a run or sweep creates out_dir only once its runs have finished."""
+    existing = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out_dir}: {existing} is not a directory")
+
+
 def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _require_out_dir(out_dir)
     [records] = _execute_runs([config], workers)
+    out_dir.mkdir(parents=True, exist_ok=True)
     for record in records:
         _write_matrix_csvs(out_dir, record)
     ok = [r for r in records if r["status"] == "ok"]
@@ -242,10 +209,10 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
             raise ConfigError(f"sweep values {first[value]!r} and {raw!r} both give "
                               f"{axis_field} = {value}")
         first[value] = raw
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _require_out_dir(out_dir)
+    point_records = _execute_runs([point_config for point_config, _ in points], workers)
     rows = []
     failure = None
-    point_records = _execute_runs([point_config for point_config, _ in points], workers)
     for (_, value), records in zip(points, point_records):
         point_dir = out_dir / f"{axis_field}_{value}"
         point_dir.mkdir(parents=True, exist_ok=True)

@@ -28,12 +28,10 @@ class NumericalError(GpsError):
 
     exit_code = 4
 
-    def __init__(self, message, step=None, partial_result=None):
+    def __init__(self, message, step=None):
         if step is not None:
             message = f"{message} (at training step {step})"
         super().__init__(message)
-        self.step = step
-        self.partial_result = partial_result
 
 
 class EmptyStateError(GpsError):

@@ -3,7 +3,7 @@
 Criteria 7 and 8 run the full desk-scale experiment (10 seeds per mode); the
 shared fixture computes all runs once.  Thresholds there were frozen after an
 oracle run: a pixel-space nearest-mean classifier on sampled surrogates
-reaches 1.00 accuracy on this dataset, GPS mode averaged ~0.99, FULL ~0.88,
+reaches 1.00 accuracy on this dataset, GPS mode averaged 1.00, FULL ~0.88,
 and the no-buffer control ~0.20, so the sign test (7) and the 15-point gap
 (8) have wide margins.
 """

@@ -6,7 +6,6 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-import gpsbench.learner as L
 from gpsbench.bench import (
     _NOISE_CHUNK_VALUES,
     CIFAR_RECORD_BYTES,
@@ -18,14 +17,11 @@ from gpsbench.bench import (
     run_online,
     split_tasks,
 )
-from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig, parse_config
 from gpsbench.errors import ConfigError, FormatError, StateError
 from gpsbench.imaging import (
-    DOMAIN_BUFFER,
     DOMAIN_DATA,
-    DOMAIN_MODEL_INIT,
     DOMAIN_STREAM,
     DOMAIN_TASK_SPLIT,
     Rng,
@@ -297,45 +293,38 @@ class TestAccuracyMatrix:
 
 
 def small_setup(seed=0, mode="gps", head="ncm", factor=2, replay_batch=16,
-                replay_weight=1.0, classes=4, tasks=2, budget_images=4):
-    """(stream, params, buffer, config, root rng) of a small run_online call.
-
-    The config leaves buffer_mode and factor at their defaults, as run_online
-    reads them from the buffer it is given.
-    """
+                replay_weight=1.0, classes=4, tasks=2, budget_images=4, **settings):
+    """(stream, config, root rng) of a small run_online call; the settings
+    are further config keys."""
     root = Rng(seed)
     config = ExperimentConfig(synthetic_classes=classes, synthetic_resolution=8,
                               synthetic_train_per_class=10, synthetic_test_per_class=4,
+                              tasks=tasks, classes_per_task=classes // tasks,
+                              buffer_mode=mode, budget_images=budget_images, factor=factor,
                               stream_batch=5, replay_batch=replay_batch,
-                              replay_weight=replay_weight, head=head)
+                              replay_weight=replay_weight, hidden_units=16,
+                              embedding_units=8, head=head, **settings)
     ds = generate_synthetic(config, root.split(DOMAIN_DATA))
     stream = split_tasks(ds, tasks, classes // tasks, root.split(DOMAIN_TASK_SPLIT))
-    params = L.init_params(8, 3, 16, 8, classes, root.split(DOMAIN_MODEL_INIT))
-    buf = None
-    if mode != "none":
-        buf = ReplayBuffer(PixelBudget(budget_images, 8), root.split(DOMAIN_BUFFER),
-                           factor=factor if mode == "gps" else 1)
-    return stream, params, buf, config, root
+    return stream, config, root
 
 
 def small_run(**kwargs):
-    stream, params, buf, cfg, root = small_setup(**kwargs)
-    return run_online(stream, params, buf, cfg, root), stream
+    stream, cfg, root = small_setup(**kwargs)
+    return run_online(stream, cfg, root), stream
 
 
 class TestRunOnline:
     def test_buffer_holds_stream_items_with_their_labels(self):
-        stream, params, buf, cfg, root = small_setup(seed=11, mode="full", factor=1,
-                                                     head="softmax")
-        run_online(stream, params, buf, cfg, root)
-        ds = stream.dataset
+        result, stream = small_run(seed=11, mode="full", factor=1, head="softmax")
+        buf, ds = result.buf, stream.dataset
         for slot in np.flatnonzero(buf.labels >= 0):
             same = (ds.train_pixels == buf.slab[slot]).all(axis=(1, 2, 3))
             assert buf.labels[slot] in ds.train_labels[same]
 
     def test_offer_count_matches_stream_length(self):
         result, stream = small_run(seed=1)
-        assert result.offer_count == sum(len(task) for task in stream.train_tasks)
+        assert result.buf.seen_count == sum(len(task) for task in stream.train_tasks)
 
     def test_matrix_is_complete_lower_triangle(self):
         result, stream = small_run(seed=2)
@@ -345,16 +334,15 @@ class TestRunOnline:
         lower = np.tri(tasks, dtype=bool)
         assert ((0.0 <= m[lower]) & (m[lower] <= 1.0)).all()
         assert np.isnan(m[~lower]).all()
+        assert result.failure is None
 
     def test_deterministic_across_repeats(self):
-        runs = []
-        for _ in range(2):
-            stream, params, buf, cfg, root = small_setup(seed=3)
-            runs.append((run_online(stream, params, buf, cfg, root), params))
-        (a, params_a), (b, params_b) = runs
+        a, _ = small_run(seed=3)
+        b, _ = small_run(seed=3)
         np.testing.assert_array_equal(a.matrix, b.matrix)
-        for ta, tb in zip(params_a.tensors(), params_b.tensors()):
+        for ta, tb in zip(a.params.tensors(), b.params.tensors()):
             np.testing.assert_array_equal(ta, tb)
+        assert a.buf.snapshot() == b.buf.snapshot()
 
     def test_different_seed_changes_outcome(self):
         a, _ = small_run(seed=4)
@@ -372,21 +360,21 @@ class TestRunOnline:
     def test_fine_tune_runs_without_buffer(self):
         result, _ = small_run(seed=8, mode="none", head="softmax",
                               replay_batch=0)
-        assert result.offer_count == 0
+        assert result.buf is None
         assert 0.0 <= average_end_accuracy(result.matrix) <= 1.0
 
     def test_factor_must_divide_resolution(self):
-        with pytest.raises(ConfigError):
-            small_run(seed=9, factor=3)
+        with pytest.raises(ConfigError, match="must divide resolution 8"):
+            small_run(seed=9, factor=3, replay_batch=9)
+        # a factor above the resolution fails as the buffer is built, before that check
+        with pytest.raises(ConfigError, match="exceeds resolution"):
+            small_run(seed=9, factor=16, replay_batch=0)
 
     def test_gps_replay_below_one_group_rejected(self):
-        # factor-2 buffer: a replay batch of 1 to 3 samples is replay_batch // 4
-        # = 0 rows, whatever factor the config names
-        stream, params, buf, cfg, root = small_setup(seed=12)
+        # factor 2: a replay batch of 1 to 3 samples is replay_batch // 4 = 0 rows
         for replay_batch in (1, 3):
-            bad = replace(cfg, factor=1, replay_batch=replay_batch)
             with pytest.raises(ConfigError, match="replay_batch"):
-                run_online(stream, params, buf, bad, root)
+                small_setup(seed=12, replay_batch=replay_batch)
         for replay_batch in (0, 4):
             result, _ = small_run(seed=12, replay_batch=replay_batch)
             assert 0.0 <= average_end_accuracy(result.matrix) <= 1.0
@@ -394,9 +382,8 @@ class TestRunOnline:
     def test_buffer_holds_one_batched_draw_per_step(self):
         # 10 images of budget at factor 2 give 40 slots for 40 stream items,
         # so nothing is evicted and slot k holds stream item k
-        stream, params, buf, cfg, root = small_setup(seed=13, budget_images=10)
-        result = run_online(stream, params, buf, cfg, root)
-        ds = stream.dataset
+        result, stream = small_run(seed=13, budget_images=10)
+        buf, ds = result.buf, stream.dataset
         batches = [task[start : start + 5] for task in stream.train_tasks
                    for start in range(0, len(task), 5)]
         assert result.step_count == len(batches) == 8
@@ -409,7 +396,7 @@ class TestRunOnline:
         np.testing.assert_array_equal(buf.labels, ds.train_labels[np.concatenate(batches)])
 
     def test_rng_splits_grow_with_steps_not_items(self, monkeypatch):
-        stream, params, buf, cfg, root = small_setup(seed=14)
+        stream, cfg, root = small_setup(seed=14)
         calls = []
         split = Rng.split
 
@@ -418,17 +405,30 @@ class TestRunOnline:
             return split(self, *path)
 
         monkeypatch.setattr(Rng, "split", counting_split)
-        result = run_online(stream, params, buf, cfg, root)
+        result = run_online(stream, cfg, root)
         assert sum(len(task) for task in stream.train_tasks) == 5 * result.step_count == 40
-        assert len(calls) <= result.step_count + 2
+        # the replay, model and buffer splits, then one per step
+        assert len(calls) == result.step_count + 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
+    def test_numerical_failure_is_returned_with_the_partial_run(self):
+        result, stream = small_run(seed=16, learning_rate=1e6)
+        assert result.failure is not None
+        assert result.failure.endswith(f"(at training step {result.step_count})")
+        steps_per_task = len(stream.train_tasks[0]) // 5
+        failed_task = result.step_count // steps_per_task
+        assert failed_task == 1  # so the first row is written before the failure
+        assert np.isnan(result.matrix[failed_task:]).all()
+        assert not np.isnan(np.tril(result.matrix[:failed_task])).any()
+        # the failing step offers nothing
+        assert result.buf.seen_count == 5 * result.step_count
 
     def test_zero_replay_weight_matches_no_replay_draw(self):
         # lambda = 0 must leave the model exactly as a run that never draws
         tensors = []
         for kwargs in ({"replay_weight": 0.0}, {"replay_batch": 0}):
-            stream, params, buf, cfg, root = small_setup(seed=10, **kwargs)
-            run_online(stream, params, buf, cfg, root)
-            tensors.append(params.tensors())
+            result, _ = small_run(seed=10, **kwargs)
+            tensors.append(result.params.tensors())
         for ta, tb in zip(*tensors):
             np.testing.assert_array_equal(ta, tb)
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 import gpsbench.cli as cli
+from gpsbench.bench import RunResult
 from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import main
 from gpsbench.config import ExperimentConfig, parse_config
-from gpsbench.errors import NumericalError
 from gpsbench.imaging import Rng, load_ppm, save_ppm
 
 
@@ -335,6 +335,32 @@ class TestExitCodes:
         assert run_cli("run", "--config", config_file, "--seed", 2 ** 63,
                        "--out", tmp_path / "o") == 2
         assert not (tmp_path / "o").exists()
+
+    def test_run_that_fails_before_any_record_leaves_no_out_dir(self, tmp_path, capsys):
+        # factor 3 passes the config checks at resolution 8 but does not divide it
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("resolution = 16", "resolution = 8")
+                        .replace("factor = 2", "factor = 3")
+                        .replace("replay_batch = 16", "replay_batch = 9"))
+        out = tmp_path / "o" / "run"
+        for command in (("run",), ("sweep", "--axis", "f", "--values", "3")):
+            assert run_cli(*command, "--config", path, "--out", out) == 2
+            assert "must divide resolution 8" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [("run",), ("sweep", "--axis", "f", "--values", "2")],
+                             ids=["run", "sweep"])
+    def test_out_below_a_file_is_3_before_any_run(self, tmp_path, config_file, capsys,
+                                                  monkeypatch, command):
+        def no_run(*args):
+            raise AssertionError("run_online was called")
+
+        monkeypatch.setattr(cli, "run_online", no_run)
+        path = tmp_path / "file"
+        path.write_text("")
+        for out in (path, path / "below"):
+            assert run_cli(*command, "--config", config_file, "--out", out) == 3
+            assert f"{path} is not a directory" in capsys.readouterr().err
 
     def test_unallocatable_synthetic_dataset_is_2(self, tmp_path, capsys):
         # petabytes, and 10^19 images of 10^12 classes: numpy refuses both
@@ -660,12 +686,11 @@ class TestSweep:
         failing = {(2, 1), (4, 0), (4, 1)}
         run_online = cli.run_online
 
-        def fake(stream, params, buf, config, rng):
-            if (buf.factor, rng.seed) in failing:
-                exc = NumericalError("loss is nan")
-                exc.partial_result = None
-                raise exc
-            return run_online(stream, params, buf, config, rng)
+        def fake(stream, config, rng):
+            if (config.factor, rng.seed) in failing:
+                tasks = len(stream.train_tasks)
+                return RunResult(np.full((tasks, tasks), np.nan), None, None, 0, "loss is nan")
+            return run_online(stream, config, rng)
 
         monkeypatch.setattr(cli, "run_online", fake)
         out = tmp_path / "s"
@@ -788,11 +813,21 @@ class TestBenchmarkContract:
 
     def test_run_record_keys_and_types(self):
         record = cli.run_one_seed(parse_config(BASE_CONFIG), 0)
-        assert set(record) == {"seed", "status", "failure", "entries", "task_count",
-                               "end_row", "a_end", "snapshot"}
+        assert set(record) == {"seed", "status", "failure", "entries", "end_row", "a_end",
+                               "snapshot"}
         assert record["status"] == "ok" and record["failure"] is None
-        assert type(record["task_count"]) is int
         assert [tuple(map(type, e)) for e in record["entries"]] == [(int, int, float)] * 6
         assert [type(a) for a in record["end_row"]] == [float] * 3
         assert type(record["a_end"]) is float
         assert type(record["snapshot"]) is bytes
+
+    def test_workload_runs_pass_the_benchmark_checks(self, monkeypatch):
+        # the checks benchmarks/measure.py makes of every timed run
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        measure = importlib.import_module("measure")
+        for name in ("measure", "tracer"):  # dropped from sys.modules after the test
+            monkeypatch.setitem(sys.modules, name, sys.modules[name])
+        for workload in ("desk", "wide-gps", "stream-gps"):
+            for arm, config in measure.load_workload(workload):
+                record = cli.run_one_seed(config, config.seeds[0])
+                assert measure.check_run(config, record) == [], (workload, arm)
