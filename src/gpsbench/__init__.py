@@ -2,9 +2,11 @@
 
 A pixel budget that would hold K full images instead holds K*f*f compact
 surrogates, each formed by keeping one random pixel per f x f patch of the
-source image.  Replay upsamples each drawn surrogate by pixel repetition
-into one full-resolution training image; NCM inference embeds each
-surrogate at its own resolution, which equals embedding it upsampled.
+source image.  Replay trains on each drawn surrogate at its own resolution,
+through a first layer pooled over each f x f block, which equals training
+on it upsampled by pixel repetition; NCM inference embeds each surrogate
+the same way.  `sampler.upsample` is that reassembly law and the tests'
+oracle.
 """
 
 __version__ = "0.1.0"

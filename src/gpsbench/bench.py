@@ -22,7 +22,7 @@ from .config import HEAD_NCM, ExperimentConfig
 from .errors import ConfigError, FormatError, NumericalError, StateError
 from .imaging import (DOMAIN_BUFFER, DOMAIN_MODEL_INIT, DOMAIN_REPLAY, DOMAIN_STREAM, Rng,
                       load_ppm, require_square)
-from .sampler import gps_sample, upsample
+from .sampler import gps_sample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
 
@@ -231,11 +231,14 @@ class RunResult:
 
 
 def _replay_batch(buf, config, replay_rng):
-    """(pixels, labels) of one replay batch, or None when nothing is replayed."""
+    """(pixels, labels) of one replay batch, or None when nothing is replayed.
+
+    The pixels are the drawn surrogates as stored; `train_step` trains them
+    at their own side."""
     if buf is None or config.replay_batch == 0:
         return None
     slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
-    return upsample(buf.slab[slots], buf.factor), buf.labels[slots]
+    return buf.slab[slots], buf.labels[slots]
 
 
 def _evaluate_row(matrix, t, stream, params, buf, config):
@@ -256,10 +259,11 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
     describes; returns the accuracy matrix, the model, the buffer and counters.
 
     The model is built on `rng.split(DOMAIN_MODEL_INIT)` and the buffer, if
-    any, on `rng.split(DOMAIN_BUFFER)`. Per mini-batch: draw replay_batch // factor^2 stored surrogates and
-    upsample each to one full-resolution row, take one SGD step on stream +
-    replay, then (at factor > 1) compress the whole mini-batch with one
-    `gps_sample` call on `rng.split(DOMAIN_STREAM, step)`, and offer it with
+    any, on `rng.split(DOMAIN_BUFFER)`. Per mini-batch: draw
+    replay_batch // factor^2 stored surrogates, take one SGD step on stream +
+    replay with the surrogates at their own resolution (each trains as its
+    upsampled full-resolution row), then (at factor > 1) compress the whole
+    mini-batch with one `gps_sample` call on `rng.split(DOMAIN_STREAM, step)`, and offer it with
     one `buf.offer` call, which decides for its images in stream order. A
     NumericalError from a step ends the run; its message is the `failure`.
     """

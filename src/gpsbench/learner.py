@@ -7,7 +7,9 @@ per call. Inference offers the softmax head or nearest-class-mean over
 buffered exemplars, embedded at their own resolution (see ncm_prototypes).
 
 Batches are (n, side, side, C) uint8 pixel arrays; a labeled batch is a
-(pixels, labels) pair.
+(pixels, labels) pair. Stream and test batches are at the model's side;
+replay batches may hold surrogates of side input_side / f, which train at
+that resolution as their pixel-repeated upsampling would (see train_step).
 """
 
 from __future__ import annotations
@@ -85,13 +87,32 @@ def _to_matrix(params: ModelParams, pixels, factor=1) -> np.ndarray:
     return X
 
 
-def _forward_matrix(params: ModelParams, X, W1=None):
-    """Returns (hidden pre-activation, hidden, embeddings, logits); W1 overrides params.W1."""
-    h_pre = X @ (params.W1 if W1 is None else W1) + params.b1
+def _pooled_W1(params: ModelParams, factor) -> np.ndarray:
+    """W1 with its rows summed over each factor x factor block of input pixels.
+
+    It is the first layer for surrogates of side s = input_side / factor:
+        upsample(x, f).reshape(n, -1) @ W1 == x.reshape(n, -1) @ W1p
+    up to float rounding, since pixel repetition makes each block one value.
+    At factor 1 it equals W1.
+    """
+    side = params.input_side // factor
+    W1p = params.W1.reshape(side, factor, side, factor, -1).sum(axis=(1, 3))
+    return W1p.reshape(side * side * params.channels, -1)
+
+
+def _forward(params: ModelParams, first):
+    """(hidden pre-activation, hidden, embeddings, logits) from the first
+    layer's product `first`, bias not yet added."""
+    h_pre = first + params.b1
     h = np.maximum(h_pre, 0)
     emb = h @ params.W2 + params.b2
     logits = emb @ params.Wc + params.bc
     return h_pre, h, emb, logits
+
+
+def _forward_matrix(params: ModelParams, X):
+    """(hidden pre-activation, hidden, embeddings, logits) of an input matrix."""
+    return _forward(params, X @ params.W1)
 
 
 def embed_batch(params: ModelParams, pixels) -> np.ndarray:
@@ -116,24 +137,46 @@ def _cross_entropy(logits, labels):
     return log_norm - z[np.arange(len(labels)), labels]
 
 
+def _replay_factor(params: ModelParams, pixels) -> int:
+    """f for an (n, s, s, C) replay batch whose side s is input_side / f."""
+    side = pixels.shape[1] if pixels.ndim == 4 else 0
+    if (pixels.shape[1:] != (side, side, params.channels) or not side
+            or params.input_side % side):
+        raise ValueError(f"replay images of shape {pixels.shape[1:]} do not upsample to "
+                         f"model input {(params.input_side,) * 2 + (params.channels,)}")
+    return params.input_side // side
+
+
 def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, lr,
                step=None) -> TrainStepReport:
     """One in-place SGD step on the combined stream + weighted replay loss.
 
-    Both batches are (pixels, labels) pairs. `replay_batch` may be None or
-    hold no rows; with replay_weight == 0 the replay pass is skipped
-    entirely, so the update is bit-identical to a stream-only step.
+    Both batches are (pixels, labels) pairs. Stream pixels are at the model's
+    side; replay pixels are at side input_side / f for some f. Replay rows at
+    f > 1 are surrogates: they train as their `upsample(pixels, f)` would,
+    through W1 pooled over each f x f block (`_pooled_W1`), at 1/f^2 of the
+    first layer's work, and their W1 gradient is added to each block's rows.
+    Rows at the model's side (the stream, and replay at f = 1) share one
+    first-layer product each way. `replay_batch` may be None or hold no
+    rows; with replay_weight == 0 the replay pass is skipped entirely, so
+    the update is bit-identical to a stream-only step. A replay side that
+    does not divide the model's is a ValueError.
     """
     stream_pixels, stream_labels = stream_batch
     if not len(stream_labels):
         raise ValueError("stream batch must be non-empty")
     use_replay = (replay_batch is not None and len(replay_batch[1]) > 0
                   and replay_weight != 0.0)
+    pixels, surrogates = stream_pixels, None
     if use_replay:
-        pixels = np.concatenate([stream_pixels, replay_batch[0]])
+        f = _replay_factor(params, replay_batch[0])
+        if f == 1:
+            pixels = np.concatenate([stream_pixels, replay_batch[0]])
+        else:
+            surrogates = replay_batch[0]
         labels = np.concatenate([stream_labels, replay_batch[1]]).astype(np.intp)
     else:
-        pixels, labels = stream_pixels, np.asarray(stream_labels, dtype=np.intp)
+        labels = np.asarray(stream_labels, dtype=np.intp)
     num_classes = params.Wc.shape[1]
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError(
@@ -145,7 +188,11 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     n_replay = len(labels) - n_stream
 
     X = _to_matrix(params, pixels)
-    h_pre, h, emb, logits = _forward_matrix(params, X)
+    first = X @ params.W1
+    if surrogates is not None:
+        Xs = _to_matrix(params, surrogates, f)
+        first = np.concatenate([first, Xs @ _pooled_W1(params, f)])
+    h_pre, h, emb, logits = _forward(params, first)
     losses = _cross_entropy(logits, labels)
     stream_loss = float(losses[:n_stream].mean())
     replay_loss = float(losses[n_stream:].mean()) if use_replay else 0.0
@@ -173,7 +220,13 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     db2 = d_emb.sum(axis=0)
     d_h = d_emb @ params.W2.T
     d_h *= h_pre > 0
-    dW1 = X.T @ d_h
+    dW1 = X.T @ d_h[:len(X)]
+    if surrogates is not None:
+        # each surrogate input feeds the f x f block of W1 rows it pools
+        side = params.input_side // f
+        blocks = dW1.reshape(side, f, side, f, -1)  # a view of dW1
+        # np.dot: matmul's (n, d).T @ (n, H) takes a slow non-BLAS loop at n = 1
+        blocks += np.dot(Xs.T, d_h[len(X):]).reshape(side, 1, side, 1, -1)
     db1 = d_h.sum(axis=0)
 
     # scale each gradient in place: the same products without a temporary
@@ -192,22 +245,17 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
     (n_classes, d) array whose row k is the mean embedding of class labels[k].
 
     Exemplars are embedded at their own side s = input_side / f, f the
-    buffer's factor. Pixel repetition makes each f x f block of the model's
-    input one value, so W1's rows are summed over each block first:
-        upsample(x, f).reshape(n, -1) @ W1 == x.reshape(n, -1) @ W1p,
-        W1p = W1.reshape(s, f, s, f, C, H).sum(axis=(1, 3)).reshape(s*s*C, H)
-    up to float rounding, at 1/f^2 of the first layer's work; at f = 1, W1p
-    equals W1. Exemplars that do not upsample to the model input are a
-    ValueError.
+    buffer's factor, through W1 pooled over each f x f block (`_pooled_W1`):
+    the embedding of their upsampled images up to float rounding, at 1/f^2
+    of the first layer's work; at f = 1 the pooled W1 equals W1. Exemplars
+    that do not upsample to the model input are a ValueError.
     """
     class_slots = buf.class_slots()
     if not class_slots:
         raise EmptyStateError("cannot build prototypes from an empty buffer")
     f = buf.factor
-    side = params.input_side // f
-    W1p = params.W1.reshape(side, f, side, f, params.channels, -1).sum(axis=(1, 3))
-    W1p = W1p.reshape(side * side * params.channels, -1)
-    means = [_forward_matrix(params, _to_matrix(params, buf.slab[slots], f), W1p)[2].mean(axis=0)
+    W1p = _pooled_W1(params, f)
+    means = [_forward(params, _to_matrix(params, buf.slab[slots], f) @ W1p)[2].mean(axis=0)
              for slots in class_slots.values()]
     return np.array(list(class_slots)), np.stack(means)
 

@@ -7,11 +7,12 @@ structure at 1/factor^2 of the pixel count. The grid covers the top-left
 (side*factor)^2 region; trailing rows and columns belong to no patch.
 
 Pixel repetition (`upsample`) expands each surrogate pixel back into a
-factor x factor constant block: replay trains on each drawn surrogate
-upsampled to one full-resolution image, and NCM inference applies it
-implicitly, through a first layer pooled over those blocks
-(`learner.ncm_prototypes`). `grid_concat` tiles factor^2 surrogates into one
-image for `gps reconstruct`.
+factor x factor constant block. It is the reassembly law and the tests'
+oracle: replay training (`learner.train_step`) and NCM inference
+(`learner.ncm_prototypes`) apply it implicitly, through a first layer pooled
+over those blocks, so no training or inference step calls it.
+`grid_concat` tiles factor^2 surrogates into one image for
+`gps reconstruct`.
 """
 
 from __future__ import annotations

@@ -1,16 +1,14 @@
-"""Replay assembly: the replay slot draw (`buffer.draw_replay_batch`), the
-inverses of sampling (`sampler.upsample` and `sampler.grid_concat`) and the
-replay rows that `run_online` builds from them. The `assembly.*` benchmark
-metrics keep this name for the same layer."""
+"""Replay assembly: the replay slot draw (`buffer.draw_replay_batch`) and the
+inverses of sampling (`sampler.upsample` and `sampler.grid_concat`). The
+replay rows that `run_online` builds from them are tested in test_bench.py.
+The `assembly.*` benchmark metrics keep this name for the same layer."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from gpsbench.bench import _replay_batch
 from gpsbench.buffer import PixelBudget, ReplayBuffer, draw_replay_batch
-from gpsbench.config import ExperimentConfig
 from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample, grid_concat, upsample
 
@@ -202,34 +200,3 @@ class TestDrawReplayBatch:
             state = draw_rng.state_bytes()
             assert draw_replay_batch(buf, 5, draw_rng).shape == (0,)
             assert draw_rng.state_bytes() == state
-
-
-class TestReplayBatch:
-    def test_rows_are_upsampled_drawn_slots(self):
-        buf, rng = filled_gps_buffer(8)
-        # replay_batch counts stored samples: 12 samples at f = 2 are 3 rows
-        pixels, labels = _replay_batch(buf, ExperimentConfig(replay_batch=12), rng.split(1))
-        slots = draw_replay_batch(buf, 3, rng.split(1))
-        assert pixels.shape == (3, 8, 8, 3)
-        np.testing.assert_array_equal(pixels, upsample(buf.slab[slots], 2))
-        np.testing.assert_array_equal(labels, buf.labels[slots])
-
-    def test_class_below_factor_squared_is_replayed(self):
-        # class 9 holds 3 surrogates at f = 2, too few to tile one image;
-        # each of them still replays as one upsampled row
-        rng = Rng(2)
-        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0), factor=2)
-        labels = [9] * 3 + [1] * (buf.slot_count - 3)
-        surrogates = rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8)
-        buf.offer(surrogates, labels)
-        assert buf.class_counts() == {1: buf.slot_count - 3, 9: 3}
-        replayed = set()
-        for trial in range(20):
-            pixels, drawn = _replay_batch(buf, ExperimentConfig(replay_batch=16),
-                                          rng.split(2, trial))
-            for image, label in zip(pixels, drawn):
-                if label == 9:
-                    # the row is one of class 9's surrogates, upsampled
-                    replayed.update(k for k in range(3)
-                                    if np.array_equal(image, upsample(surrogates[k], 2)))
-        assert replayed == {0, 1, 2}

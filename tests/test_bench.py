@@ -8,6 +8,7 @@ import pytest
 
 from gpsbench.bench import (
     _NOISE_CHUNK_VALUES,
+    _replay_batch,
     CIFAR_RECORD_BYTES,
     Dataset,
     average_end_accuracy,
@@ -17,6 +18,7 @@ from gpsbench.bench import (
     run_online,
     split_tasks,
 )
+from gpsbench.buffer import PixelBudget, ReplayBuffer, draw_replay_batch
 from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig, parse_config
 from gpsbench.errors import ConfigError, FormatError, StateError
@@ -312,6 +314,39 @@ def small_setup(seed=0, mode="gps", head="ncm", factor=2, replay_batch=16,
 def small_run(**kwargs):
     stream, cfg, root = small_setup(**kwargs)
     return run_online(stream, cfg, root), stream
+
+
+class TestReplayBatch:
+    def test_rows_are_the_drawn_slots(self):
+        # replay_batch counts stored samples: 12 samples at f = 2 are 3 rows,
+        # each a stored surrogate at its own side
+        rng = Rng(8)
+        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(0), factor=2)
+        labels = np.arange(buf.slot_count) % 3
+        buf.offer(rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8), labels)
+        pixels, drawn = _replay_batch(buf, ExperimentConfig(replay_batch=12), rng.split(2))
+        slots = draw_replay_batch(buf, 3, rng.split(2))
+        assert pixels.shape == (3, 4, 4, 3)
+        np.testing.assert_array_equal(pixels, buf.slab[slots])
+        np.testing.assert_array_equal(drawn, buf.labels[slots])
+
+    def test_class_below_factor_squared_is_replayed(self):
+        # class 9 holds 3 surrogates at f = 2, too few to tile one image;
+        # each of them still replays as one row
+        rng = Rng(2)
+        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0), factor=2)
+        labels = [9] * 3 + [1] * (buf.slot_count - 3)
+        surrogates = rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8)
+        buf.offer(surrogates, labels)
+        assert buf.class_counts() == {1: buf.slot_count - 3, 9: 3}
+        replayed = set()
+        for trial in range(20):
+            pixels, drawn = _replay_batch(buf, ExperimentConfig(replay_batch=16),
+                                          rng.split(2, trial))
+            for image, label in zip(pixels, drawn):
+                if label == 9:
+                    replayed.update(k for k in range(3) if np.array_equal(image, surrogates[k]))
+        assert replayed == {0, 1, 2}
 
 
 class TestRunOnline:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,105 @@ class TestGradients:
             L.train_step(params, stream, None, 1.0, 0.1, step=17)
         except NumericalError as exc:
             assert "17" in str(exc)
+
+
+def as_float64(params):
+    p64 = params.copy()
+    for name in ("W1", "b1", "W2", "b2", "Wc", "bc"):
+        setattr(p64, name, getattr(p64, name).astype(np.float64))
+    return p64
+
+
+def concatenated_step(params, stream, replay, lam, lr):
+    """The step with every row at the model's side: the stream and replay
+    pixels concatenated, one first-layer product each way."""
+    pixels = np.concatenate([stream[0], replay[0]])
+    labels = np.concatenate([stream[1], replay[1]]).astype(np.intp)
+    n_stream, n_replay = len(stream[1]), len(replay[1])
+    dtype = params.W1.dtype
+    X = L._to_matrix(params, pixels)
+    h_pre = X @ params.W1 + params.b1
+    h = np.maximum(h_pre, 0)
+    emb = h @ params.W2 + params.b2
+    logits = emb @ params.Wc + params.bc
+    weights = np.empty(len(labels), dtype=dtype)
+    weights[:n_stream] = dtype.type(1.0) / dtype.type(n_stream)
+    weights[n_stream:] = dtype.type(lam) / dtype.type(n_replay)
+    d_logits = L.softmax(logits)
+    d_logits[np.arange(len(labels)), labels] -= 1
+    d_logits *= weights[:, None]
+    d_emb = d_logits @ params.Wc.T
+    d_h = d_emb @ params.W2.T
+    d_h *= h_pre > 0
+    grads = (X.T @ d_h, d_h.sum(axis=0), h.T @ d_emb, d_emb.sum(axis=0),
+             emb.T @ d_logits, d_logits.sum(axis=0))
+    for param, grad in zip(params.tensors(), grads):
+        grad *= dtype.type(lr)
+        param -= grad
+
+
+class TestSurrogateReplay:
+    """Replay rows of side input_side / f train as their upsampled images."""
+
+    @pytest.mark.parametrize("dtype, tol, floor", [(np.float64, 1e-4, 1e-8),
+                                                   (np.float32, 1e-3, 1e-6)])
+    def test_finite_difference_at_factor_two(self, dtype, tol, floor):
+        # the loss is taken through the upsample oracle at full resolution
+        rng = Rng(20)
+        params = L.init_params(4, 3, 4, 3, 3, rng.split(1), dtype=dtype)
+        params.b1 += dtype(0.05)  # keep ReLUs off the kink
+        stream = tiny_images(rng.split(2), 5, r=4, num_classes=3)
+        surrogates, labels = tiny_images(rng.split(3), 3, r=2, num_classes=3)
+        analytic = analytic_gradients(params, stream, (surrogates, labels), 1.0)
+        numeric = numeric_gradients(as_float64(params), stream,
+                                    (upsample(surrogates, 2), labels), 1.0, eps=1e-6)
+        for name in analytic:
+            denom = np.maximum(np.abs(numeric[name]), floor)
+            rel = np.abs(analytic[name].astype(np.float64) - numeric[name]) / denom
+            assert rel.max() < tol, f"{name}: {rel.max():.2e}"
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("f", [2, 4])
+    def test_pooled_step_matches_upsampled_step(self, f, channels):
+        rng = Rng(30 + f + channels)
+        a = L.init_params(16, channels, 32, 16, 4, rng.split(1))
+        b = a.copy()
+        stream = tiny_images(rng.split(2), 6, r=16, channels=channels, num_classes=4)
+        surrogates, labels = tiny_images(rng.split(3), 5, r=16 // f, channels=channels,
+                                         num_classes=4)
+        for _ in range(3):
+            ra = L.train_step(a, stream, (surrogates, labels), 1.0, 0.1)
+            rb = L.train_step(b, stream, (upsample(surrogates, f), labels), 1.0, 0.1)
+            assert ra.replay_size == rb.replay_size == 5
+            assert ra.combined_loss == pytest.approx(rb.combined_loss, rel=1e-5)
+        for name, ta, tb in zip(("W1", "b1", "W2", "b2", "Wc", "bc"), a.tensors(), b.tensors()):
+            np.testing.assert_allclose(ta, tb, rtol=1e-5, atol=1e-6, err_msg=name)
+
+    def test_factor_one_is_bit_identical_to_concatenated_products(self):
+        # a desk-sized model: 32x32x3 input, 128 hidden, 64 embedding units
+        rng = Rng(40)
+        a = L.init_params(32, 3, 128, 64, 10, rng.split(1))
+        b = a.copy()
+        for step in range(3):
+            stream = tiny_images(rng.split(2, step), 10, r=32, num_classes=10)
+            replay = tiny_images(rng.split(3, step), 25, r=32, num_classes=10)
+            L.train_step(a, stream, replay, 1.0, 0.1)
+            concatenated_step(b, stream, replay, 1.0, 0.1)
+        for ta, tb in zip(a.tensors(), b.tensors()):
+            np.testing.assert_array_equal(ta, tb)
+
+    @pytest.mark.parametrize("shape", [(5, 5, 3), (32, 32, 3), (8, 8, 1), (8, 4, 3)])
+    def test_replay_side_must_divide_the_model_side(self, shape):
+        rng = Rng(50)
+        params = L.init_params(16, 3, 8, 4, 2, rng.split(1))
+        stream = tiny_images(rng.split(2), 2, r=16)
+        replay = np.zeros((3, *shape), dtype=np.uint8), np.zeros(3, dtype=int)
+        before = params.copy()
+        with pytest.raises(ValueError, match=re.escape(f"{shape}") + ".*"
+                           + re.escape("(16, 16, 3)")):
+            L.train_step(params, stream, replay, 1.0, 0.1)
+        for ta, tb in zip(params.tensors(), before.tensors()):
+            np.testing.assert_array_equal(ta, tb)
 
 
 def filled_buffer(seed, mode="gps", r=8, f=2, budget=4, classes=3,
