@@ -258,8 +258,8 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
     """Single pass over the task stream with the model and buffer the config
     describes; returns the accuracy matrix, the model, the buffer and counters.
 
-    The model is built on `rng.split(DOMAIN_MODEL_INIT)` and the buffer, if
-    any, on `rng.split(DOMAIN_BUFFER)`. Per mini-batch: draw
+    The model is built on `rng.split(DOMAIN_MODEL_INIT)`, and every `buf.offer`
+    draws from the one generator `rng.split(DOMAIN_BUFFER)`. Per mini-batch: draw
     replay_batch // factor^2 stored surrogates, take one SGD step on stream +
     replay with the surrogates at their own resolution (each trains as its
     upsampled full-resolution row), then (at factor > 1) compress the whole
@@ -282,9 +282,10 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
     if config.buffer_mode != "none":
         # a full buffer is the factor-1 buffer, whatever `factor` says
         factor = config.factor if config.buffer_mode == "gps" else 1
+        buffer_rng = rng.split(DOMAIN_BUFFER)
         try:
             buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
-                               rng.split(DOMAIN_BUFFER), factor=factor, channels=channels)
+                               factor=factor, channels=channels)
         except (MemoryError, ValueError) as exc:
             raise ConfigError(f"a buffer of budget_images = {config.budget_images} "
                               f"cannot be allocated: {exc}") from None
@@ -310,6 +311,6 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
                 continue
             if buf.factor > 1:  # factor 1 keeps every pixel
                 pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
-            buf.offer(pixels, labels)
+            buf.offer(pixels, labels, buffer_rng)
         _evaluate_row(result.matrix, t, stream, params, buf, config)
     return result

@@ -7,6 +7,8 @@ exemplar of side floor(r / f); at f = 1 that is the full image. Exemplars
 live in one (slots, side, side, C) array beside a label vector in which -1
 marks an empty slot; the per-class index is computed from the labels on
 demand, and `draw_replay_batch` draws a replay step's slots from them.
+A buffer is plain data; like `gps_sample`, `offer` takes its draws from the
+generator it is passed, so a snapshot holds no generator state.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from .imaging import Rng
 from .sampler import grid_side
 
 SNAPSHOT_MAGIC = b"GPSB"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 # magic, version, factor, budget image count, budget resolution, channels,
-# seen count; then the rng state, the labels as <i4 and the slab.
+# seen count; then the labels as <i4 and the slab.
 _HEADER = struct.Struct("<4sHHIIBQ")
 
 
@@ -62,21 +64,26 @@ class ReplayBuffer:
     empty. Single-writer: confine each buffer to one worker.
     """
 
-    def __init__(self, budget: PixelBudget, rng: Rng, factor: int = 1, channels: int = 3):
+    def __init__(self, budget: PixelBudget, factor: int = 1, channels: int = 3):
         side, slot_count = _geometry(budget, factor, channels)
         self.budget = budget
         self.factor = factor
-        self.channels = channels
-        self.rng = rng
-        self.slot_count = slot_count
         self.slab = np.zeros((slot_count, side, side, channels), dtype=np.uint8)
         self.labels = np.full(slot_count, -1, dtype=np.int32)
         self.seen_count = 0
 
     @property
+    def slot_count(self):
+        return self.slab.shape[0]
+
+    @property
     def exemplar_side(self):
         """Side length every stored exemplar must have."""
         return self.slab.shape[1]
+
+    @property
+    def channels(self):
+        return self.slab.shape[3]
 
     @property
     def occupied_count(self):
@@ -86,14 +93,14 @@ class ReplayBuffer:
     def occupied_pixels(self):
         return self.occupied_count * self.exemplar_side ** 2
 
-    def offer(self, pixels: np.ndarray, labels):
+    def offer(self, pixels: np.ndarray, labels, rng: Rng):
         """Reservoir update over (..., s, s, C) exemplars in stream order.
 
         `labels` has shape pixels.shape[:-3], so one (s, s, C) exemplar takes
         one label. The first slot_count items ever offered always land; item
         n+1 is kept with probability slot_count / (n+1), replacing a uniformly
-        random slot. Returns (accepted count, evicted labels in stream order).
-        Everything is checked before the buffer or its rng is touched.
+        random slot, both drawn from `rng`. Returns (accepted count, evicted
+        labels in stream order). Bad input leaves the buffer and `rng` untouched.
         """
         shape = self.slab.shape[1:]
         if pixels.shape[-3:] != shape or pixels.dtype != np.uint8:
@@ -113,18 +120,18 @@ class ReplayBuffer:
                            isinstance(v, (bool, np.bool_))
                            for v in np.ravel(np.array(given, dtype=object)))):
             raise ValueError(f"labels must be integers in [0, 2^31), got {given!r}")
-        seen, n = self.seen_count, len(values)
+        seen, n, slot_count = self.seen_count, len(values), self.slot_count
         self.seen_count = seen + n
-        fill = min(max(self.slot_count - seen, 0), n)
+        fill = min(max(slot_count - seen, 0), n)
         if fill:
             self.slab[seen : seen + fill] = items[:fill]
             self.labels[seen : seen + fill] = labels[:fill]
         evicted = []
         if fill < n:
             # the same values and rng state as one scalar draw per item
-            slots = self.rng.integers(0, seen + fill + 1 + np.arange(n - fill)).tolist()
+            slots = rng.integers(0, seen + fill + 1 + np.arange(n - fill)).tolist()
             for i, slot in enumerate(slots, fill):  # stream order: a later hit on a slot wins
-                if slot < self.slot_count:
+                if slot < slot_count:
                     evicted.append(int(self.labels[slot]))
                     self.slab[slot] = items[i]
                     self.labels[slot] = values[i]
@@ -144,12 +151,11 @@ class ReplayBuffer:
     # --- snapshot / restore ---
 
     def snapshot(self) -> bytes:
-        """Serialize header, rng state, labels and slab (format version 3)."""
+        """Serialize header, labels and slab (format version 4)."""
         header = _HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, self.factor,
                               self.budget.image_count, self.budget.resolution,
                               self.channels, self.seen_count)
-        return b"".join([header, self.rng.state_bytes(),
-                         self.labels.astype("<i4").tobytes(), self.slab.tobytes()])
+        return b"".join([header, self.labels.astype("<i4").tobytes(), self.slab.tobytes()])
 
     @classmethod
     def restore(cls, blob: bytes) -> "ReplayBuffer":
@@ -173,20 +179,18 @@ class ReplayBuffer:
             side, slot_count = _geometry(budget, factor, channels)
         except ConfigError as exc:
             raise FormatError(f"invalid snapshot header: {exc}") from None
-        rng, used = Rng.from_state_bytes(blob, _HEADER.size)
-        labels_at = _HEADER.size + used
-        slab_at = labels_at + 4 * slot_count
+        slab_at = _HEADER.size + 4 * slot_count
         shape = (slot_count, side, side, channels)
         expected = slab_at + math.prod(shape)
         if len(blob) < expected:
             raise FormatError(f"truncated snapshot: expected {expected} bytes, got {len(blob)}")
         if len(blob) > expected:
             raise FormatError(f"snapshot has {len(blob) - expected} trailing bytes")
-        labels = np.frombuffer(blob, dtype="<i4", count=slot_count, offset=labels_at)
+        labels = np.frombuffer(blob, dtype="<i4", count=slot_count, offset=_HEADER.size)
         occupied = min(seen_count, slot_count)
         if (labels[:occupied] < 0).any() or (labels[occupied:] != -1).any():
             raise FormatError(f"slot labels disagree with seen count {seen_count}")
-        buf = cls(budget, rng, factor=factor, channels=channels)
+        buf = cls(budget, factor=factor, channels=channels)
         buf.seen_count = seen_count
         buf.labels[:] = labels
         buf.slab[:] = np.frombuffer(blob, dtype=np.uint8, offset=slab_at).reshape(shape)

@@ -127,7 +127,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list of integers")
         for s in self.seeds:
-            # buffer snapshots store the seed as a signed 64-bit integer
+            # numpy takes any size; the bound keeps a seed a signed 64-bit integer
             if not 0 <= s < 2 ** 63:
                 raise ConfigError(f"seeds must lie in [0, 2^63), got {s}")
         if len(set(self.seeds)) != len(self.seeds):

@@ -8,8 +8,6 @@ and on the one type defined here: `Rng`.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .errors import ConfigError, FormatError
@@ -26,20 +24,15 @@ DOMAIN_REPLAY = 5
 DOMAIN_STREAM = 6
 
 
-# Philox state after the key path: counter, key and buffer words, then
-# buffer_pos, has_uint32 and the cached uint32.
-_PHILOX = struct.Struct("<4Q2Q4QIIQ")
-
-
 class Rng(np.random.Generator):
     """Deterministic numpy Generator over Philox4x64, split via spawn keys.
 
     Equal (seed, key path) always yields the same draw sequence, on any
     platform. `split` derives an independent child stream without consuming
     state from the parent, so splitting order never perturbs draws. Draws
-    are numpy's own `Generator` methods. numpy pickles and copies a
-    Generator as a plain one, which loses `split` and `state_bytes`; nothing
-    copies an Rng (worker processes get configs and seeds, not generators).
+    are numpy's own `Generator` methods; no file stores a generator's state.
+    numpy pickles and copies a Generator as a plain one, which loses
+    `split`; nothing copies an Rng (workers get configs and seeds).
     """
 
     def __init__(self, seed, _spawn_key=()):
@@ -51,40 +44,6 @@ class Rng(np.random.Generator):
     def split(self, *path):
         """Child generator for the given purpose path, e.g. split(DOMAIN_STREAM, step)."""
         return Rng(self.seed, self.spawn_key + tuple(int(p) for p in path))
-
-    # --- binary state (used by buffer snapshots) ---
-
-    def state_bytes(self):
-        """Fixed-layout little-endian serialization of seed, key path, and PRNG state."""
-        st = self.bit_generator.state
-        n = len(self.spawn_key)
-        return struct.pack(f"<qI{n}I", self.seed, n, *self.spawn_key) + _PHILOX.pack(
-            *st["state"]["counter"], *st["state"]["key"], *st["buffer"],
-            st["buffer_pos"], st["has_uint32"], st["uinteger"])
-
-    @classmethod
-    def from_state_bytes(cls, blob, offset=0):
-        """Rebuild a generator from `state_bytes` output; returns (rng, bytes consumed)."""
-        try:
-            seed, n = struct.unpack_from("<qI", blob, offset)
-            spawn = struct.unpack_from(f"<{n}I", blob, offset + 12)
-            words = _PHILOX.unpack_from(blob, offset + 12 + 4 * n)
-        except struct.error as exc:
-            raise FormatError(f"truncated rng state: {exc}") from exc
-        # numpy rejects a negative seed and out-of-range state fields itself
-        try:
-            rng = cls(seed, spawn)
-            rng.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": words[0:4], "key": words[4:6]},
-                "buffer": words[6:10],
-                "buffer_pos": words[10],
-                "has_uint32": words[11],
-                "uinteger": words[12],
-            }
-        except (ValueError, OverflowError) as exc:
-            raise FormatError(f"invalid rng state: {exc}") from None
-        return rng, 12 + 4 * n + _PHILOX.size
 
 
 def require_square(pixels):

@@ -95,15 +95,15 @@ def test_criterion_01_structural_laws():
 def test_criterion_02_budget_arithmetic():
     budget = PixelBudget(20, 32)
     rng = Rng(102)
-    full = ReplayBuffer(budget, rng.split(0))
-    gps = ReplayBuffer(budget, rng.split(1), factor=2)
+    full = ReplayBuffer(budget)
+    gps = ReplayBuffer(budget, factor=2)
     assert gps.slot_count == 4 * full.slot_count == 80
 
     # pixel budget honored under a 10^4-offer fuzz sequence
-    buf = ReplayBuffer(budget, rng.split(2), factor=2)
+    buf, buf_rng = ReplayBuffer(budget, factor=2), rng.split(2)
     for k in range(10_000):
         img = random_image(rng.split(3, k), 32)
-        buf.offer(gps_sample(img, 2, rng.split(4, k)), k % 9)
+        buf.offer(gps_sample(img, 2, rng.split(4, k)), k % 9, buf_rng)
         assert buf.occupied_pixels <= budget.capacity_pixels
 
 
@@ -112,9 +112,9 @@ def test_criterion_03_reservoir_statistics():
     counts = np.zeros(n)
     blank = np.zeros((4, 4, 3), dtype=np.uint8)
     for t in range(trials):
-        buf = ReplayBuffer(PixelBudget(m, 4), Rng(t))
+        buf = ReplayBuffer(PixelBudget(m, 4))
         # one batched offer makes the same draws as n single offers (TestBatchOffer)
-        buf.offer(np.broadcast_to(blank, (n, 4, 4, 3)), np.arange(n))
+        buf.offer(np.broadcast_to(blank, (n, 4, 4, 3)), np.arange(n), Rng(t))
         for label in buf.labels.tolist():
             counts[label] += 1
     # the statistic of the n-single-offers loop, bit for bit
@@ -128,11 +128,10 @@ def test_criterion_03_reservoir_statistics():
     # class-index map equals a from-slots recomputation after fuzz sequences
     rng = Rng(103)
     for trial in range(20):
-        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(trial),
-                           factor=2)
+        buf, buf_rng = ReplayBuffer(PixelBudget(5, 8), factor=2), rng.split(trial)
         for k in range(int(rng.split(trial, 0).integers(1, 150))):
             img = random_image(rng.split(trial, 1, k), 8)
-            buf.offer(gps_sample(img, 2, rng.split(trial, 2, k)), k % 6)
+            buf.offer(gps_sample(img, 2, rng.split(trial, 2, k)), k % 6, buf_rng)
         recomputed = {}
         for slot, label in enumerate(buf.labels.tolist()):
             if label >= 0:
@@ -206,10 +205,10 @@ def test_criterion_05_ncm_oracle_equivalence():
     for seed in range(10):
         rng = Rng(200 + seed)
         params = L.init_params(8, 3, 16, 8, 4, rng.split(0))
-        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(1), factor=2)
+        buf, buf_rng = ReplayBuffer(PixelBudget(4, 8), factor=2), rng.split(1)
         for k in range(100):
             img = random_image(rng.split(2, k), 8)
-            buf.offer(gps_sample(img, 2, rng.split(3, k)), k % 4)
+            buf.offer(gps_sample(img, 2, rng.split(3, k)), k % 4, buf_rng)
 
         labels, means = L.ncm_prototypes(params, buf)
         sums, counts = {}, {}

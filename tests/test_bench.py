@@ -321,9 +321,10 @@ class TestReplayBatch:
         # replay_batch counts stored samples: 12 samples at f = 2 are 3 rows,
         # each a stored surrogate at its own side
         rng = Rng(8)
-        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(5, 8), factor=2)
         labels = np.arange(buf.slot_count) % 3
-        buf.offer(rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8), labels)
+        buf.offer(rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8), labels,
+                  rng.split(0))
         pixels, drawn = _replay_batch(buf, ExperimentConfig(replay_batch=12), rng.split(2))
         slots = draw_replay_batch(buf, 3, rng.split(2))
         assert pixels.shape == (3, 4, 4, 3)
@@ -334,10 +335,10 @@ class TestReplayBatch:
         # class 9 holds 3 surrogates at f = 2, too few to tile one image;
         # each of them still replays as one row
         rng = Rng(2)
-        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(4, 8), factor=2)
         labels = [9] * 3 + [1] * (buf.slot_count - 3)
         surrogates = rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8)
-        buf.offer(surrogates, labels)
+        buf.offer(surrogates, labels, rng.split(0))
         assert buf.class_counts() == {1: buf.slot_count - 3, 9: 3}
         replayed = set()
         for trial in range(20):
@@ -540,10 +541,9 @@ class TestExperimentConfig:
         assert cfg.seeds == (0, 1, 2)
 
     def test_seeds_fit_the_snapshot_seed_field(self):
-        # snapshots pack the run seed as a signed 64-bit integer
+        # seeds are signed 64-bit integers: [0, 2^63)
         largest = 2 ** 63 - 1
         assert parse_config(f"seeds = 0, {largest}\n").validate() is not None
-        assert Rng.from_state_bytes(Rng(largest).state_bytes())[0].seed == largest
         for seed in (-1, 2 ** 63, 2 ** 64):
             with pytest.raises(ConfigError, match="seeds"):
                 parse_config(f"seeds = {seed}\n").validate()

@@ -17,20 +17,25 @@ def surrogate(rng, r=8, f=2):
     return gps_sample(full_image(rng, r), f, rng.split(7))
 
 
+def rng_state(rng):
+    """`rng.bit_generator.state` in a form == compares: the state holds
+    numpy arrays, whose repr is exact at this size."""
+    return repr(rng.bit_generator.state)
+
+
 class TestSlotArithmetic:
     def test_gps_mode_multiplies_slots_by_factor_squared(self):
         budget = PixelBudget(20, 32)
-        rng = Rng(0)
-        full = ReplayBuffer(budget, rng.split(1))
-        gps = ReplayBuffer(budget, rng.split(2), factor=2)
+        full = ReplayBuffer(budget)
+        gps = ReplayBuffer(budget, factor=2)
         assert full.slot_count == 20
         assert gps.slot_count == 80
         assert gps.slot_count == 4 * full.slot_count
 
     def test_exemplar_side(self):
         budget = PixelBudget(5, 32)
-        assert ReplayBuffer(budget, Rng(0)).exemplar_side == 32
-        assert ReplayBuffer(budget, Rng(0), factor=4).exemplar_side == 8
+        assert ReplayBuffer(budget).exemplar_side == 32
+        assert ReplayBuffer(budget, factor=4).exemplar_side == 8
 
     def test_capacity_pixels(self):
         assert PixelBudget(20, 32).capacity_pixels == 20 * 32 * 32
@@ -38,34 +43,34 @@ class TestSlotArithmetic:
     def test_full_buffer_stays_within_pixel_budget(self):
         budget = PixelBudget(20, 32)
         rng = Rng(1)
-        buf = ReplayBuffer(budget, rng.split(0), factor=2, channels=3)
+        buf, buf_rng = ReplayBuffer(budget, factor=2, channels=3), rng.split(0)
         for k in range(10_000):
-            buf.offer(surrogate(rng.split(1, k), r=32, f=2), k % 7)
+            buf.offer(surrogate(rng.split(1, k), r=32, f=2), k % 7, buf_rng)
             assert buf.occupied_pixels <= budget.capacity_pixels
         assert buf.occupied_count == buf.slot_count
 
     def test_bad_factor_resolution_combo(self):
         with pytest.raises(ConfigError):
-            ReplayBuffer(PixelBudget(5, 4), Rng(0), factor=5)
+            ReplayBuffer(PixelBudget(5, 4), factor=5)
 
 
 class TestReservoir:
     def test_first_offers_fill_slots_in_order(self):
         rng = Rng(2)
-        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
+        buf, buf_rng = ReplayBuffer(PixelBudget(4, 8)), rng.split(0)
         for k in range(4):
-            accepted, evicted = buf.offer(full_image(rng.split(k)), k)
+            accepted, evicted = buf.offer(full_image(rng.split(k)), k, buf_rng)
             assert accepted == 1 and evicted == []
         assert buf.labels.tolist() == [0, 1, 2, 3]
 
     def test_rejection_keeps_slots(self):
         rng = Rng(3)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
-        buf.offer(full_image(rng.split(1)), 0)
-        buf.offer(full_image(rng.split(2)), 1)
+        buf, buf_rng = ReplayBuffer(PixelBudget(2, 8)), rng.split(0)
+        buf.offer(full_image(rng.split(1)), 0, buf_rng)
+        buf.offer(full_image(rng.split(2)), 1, buf_rng)
         before = buf.slab.copy(), buf.labels.tolist()
         for k in range(20):
-            accepted, evicted = buf.offer(full_image(rng.split(3, k)), 5)
+            accepted, evicted = buf.offer(full_image(rng.split(3, k)), 5, buf_rng)
             if not accepted:
                 assert evicted == []
                 np.testing.assert_array_equal(buf.slab, before[0])
@@ -75,65 +80,65 @@ class TestReservoir:
 
     def test_seen_count_tracks_offers(self):
         rng = Rng(4)
-        buf = ReplayBuffer(PixelBudget(3, 8), rng.split(0))
+        buf, buf_rng = ReplayBuffer(PixelBudget(3, 8)), rng.split(0)
         for k in range(50):
-            buf.offer(full_image(rng.split(k)), 0)
+            buf.offer(full_image(rng.split(k)), 0, buf_rng)
         assert buf.seen_count == 50
 
 
 class TestItemValidation:
     def test_full_mode_rejects_surrogates(self):
         rng = Rng(5)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
+        buf = ReplayBuffer(PixelBudget(2, 8))
         with pytest.raises(ValueError):
-            buf.offer(surrogate(rng.split(1)), 0)
+            buf.offer(surrogate(rng.split(1)), 0, rng.split(0))
 
     def test_gps_mode_rejects_full_images(self):
         rng = Rng(6)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(2, 8), factor=2)
         with pytest.raises(ValueError):
-            buf.offer(full_image(rng.split(1)), 0)
+            buf.offer(full_image(rng.split(1)), 0, rng.split(0))
 
     def test_gps_mode_rejects_factor_mismatch(self):
         rng = Rng(7)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(2, 8), factor=2)
         with pytest.raises(ValueError):
-            buf.offer(surrogate(rng.split(1), r=8, f=4), 0)
+            buf.offer(surrogate(rng.split(1), r=8, f=4), 0, rng.split(0))
 
     def test_wrong_side_rejected(self):
         rng = Rng(8)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
+        buf = ReplayBuffer(PixelBudget(2, 8))
         with pytest.raises(ValueError):
-            buf.offer(full_image(rng.split(1), r=16), 0)
+            buf.offer(full_image(rng.split(1), r=16), 0, rng.split(0))
 
     def test_unlabeled_rejected(self):
         # -1 is the empty-slot marker, so no exemplar may carry it
         rng = Rng(9)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0))
+        buf = ReplayBuffer(PixelBudget(2, 8))
         with pytest.raises(ValueError):
-            buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), -1)
+            buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), -1, rng.split(0))
 
     def test_non_uint8_rejected(self):
         rng = Rng(12)
-        buf = ReplayBuffer(PixelBudget(2, 8), rng.split(0), factor=2)
+        buf = ReplayBuffer(PixelBudget(2, 8), factor=2)
         with pytest.raises(ValueError, match="uint8"):
-            buf.offer(np.zeros((4, 4, 3), dtype=np.float64), 0)
+            buf.offer(np.zeros((4, 4, 3), dtype=np.float64), 0, rng.split(0))
 
     @pytest.mark.parametrize("label", [3.7, 3.0, True, np.float32(2), 2 ** 31, -1, 2 ** 70])
     def test_non_integer_or_out_of_range_label_rejected(self, label):
-        buf = ReplayBuffer(PixelBudget(2, 8), Rng(13))
+        buf, buf_rng = ReplayBuffer(PixelBudget(2, 8)), Rng(13)
         with pytest.raises(ValueError, match="label"):
-            buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), label)
+            buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), label, buf_rng)
         with pytest.raises(ValueError, match="label"):
-            buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([label] * 3))
+            buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([label] * 3), buf_rng)
         with pytest.raises(ValueError, match="label"):  # np.asarray would promote True to 1
-            buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), [0, label, 1])
+            buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), [0, label, 1], buf_rng)
         assert buf.seen_count == 0
 
     def test_largest_int32_label_accepted(self):
-        buf = ReplayBuffer(PixelBudget(2, 8), Rng(14))
+        buf = ReplayBuffer(PixelBudget(2, 8))
         buf.offer(np.zeros((2, 8, 8, 3), dtype=np.uint8),
-                  np.array([2 ** 31 - 1, 0], dtype=np.uint64))
+                  np.array([2 ** 31 - 1, 0], dtype=np.uint64), Rng(14))
         assert buf.labels.tolist() == [2 ** 31 - 1, 0]
 
     @pytest.mark.parametrize("pixels, labels", [
@@ -147,47 +152,57 @@ class TestItemValidation:
     def test_rejected_batch_changes_nothing(self, pixels, labels):
         # buffer both in its fill phase and past it, where offers draw
         for filled in (1, 5):
-            buf = ReplayBuffer(PixelBudget(2, 8), Rng(15))
-            buf.offer(np.ones((filled, 8, 8, 3), dtype=np.uint8), np.arange(filled))
-            before = buf.snapshot()
+            buf, buf_rng = ReplayBuffer(PixelBudget(2, 8)), Rng(15)
+            buf.offer(np.ones((filled, 8, 8, 3), dtype=np.uint8), np.arange(filled), buf_rng)
+            before = buf.snapshot(), rng_state(buf_rng)
             with pytest.raises(ValueError):
-                buf.offer(pixels, labels)
-            assert buf.snapshot() == before  # slab, labels, seen count and rng state
+                buf.offer(pixels, labels, buf_rng)
+            # slab, labels, seen count and generator state
+            assert (buf.snapshot(), rng_state(buf_rng)) == before
 
 
 class TestBatchOffer:
     def buffers(self, seed, factor, seen=0, count=2):
-        """Identical buffers that have seen `seen` items, every slot occupied
-        when `seen` exceeds the slot count (only the count matters then)."""
-        bufs = [ReplayBuffer(PixelBudget(3, 8), Rng(seed), factor=factor) for _ in range(count)]
-        for buf in bufs:
+        """Identical (buffer, generator) pairs whose buffers have seen `seen`
+        items, every slot occupied when `seen` exceeds the slot count (only
+        the count matters then)."""
+        pairs = [(ReplayBuffer(PixelBudget(3, 8), factor=factor), Rng(seed))
+                 for _ in range(count)]
+        for buf, _ in pairs:
             buf.seen_count = seen
             buf.labels[:seen] = 0
-        return bufs
+        return pairs
 
     def assert_same(self, a, b):
-        np.testing.assert_array_equal(a.slab, b.slab)
-        assert a.labels.tolist() == b.labels.tolist()
-        assert a.seen_count == b.seen_count
-        assert a.rng.state_bytes() == b.rng.state_bytes()
+        (buf_a, rng_a), (buf_b, rng_b) = a, b
+        np.testing.assert_array_equal(buf_a.slab, buf_b.slab)
+        assert buf_a.labels.tolist() == buf_b.labels.tolist()
+        assert buf_a.seen_count == buf_b.seen_count
+        assert rng_state(rng_a) == rng_state(rng_b)
 
-    def offer_one_by_one(self, buf, pixels, labels):
+    def offer_batch(self, pair, pixels, labels):
+        buf, rng = pair
+        return buf.offer(pixels, labels, rng)
+
+    def offer_one_by_one(self, pair, pixels, labels):
         """One `offer` call per item, each making at most one scalar draw."""
+        buf, rng = pair
         accepted, evicted = 0, []
         for item, label in zip(pixels, labels.tolist()):
-            n, out = buf.offer(item, label)
+            n, out = buf.offer(item, label, rng)
             accepted += n
             evicted += out
         return accepted, evicted
 
-    def algorithm_r(self, buf, pixels, labels):
+    def algorithm_r(self, pair, pixels, labels):
         """Reference: Vitter's Algorithm R, one scalar draw per item."""
+        buf, rng = pair
         accepted, evicted = 0, []
         for item, label in zip(pixels, labels.tolist()):
             if buf.seen_count < buf.slot_count:
                 slot = buf.seen_count
             else:
-                slot = int(buf.rng.integers(0, buf.seen_count + 1))
+                slot = int(rng.integers(0, buf.seen_count + 1))
             buf.seen_count += 1
             if slot < buf.slot_count:
                 if buf.labels[slot] >= 0:
@@ -210,24 +225,25 @@ class TestBatchOffer:
             # cross the fill boundary at slot_count
             cuts = np.sort(rng.split(trial, 3).integers(0, n_items + 1, 6))
             for lo, hi in zip([0, *cuts], [*cuts, n_items]):
-                result = batched.offer(pixels[lo:hi], labels[lo:hi])
+                result = self.offer_batch(batched, pixels[lo:hi], labels[lo:hi])
                 assert type(result[0]) is int
                 assert result == self.offer_one_by_one(single, pixels[lo:hi], labels[lo:hi])
                 assert result == self.algorithm_r(reference, pixels[lo:hi], labels[lo:hi])
                 self.assert_same(batched, single)
                 self.assert_same(batched, reference)
-            assert batched.seen_count == seen + n_items
+            assert batched[0].seen_count == seen + n_items
 
     def test_later_item_wins_a_shared_slot(self):
         # one slot: every item kept after the first evicts the one before it
         for seed in range(100):
-            a, b = (ReplayBuffer(PixelBudget(1, 8), Rng(seed)) for _ in range(2))
+            a, b = (ReplayBuffer(PixelBudget(1, 8)) for _ in range(2))
+            a_rng, b_rng = Rng(seed), Rng(seed)
             pixels = np.arange(8, dtype=np.uint8)[:, None, None, None] * np.ones(
                 (8, 8, 3), dtype=np.uint8)
             labels = np.arange(10, 18)
-            accepted, evicted = a.offer(pixels, labels)
+            accepted, evicted = a.offer(pixels, labels, a_rng)
             kept = [label for item, label in zip(pixels, labels.tolist())
-                    if b.offer(item, label)[0]]
+                    if b.offer(item, label, b_rng)[0]]
             assert accepted == len(kept) and evicted == kept[:-1]
             assert a.labels.tolist() == [kept[-1]]
             assert (a.slab == kept[-1] - 10).all()
@@ -237,16 +253,16 @@ class TestBatchOffer:
 
     def test_empty_batch_changes_nothing(self):
         for seen in (0, 10):
-            a, = self.buffers(1, 2, seen, count=1)
-            before = a.snapshot()
-            assert a.offer(np.zeros((0, 4, 4, 3), dtype=np.uint8), []) == (0, [])
-            assert a.snapshot() == before
+            (a, a_rng), = self.buffers(1, 2, seen, count=1)
+            before = a.snapshot(), rng_state(a_rng)
+            assert a.offer(np.zeros((0, 4, 4, 3), dtype=np.uint8), [], a_rng) == (0, [])
+            assert (a.snapshot(), rng_state(a_rng)) == before
 
     def test_leading_axes_are_stream_order(self):
         a, b = self.buffers(2, 1)
         pixels = Rng(3).integers(0, 256, (2, 5, 8, 8, 3), dtype=np.uint8)
         labels = np.arange(10).reshape(2, 5)
-        assert a.offer(pixels, labels) == self.offer_one_by_one(
+        assert self.offer_batch(a, pixels, labels) == self.offer_one_by_one(
             b, pixels.reshape(10, 8, 8, 3), labels.reshape(10))
         self.assert_same(a, b)
 
@@ -262,38 +278,38 @@ class TestClassIndex:
     def test_index_matches_recomputation_under_fuzz(self):
         rng = Rng(10)
         for trial in range(30):
-            buf = ReplayBuffer(PixelBudget(6, 8), rng.split(trial),
-                               factor=2)
+            buf, buf_rng = ReplayBuffer(PixelBudget(6, 8), factor=2), rng.split(trial)
             n_offers = int(rng.split(trial, 1).integers(1, 200))
             for k in range(n_offers):
                 label = int(rng.split(trial, 2, k).integers(0, 5))
-                buf.offer(surrogate(rng.split(trial, 3, k)), label)
+                buf.offer(surrogate(rng.split(trial, 3, k)), label, buf_rng)
                 slots = {c: s.tolist() for c, s in buf.class_slots().items()}
                 assert slots == self.recompute(buf)
 
     def test_class_counts(self):
         rng = Rng(11)
-        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(0))
+        buf, buf_rng = ReplayBuffer(PixelBudget(4, 8)), rng.split(0)
         for label in (2, 2, 5, 7):
-            buf.offer(full_image(rng.split(label, buf.seen_count)), label)
+            buf.offer(full_image(rng.split(label, buf.seen_count)), label, buf_rng)
         assert buf.class_counts() == {2: 2, 5: 1, 7: 1}
         assert list(buf.class_counts()) == [2, 5, 7]
 
     def test_missing_class_returns_empty(self):
         # -1 marks the empty slot, so it must not be listed as a class
-        buf = ReplayBuffer(PixelBudget(2, 8), Rng(0))
+        buf = ReplayBuffer(PixelBudget(2, 8))
         assert buf.class_slots() == {}
-        buf.offer(full_image(Rng(1)), 5)
+        buf.offer(full_image(Rng(1)), 5, Rng(0))
         assert {c: s.tolist() for c, s in buf.class_slots().items()} == {5: [0]}
 
 
 class TestSnapshot:
     def fill(self, seed, n_offers=120):
+        """A factor-2 buffer after `n_offers` offers, and the generator they drew from."""
         rng = Rng(seed)
-        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(0), factor=2)
+        buf, buf_rng = ReplayBuffer(PixelBudget(5, 8), factor=2), rng.split(0)
         for k in range(n_offers):
-            buf.offer(surrogate(rng.split(1, k)), k % 4)
-        return buf, rng
+            buf.offer(surrogate(rng.split(1, k)), k % 4, buf_rng)
+        return buf, buf_rng
 
     def test_round_trip_preserves_contents(self):
         buf, _ = self.fill(0)
@@ -306,15 +322,17 @@ class TestSnapshot:
         assert restored.class_counts() == buf.class_counts()
 
     def test_round_trip_preserves_future_decisions(self):
-        # the restored buffer must accept/evict identically forever after
-        buf, rng = self.fill(1)
+        # given generators in equal states, the restored buffer must
+        # accept and evict identically forever after
+        buf, buf_rng = self.fill(1)
         restored = ReplayBuffer.restore(buf.snapshot())
+        twin_rng = Rng(1)
+        twin_rng.bit_generator.state = buf_rng.bit_generator.state
         for k in range(200):
-            item = surrogate(rng.split(2, k))
-            a1, _ = buf.offer(item, k % 4)
-            a2, _ = restored.offer(item, k % 4)
-            assert a1 == a2
+            item = surrogate(Rng(1).split(2, k))
+            assert buf.offer(item, k % 4, buf_rng) == restored.offer(item, k % 4, twin_rng)
         assert buf.labels.tolist() == restored.labels.tolist()
+        np.testing.assert_array_equal(buf.slab, restored.slab)
 
     def test_snapshot_of_restore_is_identical_bytes(self):
         buf, _ = self.fill(2)
@@ -323,8 +341,8 @@ class TestSnapshot:
 
     def test_partial_buffer_round_trip(self):
         rng = Rng(3)
-        buf = ReplayBuffer(PixelBudget(5, 8), rng.split(0))
-        buf.offer(full_image(rng.split(1)), 2)
+        buf = ReplayBuffer(PixelBudget(5, 8))
+        buf.offer(full_image(rng.split(1)), 2, rng.split(0))
         restored = ReplayBuffer.restore(buf.snapshot())
         assert restored.occupied_count == 1
         assert restored.labels.tolist() == [2, -1, -1, -1, -1]
@@ -357,11 +375,9 @@ class TestSnapshot:
 
     def test_layout_is_header_rng_labels_slab(self):
         buf, _ = self.fill(8, n_offers=7)
-        blob = buf.snapshot()
-        rng_bytes = buf.rng.state_bytes()
-        header = struct.pack("<4sHHIIBQ", b"GPSB", 3, 2, 5, 8, 3, 7)
-        assert blob == (header + rng_bytes + buf.labels.astype("<i4").tobytes()
-                        + buf.slab.tobytes())
+        header = struct.pack("<4sHHIIBQ", b"GPSB", 4, 2, 5, 8, 3, 7)
+        assert buf.snapshot() == (header + buf.labels.astype("<i4").tobytes()
+                                  + buf.slab.tobytes())
 
     def patched(self, offset, fmt, value):
         buf, _ = self.fill(9)
@@ -392,11 +408,17 @@ class TestSnapshot:
         with pytest.raises(FormatError, match="version 2"):
             ReplayBuffer.restore(blob[:6] + b"\x01" + blob[6:])
 
+    def test_version_3_blob_rejected_by_name(self):
+        # version 3 stored the buffer's rng after the header: a seed, a
+        # one-element key path and the Philox words, 112 bytes in all
+        blob = self.patched(4, "<H", 3)
+        with pytest.raises(FormatError, match="version 3"):
+            ReplayBuffer.restore(blob[:25] + bytes(112) + blob[25:])
+
     def test_labels_must_match_seen_count(self):
         # only 3 offers: slots 3.. must be empty (-1)
         buf, _ = self.fill(10, n_offers=3)
         blob = bytearray(buf.snapshot())
-        labels_at = 25 + len(buf.rng.state_bytes())
-        struct.pack_into("<i", blob, labels_at + 4 * 5, 1)
+        struct.pack_into("<i", blob, 25 + 4 * 5, 1)  # the labels follow the header
         with pytest.raises(FormatError, match="seen count"):
             ReplayBuffer.restore(bytes(blob))

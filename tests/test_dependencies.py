@@ -1,11 +1,13 @@
 """numpy stays the only runtime dependency: the package imports nothing else
-outside the standard library, and the README's layout table lists every
-module."""
+outside the standard library. The README's layout table lists every module,
+and its `.gpsb` format version is the one the buffer writes."""
 
 import ast
 import re
 import sys
 from pathlib import Path
+
+from gpsbench import buffer
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gpsbench"
 ALLOWED = sys.stdlib_module_names | {"numpy"}
@@ -37,3 +39,9 @@ def test_readme_layout_table_lists_every_module():
     modules = [m.stem for m in PACKAGE.glob("*.py") if m.stem != "__init__"]
     assert sorted(listed) == sorted(modules)
     assert len(listed) == len(set(listed))
+
+
+def test_readme_snapshot_version_is_the_buffers():
+    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    versions = re.findall(r"`\.gpsb`, format version (\d+)", readme)
+    assert versions == [str(buffer.SNAPSHOT_VERSION)]

@@ -69,41 +69,6 @@ class TestRng:
         b = root.split(2).integers(0, 1000, (50,))
         assert not np.array_equal(a, b)
 
-    def test_state_round_trip_continues_stream(self):
-        rng = Rng(21).split(4)
-        rng.integers(0, 100, (13,))  # advance into the buffered block
-        blob = rng.state_bytes()
-        restored, used = Rng.from_state_bytes(blob)
-        assert used == len(blob)
-        assert [rng.integers(0, 10**6) for _ in range(10)] == [
-            restored.integers(0, 10**6) for _ in range(10)
-        ]
-
-    def test_state_round_trip_at_offset(self):
-        rng = Rng(8)
-        blob = b"xyz" + rng.state_bytes() + b"tail"
-        restored, used = Rng.from_state_bytes(blob, offset=3)
-        assert used == len(blob) - 7
-        assert restored.integers(0, 10**6) == Rng(8).integers(0, 10**6)
-
-    def test_state_layout_is_pinned(self):
-        rng = Rng(21).split(4)
-        rng.integers(0, 100, (13,))
-        assert rng.state_bytes() == bytes.fromhex(
-            # seed, key path length, key path
-            "1500000000000000" "01000000" "04000000"
-            # Philox counter, key and buffer words
-            "0200000000000000" "0000000000000000" "0000000000000000" "0000000000000000"
-            "8d52fcba78db558d" "e7604d23af2af1bc"
-            "901dee65ab0a8945" "2ac3b2c6c5a16467" "9f09e5ee2758f894" "2a37f28ffd1e836c"
-            # buffer_pos, has_uint32, cached uint32
-            "03000000" "01000000" "2758f89400000000")
-
-    def test_truncated_state_raises(self):
-        blob = Rng(0).state_bytes()
-        with pytest.raises(FormatError):
-            Rng.from_state_bytes(blob[:10])
-
 
 class TestPpm:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -267,11 +267,11 @@ def filled_buffer(seed, mode="gps", r=8, f=2, budget=4, classes=3,
                   offers=120):
     rng = Rng(seed)
     factor = f if mode == "gps" else 1
-    buf = ReplayBuffer(PixelBudget(budget, r), rng.split(0), factor=factor)
+    buf, buf_rng = ReplayBuffer(PixelBudget(budget, r), factor=factor), rng.split(0)
     for k in range(offers):
         img = rng.split(1, k).integers(0, 256, (r, r, 3)).astype(np.uint8)
         item = gps_sample(img, factor, rng.split(2, k))
-        buf.offer(item, k % classes)
+        buf.offer(item, k % classes, buf_rng)
     return buf
 
 
@@ -330,10 +330,10 @@ class TestNcm:
     def test_labels_ascend_whatever_the_fill_order(self):
         rng = Rng(401)
         params = L.init_params(8, 3, 16, 8, 6, rng.split(1))
-        buf = ReplayBuffer(PixelBudget(3, 8), rng.split(2))
+        buf, buf_rng = ReplayBuffer(PixelBudget(3, 8)), rng.split(2)
         for label in (5, 3, 0):  # descending; slot k holds the k-th offer
             img = rng.split(3, label).integers(0, 256, (8, 8, 3)).astype(np.uint8)
-            buf.offer(img, label)
+            buf.offer(img, label, buf_rng)
         assert buf.labels.tolist() == [5, 3, 0]
         labels, means = L.ncm_prototypes(params, buf)
         assert labels.tolist() == [0, 3, 5]
@@ -344,7 +344,7 @@ class TestNcm:
     def test_empty_buffer_raises(self):
         rng = Rng(400)
         params = L.init_params(8, 3, 16, 8, 3, rng.split(1))
-        buf = ReplayBuffer(PixelBudget(4, 8), rng.split(2), factor=2)
+        buf = ReplayBuffer(PixelBudget(4, 8), factor=2)
         with pytest.raises(EmptyStateError):
             L.ncm_prototypes(params, buf)
 
@@ -354,10 +354,10 @@ class TestNcm:
         # exemplar equals embedding of its upsampled image
         rng = Rng(500)
         params = L.init_params(8, 3, 16, 8, 2, rng.split(1))
-        buf = ReplayBuffer(PixelBudget(1, 8), rng.split(2), factor=2)
+        buf = ReplayBuffer(PixelBudget(1, 8), factor=2)
         img = rng.split(3).integers(0, 256, (8, 8, 3)).astype(np.uint8)
         s = gps_sample(img, 2, rng.split(4))
-        buf.offer(s, 1)
+        buf.offer(s, 1, rng.split(2))
         _, means = L.ncm_prototypes(params, buf)
         direct = L.embed_batch(params, upsample(s, 2)[None])[0]
         np.testing.assert_allclose(means[0], direct, atol=1e-6)

@@ -61,11 +61,11 @@ def _snapshots():
     rng = Rng(0)
     out = []
     for factor, offers in ((2, 40), (1, 1)):
-        buf = ReplayBuffer(PixelBudget(2, 4), rng.split(len(out)), factor=factor)
+        buf, buf_rng = ReplayBuffer(PixelBudget(2, 4), factor=factor), rng.split(len(out))
         side = buf.exemplar_side
         for k in range(offers):
             pixels = rng.split(9, len(out), k).integers(0, 256, (side, side, 3))
-            buf.offer(pixels.astype(np.uint8), k % 3)
+            buf.offer(pixels.astype(np.uint8), k % 3, buf_rng)
         out.append(buf.snapshot())
     return out
 
@@ -74,8 +74,8 @@ SNAPSHOTS = _snapshots()
 
 
 # version, factor, image count, resolution, channels, seen count; then the
-# rng seed and its key count
-SNAPSHOT_FIELDS = [(4, 2), (6, 2), (8, 4), (12, 4), (16, 1), (17, 8), (25, 8), (33, 4)]
+# first slot label
+SNAPSHOT_FIELDS = [(4, 2), (6, 2), (8, 4), (12, 4), (16, 1), (17, 8), (25, 4)]
 
 
 def with_edge_values(valid, fields):
