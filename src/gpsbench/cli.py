@@ -12,7 +12,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .bench import (
     split_tasks,
 )
 from .buffer import ReplayBuffer
-from .config import ExperimentConfig, _number, config_to_dict, load_config
+from .config import ExperimentConfig, _number, load_config
 from .errors import ConfigError, EmptyStateError, FormatError, GpsError, NumericalError
 from .imaging import DOMAIN_DATA, DOMAIN_TASK_SPLIT, Rng, load_ppm, require_square, save_ppm
 from .sampler import gps_sample, grid_concat, grid_side
@@ -156,7 +156,7 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
     manifest = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "config": config_to_dict(config),
+        "config": asdict(config),
         "status": "ok" if len(ok) == len(records) else "numerical_failure",
         "runs": [
             {"seed": r["seed"], "status": r["status"], "a_end": r["a_end"],

@@ -187,11 +187,3 @@ def load_config(path) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None
     return parse_config(text)
-
-
-def config_to_dict(config: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(ExperimentConfig):
-        value = getattr(config, f.name)
-        out[f.name] = list(value) if isinstance(value, tuple) else value
-    return out

@@ -110,17 +110,12 @@ def _forward(params: ModelParams, first):
     return h_pre, h, emb, logits
 
 
-def _forward_matrix(params: ModelParams, X):
-    """(hidden pre-activation, hidden, embeddings, logits) of an input matrix."""
-    return _forward(params, X @ params.W1)
-
-
 def embed_batch(params: ModelParams, pixels) -> np.ndarray:
-    return _forward_matrix(params, _to_matrix(params, pixels))[2]
+    return _forward(params, _to_matrix(params, pixels) @ params.W1)[2]
 
 
 def logits_batch(params: ModelParams, pixels) -> np.ndarray:
-    return _forward_matrix(params, _to_matrix(params, pixels))[3]
+    return _forward(params, _to_matrix(params, pixels) @ params.W1)[3]
 
 
 def softmax(logits):

@@ -44,8 +44,6 @@ def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
     (2, side, side). The input is unchanged.
     """
     side, f = grid_side(factor, require_square(pixels)), factor
-    if f == 1:
-        return pixels.copy()
     lead, r, channels = pixels.shape[:-3], pixels.shape[-2], pixels.shape[-1]
     offsets = rng.integers(0, f, (*lead, 2, side, side)).reshape(-1, 2, side, side)
     rows = np.arange(side)[:, None] * f + offsets[:, 0]
@@ -58,28 +56,14 @@ def gps_sample(pixels: np.ndarray, factor: int, rng: Rng) -> np.ndarray:
 
 
 def upsample(pixels: np.ndarray, factor: int) -> np.ndarray:
-    """Expand each pixel of a (..., side, side, C) array into a factor x factor constant block.
-
-    Factor 1 returns the input. Otherwise one byte-wise `take` widens each
-    row and whole rows are repeated, so no copy moves one pixel at a time.
-    """
-    if factor == 1:
-        return pixels
-    *lead, height, width, channels = pixels.shape
-    # byte (j*factor + k)*C + c of a widened row is byte j*C + c of the row
-    columns = np.repeat(np.arange(width * channels).reshape(width, 1, channels), factor, axis=1)
-    rows = pixels.reshape(*lead, height, width * channels).take(columns.reshape(-1), axis=-1)
-    return np.repeat(rows, factor, axis=-2).reshape(
-        *lead, height * factor, width * factor, channels)
+    """Expand each pixel of a (..., side, side, C) array into a factor x factor constant block."""
+    return np.repeat(np.repeat(pixels, factor, axis=-3), factor, axis=-2)
 
 
 def grid_concat(parts, factor: int) -> np.ndarray:
-    """Tile factor^2 surrogates into one image: part k fills cell (k // factor, k % factor).
-
-    `parts` has shape (..., factor^2, side, side, C) and the result
-    (..., factor*side, factor*side, C): leading axes are kept, so one call
-    tiles a whole batch of groups.
-    """
+    """Tile (..., factor^2, side, side, C) parts into (..., factor*side,
+    factor*side, C) images, part k in cell (k // factor, k % factor), as
+    `gps reconstruct` tiles one class's surrogates."""
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
     parts = np.asarray(parts)

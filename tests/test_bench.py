@@ -488,19 +488,6 @@ BAD_VALUES = [
 ]
 
 
-class TestOnlineConfig:
-    """The online-training values of ExperimentConfig, built in code, not parsed."""
-
-    def test_non_finite_floats_rejected(self):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="learning_rate"):
-                ExperimentConfig(learning_rate=bad)
-            with pytest.raises(ConfigError, match="replay_weight"):
-                ExperimentConfig(replay_weight=bad)
-            with pytest.raises(ConfigError, match="synthetic_noise"):
-                synthetic(2, 8, noise=bad)
-
-
 class TestExperimentConfig:
     @pytest.mark.parametrize("key, value", BAD_VALUES, ids=[key for key, _ in BAD_VALUES])
     def test_bad_value_error_begins_with_its_key(self, key, value):
@@ -540,7 +527,7 @@ class TestExperimentConfig:
         cfg = parse_config("seeds = 0, 1, 2\n")
         assert cfg.seeds == (0, 1, 2)
 
-    def test_seeds_fit_the_snapshot_seed_field(self):
+    def test_seeds_lie_in_the_signed_64_bit_range(self):
         # seeds are signed 64-bit integers: [0, 2^63)
         largest = 2 ** 63 - 1
         assert parse_config(f"seeds = 0, {largest}\n").validate() is not None
@@ -596,3 +583,12 @@ class TestExperimentConfig:
                      "image_test_fraction = nan\n"):
             with pytest.raises(ConfigError):
                 parse_config(text).validate()
+
+    def test_non_finite_floats_rejected_in_code(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="learning_rate"):
+                ExperimentConfig(learning_rate=bad)
+            with pytest.raises(ConfigError, match="replay_weight"):
+                ExperimentConfig(replay_weight=bad)
+            with pytest.raises(ConfigError, match="synthetic_noise"):
+                synthetic(2, 8, noise=bad)
