@@ -1,128 +1,14 @@
-"""Replay assembly: the replay slot draw (`buffer.draw_replay_batch`) and the
-inverses of sampling (`sampler.upsample` and `sampler.grid_concat`). The
-replay rows that `run_online` builds from them are tested in test_bench.py.
-The `assembly.*` benchmark metrics keep this name for the same layer."""
-
-from collections import Counter
+"""Replay batch assembly: the slot draw `buffer.draw_replay_batch` makes for
+each replay batch. The replay rows that `run_online` builds from the drawn
+slots are tested in test_bench.py; the `assembly.*` benchmark metrics keep
+this name for the same layer."""
 
 import numpy as np
 import pytest
 
 from gpsbench.buffer import PixelBudget, ReplayBuffer, draw_replay_batch
 from gpsbench.imaging import Rng
-from gpsbench.sampler import gps_sample, grid_concat, upsample
-
-
-def constant_sample(value, side=2):
-    return np.full((side, side, 3), value, dtype=np.uint8)
-
-
-def random_sample(rng, side):
-    return rng.integers(0, 256, (side, side, 3)).astype(np.uint8)
-
-
-class TestGridConcat:
-    def test_quadrant_placement(self):
-        # four constant 2x2 parts -> 4x4 whose quadrants are 10,20,30,40
-        # in row-major order
-        parts = [constant_sample(v) for v in (10, 20, 30, 40)]
-        img = grid_concat(parts, 2)
-        assert img.shape == (4, 4, 3)
-        assert (img[:2, :2] == 10).all()
-        assert (img[:2, 2:] == 20).all()
-        assert (img[2:, :2] == 30).all()
-        assert (img[2:, 2:] == 40).all()
-
-    def test_pixel_multiset_preserved(self):
-        rng = Rng(0)
-        parts = [random_sample(rng.split(k), 4) for k in range(9)]
-        out = grid_concat(parts, 3)
-        source = np.concatenate([p.reshape(-1) for p in parts])
-        assert Counter(out.reshape(-1)) == Counter(source)
-
-    def test_batch_axis_tiles_each_group(self):
-        rng = Rng(1)
-        groups = np.stack([[random_sample(rng.split(g, k), 3) for k in range(4)]
-                           for g in range(5)])
-        batch = grid_concat(groups, 2)
-        assert batch.shape == (5, 6, 6, 3)
-        for g in range(5):
-            np.testing.assert_array_equal(batch[g], grid_concat(groups[g], 2))
-
-    def test_slot_indices_recorded(self):
-        # the slot order given to grid_concat is the block order of the
-        # tiling, so a slot group records which slot fills each block
-        slab = np.stack([constant_sample(v) for v in range(10)])
-        slots = np.array([9, 2, 7, 4])
-        img = grid_concat(slab[slots], 2)
-        for k, slot in enumerate(slots):
-            i, j = divmod(k, 2)
-            assert (img[2 * i:2 * i + 2, 2 * j:2 * j + 2] == slot).all()
-
-    def test_wrong_count_rejected(self):
-        parts = [constant_sample(5) for _ in range(3)]
-        with pytest.raises(ValueError):
-            grid_concat(parts, 2)
-
-    def test_mixed_shapes_rejected(self):
-        parts = [constant_sample(5, side=2) for _ in range(3)]
-        parts.append(constant_sample(5, side=3))
-        with pytest.raises(ValueError):
-            grid_concat(parts, 2)
-
-
-def repeat_upsample(pixels, factor):
-    """The definition of pixel repetition: repeat rows, then columns."""
-    return np.repeat(np.repeat(pixels, factor, axis=-3), factor, axis=-2)
-
-
-class TestUpsample:
-    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
-    @pytest.mark.parametrize("channels", [1, 3])
-    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
-    def test_equals_repeat_definition(self, factor, channels, lead):
-        pixels = Rng(factor).integers(0, 256, (*lead, 3, 4, channels)).astype(np.uint8)
-        np.testing.assert_array_equal(upsample(pixels, factor),
-                                      repeat_upsample(pixels, factor))
-
-    def test_factor_one_returns_its_input(self):
-        pixels = random_sample(Rng(0), 4)
-        assert upsample(pixels, 1) is pixels
-
-    def test_repetition_definition(self):
-        # 1x1 sample valued v at f=3 -> 3x3 all v
-        out = upsample(constant_sample(77, side=1), 3)
-        assert out.shape == (3, 3, 3)
-        assert (out == 77).all()
-
-    def test_block_structure(self):
-        rng = Rng(1)
-        s = random_sample(rng, 4)
-        out = upsample(s, 2)
-        for i in range(4):
-            for j in range(4):
-                block = out[2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                assert (block == s[i, j]).all()
-
-    def test_value_multiset_scales_by_factor_squared(self):
-        rng = Rng(2)
-        s = random_sample(rng, 3)
-        out = upsample(s, 3)
-        src = Counter(s.reshape(-1))
-        up = Counter(out.reshape(-1))
-        assert up == {v: 9 * c for v, c in src.items()}
-
-    def test_round_trip_sampling_recovers_surrogate(self):
-        # gps_sample(upsample(y)) == y for any offsets, since every pixel of
-        # an upsampled patch holds the same value
-        root = Rng(3)
-        for f in (2, 3, 4):
-            for trial in range(100):
-                rng = root.split(f, trial)
-                side = int(rng.integers(1, 9))
-                y = random_sample(rng.split(0), side)
-                again = gps_sample(upsample(y, f), f, rng.split(1))
-                np.testing.assert_array_equal(again, y)
+from gpsbench.sampler import gps_sample
 
 
 def filled_gps_buffer(seed, budget_images=5, r=8, f=2, labels=(0, 1, 2),
@@ -164,7 +50,7 @@ class TestDrawReplayBatch:
 
     def test_draw_capped_by_available_groups(self):
         buf, rng = filled_gps_buffer(3, budget_images=2, labels=(0,), offers=50)
-        # 8 slots of one class -> at most 2 complete groups
+        # 8 slots of one class make up 2 full images -> at most 2 slots
         batch = draw_replay_batch(buf, 10, rng.split(5))
         assert len(batch) <= 2
 

@@ -527,7 +527,7 @@ class TestExperimentConfig:
         cfg = parse_config("seeds = 0, 1, 2\n")
         assert cfg.seeds == (0, 1, 2)
 
-    def test_seeds_lie_in_the_signed_64_bit_range(self):
+    def test_seeds_fit_the_snapshot_seed_field(self):
         # seeds are signed 64-bit integers: [0, 2^63)
         largest = 2 ** 63 - 1
         assert parse_config(f"seeds = 0, {largest}\n").validate() is not None

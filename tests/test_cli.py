@@ -326,8 +326,8 @@ class TestExitCodes:
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "pattern_seed" in capsys.readouterr().err
 
-    def test_seed_beyond_the_signed_64_bit_range_is_2_before_any_output(self, tmp_path,
-                                                                           config_file, capsys):
+    def test_seed_beyond_snapshot_range_is_2_before_any_output(self, tmp_path, config_file,
+                                                               capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(BASE_CONFIG.replace("seeds = 0,1", f"seeds = 0,{2 ** 63}"))
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
