@@ -18,8 +18,8 @@ import numpy as np
 
 from . import learner as L
 from .buffer import PixelBudget, ReplayBuffer, draw_replay_batch
-from .config import HEAD_NCM, ExperimentConfig
-from .errors import ConfigError, FormatError, NumericalError, StateError
+from .config import ExperimentConfig
+from .errors import ConfigError, FormatError, NumericalError
 from .imaging import (DOMAIN_BUFFER, DOMAIN_MODEL_INIT, DOMAIN_REPLAY, DOMAIN_STREAM, Rng,
                       load_ppm, require_square)
 from .sampler import gps_sample
@@ -61,7 +61,7 @@ def average_end_accuracy(matrix: np.ndarray) -> float:
     not yet written: accuracy over all tasks after the last one."""
     end_row = matrix[-1]
     if np.isnan(end_row).any():
-        raise StateError("final accuracy row is incomplete")
+        raise ValueError("final accuracy row is incomplete")
     return float(np.mean(end_row))
 
 
@@ -231,11 +231,11 @@ class RunResult:
 
 
 def _replay_batch(buf, config, replay_rng):
-    """(pixels, labels) of one replay batch, or None when nothing is replayed.
+    """(pixels, labels) of one replay batch, or None without a buffer.
 
     The pixels are the drawn surrogates as stored; `train_step` trains them
     at their own side."""
-    if buf is None or config.replay_batch == 0:
+    if buf is None:
         return None
     slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
     return buf.slab[slots], buf.labels[slots]
@@ -243,11 +243,11 @@ def _replay_batch(buf, config, replay_rng):
 
 def _evaluate_row(matrix, t, stream, params, buf, config):
     ds = stream.dataset
-    if config.head == HEAD_NCM:
+    if config.head == "ncm":
         prototypes = L.ncm_prototypes(params, buf)
     for i in range(t + 1):
         test = stream.test_tasks[i]
-        if config.head == HEAD_NCM:
+        if config.head == "ncm":
             preds = L.classify_batch(prototypes, params, ds.test_pixels[test])
         else:
             preds = L.softmax_classify_batch(params, ds.test_pixels[test])

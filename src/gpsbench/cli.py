@@ -29,7 +29,7 @@ from .bench import (
 )
 from .buffer import ReplayBuffer
 from .config import ExperimentConfig, _number, load_config
-from .errors import ConfigError, EmptyStateError, FormatError, GpsError, NumericalError
+from .errors import ConfigError, FormatError, GpsError, NumericalError
 from .imaging import DOMAIN_DATA, DOMAIN_TASK_SPLIT, Rng, load_ppm, require_square, save_ppm
 from .sampler import gps_sample, grid_concat, grid_side
 
@@ -254,13 +254,13 @@ def cmd_reconstruct(snapshot_path, class_id, seed, output_path) -> int:
     if class_id is None:
         candidates = [c for c, slots in class_slots.items() if len(slots) >= group_size]
         if not candidates:
-            raise EmptyStateError(
+            raise FormatError(
                 f"no class holds {group_size} exemplars; nothing to reconstruct"
             )
         class_id = candidates[0]
     indices = class_slots.get(class_id, [])
     if len(indices) < group_size:
-        raise EmptyStateError(
+        raise FormatError(
             f"class {class_id} holds {len(indices)} exemplars, need {group_size}"
         )
     chosen = rng.permutation(indices)[:group_size]
@@ -341,15 +341,14 @@ def _dispatch(args) -> int:
         raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     if args.command in ("compress", "reconstruct") and args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if args.command == "run":
+    if args.command in ("run", "sweep"):
         config = load_config(args.config)
+        out_dir = Path(args.out) if args.out else Path(config.out_dir)
+    if args.command == "run":
         if args.seed is not None:
             config = replace(config, seeds=(args.seed,))
-        out_dir = Path(args.out) if args.out else Path(config.out_dir)
         return cmd_run(config, out_dir, workers=args.workers)
     if args.command == "sweep":
-        config = load_config(args.config)
-        out_dir = Path(args.out) if args.out else Path(config.out_dir)
         values = [v for v in args.values.split(",") if v.strip()]
         return cmd_sweep(config, args.axis, values, out_dir, workers=args.workers)
     if args.command == "compress":

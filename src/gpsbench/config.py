@@ -12,20 +12,15 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
-SCHEMA_VERSION = 1
-
 DATASET_KINDS = ("synthetic", "cifar100", "image_dir")
 BUFFER_MODES = ("gps", "full", "none")
-HEAD_NCM = "ncm"
-HEAD_SOFTMAX = "softmax"
-HEADS = (HEAD_NCM, HEAD_SOFTMAX)
+HEADS = ("ncm", "softmax")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Every setting of an experiment, checked when the config is built."""
 
-    schema_version: int = SCHEMA_VERSION
     # dataset source
     dataset: str = "synthetic"
     synthetic_classes: int = 10
@@ -69,10 +64,6 @@ class ExperimentConfig:
 
     def validate(self):
         """Raise a ConfigError naming the first bad key; return self."""
-        if self.schema_version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"schema_version {self.schema_version} unsupported: expected {SCHEMA_VERSION}"
-            )
         if self.dataset not in DATASET_KINDS:
             raise ConfigError(f"dataset must be one of {DATASET_KINDS}, got {self.dataset!r}")
         if self.dataset == "cifar100":
@@ -122,7 +113,7 @@ class ExperimentConfig:
             raise ConfigError(f"replay_weight must be finite, got {self.replay_weight}")
         if self.head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}, got {self.head!r}")
-        if self.head == HEAD_NCM and self.buffer_mode == "none":
+        if self.head == "ncm" and self.buffer_mode == "none":
             raise ConfigError("head = ncm requires a buffer; set head = softmax or enable a buffer")
         if not self.seeds:
             raise ConfigError("seeds must be a non-empty list of integers")

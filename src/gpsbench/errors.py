@@ -1,7 +1,7 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package: one class per CLI exit code.
 
-Each class maps to one CLI exit code, so library code raises the most
-specific class and the front end translates without inspecting messages.
+GpsError 1, ConfigError 2, FormatError 3, NumericalError 4; the front end
+translates without inspecting messages. A bad library argument is a ValueError.
 """
 
 
@@ -18,7 +18,7 @@ class ConfigError(GpsError):
 
 
 class FormatError(GpsError):
-    """Malformed external data: image files, snapshots, dataset records."""
+    """Malformed or unusable external data: image files, snapshots, dataset records."""
 
     exit_code = 3
 
@@ -32,15 +32,3 @@ class NumericalError(GpsError):
         if step is not None:
             message = f"{message} (at training step {step})"
         super().__init__(message)
-
-
-class EmptyStateError(GpsError):
-    """An operation that needs data was invoked on an empty container."""
-
-    exit_code = 3
-
-
-class StateError(GpsError):
-    """An operation was invoked before its required state was complete."""
-
-    exit_code = 1

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .buffer import ReplayBuffer
-from .errors import EmptyStateError, NumericalError
+from .errors import NumericalError
 from .imaging import Rng
 
 
@@ -247,7 +247,7 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
     """
     class_slots = buf.class_slots()
     if not class_slots:
-        raise EmptyStateError("cannot build prototypes from an empty buffer")
+        raise ValueError("cannot build prototypes from an empty buffer")
     f = buf.factor
     W1p = _pooled_W1(params, f)
     means = [_forward(params, _to_matrix(params, buf.slab[slots], f) @ W1p)[2].mean(axis=0)

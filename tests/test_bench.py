@@ -21,7 +21,7 @@ from gpsbench.bench import (
 from gpsbench.buffer import PixelBudget, ReplayBuffer, draw_replay_batch
 from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig, parse_config
-from gpsbench.errors import ConfigError, FormatError, StateError
+from gpsbench.errors import ConfigError, FormatError
 from gpsbench.imaging import (
     DOMAIN_DATA,
     DOMAIN_STREAM,
@@ -269,7 +269,7 @@ class TestAccuracyMatrix:
         m = np.full((2, 2), np.nan)
         m[0, 0] = 0.2
         m[1, 0] = 0.5
-        with pytest.raises(StateError):
+        with pytest.raises(ValueError, match="incomplete"):
             average_end_accuracy(m)
         m[1, 1] = 0.7
         assert average_end_accuracy(m) == pytest.approx(0.6)
@@ -527,8 +527,8 @@ class TestExperimentConfig:
         cfg = parse_config("seeds = 0, 1, 2\n")
         assert cfg.seeds == (0, 1, 2)
 
-    def test_seeds_fit_the_snapshot_seed_field(self):
-        # seeds are signed 64-bit integers: [0, 2^63)
+    def test_seeds_are_signed_64_bit_integers(self):
+        # [0, 2^63)
         largest = 2 ** 63 - 1
         assert parse_config(f"seeds = 0, {largest}\n").validate() is not None
         for seed in (-1, 2 ** 63, 2 ** 64):

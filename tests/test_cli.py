@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import gpsbench.cli as cli
+import gpsbench.errors as errors
 from gpsbench.bench import RunResult
 from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.cli import main
@@ -198,7 +199,7 @@ ARM_FIELDS = {"buffer_mode", "budget_images", "factor", "stream_batch", "replay_
 # ExperimentConfig needs one here. The memo test builds the data from
 # BASE_CONFIG whatever the dataset fields say, so a value need only differ.
 OTHER_VALUE = {
-    "schema_version": 2, "dataset": "image_dir", "synthetic_classes": 7,
+    "dataset": "image_dir", "synthetic_classes": 7,
     "synthetic_resolution": 8, "synthetic_channels": 1, "synthetic_train_per_class": 21,
     "synthetic_test_per_class": 6, "synthetic_noise": 21.0, "synthetic_pattern_seed": 8,
     "synthetic_contrast": 26.0, "synthetic_baseline": 33.0, "cifar_train_path": "train.bin",
@@ -292,6 +293,11 @@ class TestSeedData:
 
 
 class TestExitCodes:
+    def test_one_error_class_per_exit_code(self):
+        classes = [c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.GpsError)]
+        assert sorted(c.exit_code for c in classes) == [1, 2, 3, 4]
+
     def test_config_error_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("dataset = nosuch\n")
@@ -326,8 +332,7 @@ class TestExitCodes:
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "pattern_seed" in capsys.readouterr().err
 
-    def test_seed_beyond_snapshot_range_is_2_before_any_output(self, tmp_path, config_file,
-                                                               capsys):
+    def test_seed_beyond_int64_is_2_before_any_output(self, tmp_path, config_file, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(BASE_CONFIG.replace("seeds = 0,1", f"seeds = 0,{2 ** 63}"))
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2

@@ -5,7 +5,7 @@ import pytest
 
 import gpsbench.learner as L
 from gpsbench.buffer import PixelBudget, ReplayBuffer
-from gpsbench.errors import EmptyStateError, NumericalError
+from gpsbench.errors import NumericalError
 from gpsbench.imaging import Rng
 from gpsbench.sampler import gps_sample, upsample
 
@@ -345,7 +345,7 @@ class TestNcm:
         rng = Rng(400)
         params = L.init_params(8, 3, 16, 8, 3, rng.split(1))
         buf = ReplayBuffer(PixelBudget(4, 8), factor=2)
-        with pytest.raises(EmptyStateError):
+        with pytest.raises(ValueError, match="empty buffer"):
             L.ncm_prototypes(params, buf)
 
     def test_gps_exemplars_are_upsampled_before_embedding(self):
