@@ -25,6 +25,7 @@ from .imaging import (DOMAIN_BUFFER, DOMAIN_MODEL_INIT, DOMAIN_REPLAY, DOMAIN_ST
 from .sampler import gps_sample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
+_IMAGE_TEST_FRACTION = 0.2
 
 
 @dataclass
@@ -70,11 +71,14 @@ def average_end_accuracy(matrix: np.ndarray) -> float:
 
 # Low spatial frequencies only, so class evidence survives patch sampling.
 _PATTERN_WAVES = ((0, 1), (1, 0), (1, 1), (1, -1), (0, 2), (2, 0))
+_PATTERN_SEED = 7
+_PATTERN_CONTRAST = 25.0
+_PATTERN_BASELINE = 32.0  # dark, so [0,1]-scaled inputs keep default-rate SGD stable
 
 
 def class_pattern(config: ExperimentConfig, label) -> np.ndarray:
     """The smooth mean pattern of one class as a float64 HxWxC array."""
-    rng = Rng(config.synthetic_pattern_seed).split(label)
+    rng = Rng(_PATTERN_SEED).split(label)
     r = config.synthetic_resolution
     ys, xs = np.mgrid[0:r, 0:r].astype(np.float64)
     channels = []
@@ -87,7 +91,7 @@ def class_pattern(config: ExperimentConfig, label) -> np.ndarray:
         scale = acc.std()
         if scale > 0:
             acc /= scale
-        channels.append(config.synthetic_baseline + config.synthetic_contrast * acc)
+        channels.append(_PATTERN_BASELINE + _PATTERN_CONTRAST * acc)
     return np.clip(np.stack(channels, axis=-1), 0.0, 255.0)
 
 
@@ -142,7 +146,7 @@ def load_cifar100(path):
     return np.ascontiguousarray(pixels), records[:, 1].astype(np.int64)
 
 
-def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
+def load_image_dir(root, rng: Rng) -> Dataset:
     """Per-class subdirectories of PPM files; seeded per-class train/test split.
 
     A class directory is named by its class id, below 2^31, in ASCII decimal
@@ -177,7 +181,7 @@ def load_image_dir(root, test_fraction, rng: Rng) -> Dataset:
                 raise ConfigError(f"mixed image sizes: {f} is {img.shape[0]}x{img.shape[1]}, "
                                   f"expected {shape[0]}x{shape[1]}")
         pixels = rng.split(label).permutation(images)
-        n_test = max(1, int(round(len(pixels) * test_fraction)))
+        n_test = max(1, int(round(len(pixels) * _IMAGE_TEST_FRACTION)))
         if n_test >= len(pixels):
             raise ConfigError(
                 f"class {label}: {len(pixels)} images cannot support a test split"
@@ -301,8 +305,8 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
             replay = _replay_batch(buf, config, replay_rng)
             step = result.step_count
             try:
-                L.train_step(params, (pixels, labels), replay, config.replay_weight,
-                             config.learning_rate, step=step)
+                L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate,
+                             step=step)
             except NumericalError as exc:
                 result.failure = str(exc)
                 return result

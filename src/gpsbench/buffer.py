@@ -6,7 +6,7 @@ the same budget buys f^2 times as many slots, each holding a compressed
 exemplar of side floor(r / f); at f = 1 that is the full image. Exemplars
 live in one (slots, side, side, C) array beside a label vector in which -1
 marks an empty slot; the per-class index is computed from the labels on
-demand, and `draw_replay_batch` draws a replay step's slots from them.
+demand; `draw_replay_batch` draws a replay step's slots from the occupied ones.
 A buffer is plain data; like `gps_sample`, `offer` takes its draws from the
 generator it is passed, so a snapshot holds no generator state.
 """
@@ -61,7 +61,8 @@ class ReplayBuffer:
     Slots hold surrogates of side floor(r/factor), factor^2 times as many
     as the budget's K images, so factor 1 stores K full images. `slab[i]`
     is slot i's pixels and `labels[i]` its class, or -1 while the slot is
-    empty. Single-writer: confine each buffer to one worker.
+    empty. Slots fill in order and never empty, so the first `occupied_count`
+    are the occupied ones. Single-writer: confine each buffer to one worker.
     """
 
     def __init__(self, budget: PixelBudget, factor: int = 1, channels: int = 3):
@@ -139,8 +140,7 @@ class ReplayBuffer:
 
     def class_slots(self):
         """{class: its occupied slot indices, ascending}, ascending by class."""
-        by_class = np.argsort(self.labels, kind="stable")
-        by_class = by_class[self.labels[by_class] >= 0]
+        by_class = np.argsort(self.labels[: self.occupied_count], kind="stable")
         classes, starts = np.unique(self.labels[by_class], return_index=True)
         return dict(zip(classes.tolist(), np.split(by_class, starts[1:])))
 
@@ -202,6 +202,5 @@ def draw_replay_batch(buf: ReplayBuffer, batch_size: int, rng: Rng) -> np.ndarra
     without replacement, as a 1-D array; the cap is the number of full images
     the stored pixels make up. An empty draw leaves `rng` untouched.
     """
-    occupied = np.flatnonzero(buf.labels >= 0)
-    count = min(batch_size, len(occupied) // buf.factor ** 2)
-    return occupied[rng.choice(len(occupied), count, replace=False)]
+    count = min(batch_size, buf.occupied_count // buf.factor ** 2)
+    return rng.choice(buf.occupied_count, count, replace=False)

@@ -1,8 +1,8 @@
 """Command-line front end: run experiments, sweeps, and single-image demos.
 
 Subcommands: run, sweep, compress, reconstruct, inspect-buffer.
-Exit codes: 0 success, 2 config error, 3 data/format error or a path that
-cannot be read or written, 4 numerical failure.
+Exit codes: 0 success, 1 other package error, 2 config error, 3 data/format
+error or a path that cannot be read or written, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -40,15 +40,14 @@ def build_dataset(config: ExperimentConfig, rng: Rng) -> Dataset:
     if config.dataset == "cifar100":
         return Dataset(*load_cifar100(config.cifar_train_path),
                        *load_cifar100(config.cifar_test_path))
-    return load_image_dir(config.image_dir, config.image_test_fraction, rng)
+    return load_image_dir(config.image_dir, rng)
 
 
 # Config fields that shape a run on a seed's data but not the data itself.
 # Every other field, including any added later, is part of the data key.
 ARM_FIELDS = frozenset({
     "buffer_mode", "budget_images", "factor", "stream_batch", "replay_batch",
-    "learning_rate", "replay_weight", "hidden_units", "embedding_units", "head",
-    "seeds", "out_dir",
+    "learning_rate", "hidden_units", "embedding_units", "head", "seeds",
 })
 
 # At most one entry: data key -> (dataset, stream).
@@ -305,7 +304,7 @@ def _build_parser():
     p_run.add_argument("--config", required=True, help="path to the experiment config")
     p_run.add_argument("--seed", type=integer, default=None,
                        help="override the config's seed list with one seed")
-    p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.add_argument("--out", default="runs", help="output directory")
     p_run.add_argument("--workers", type=integer, default=1,
                        help="worker processes across seeds")
 
@@ -314,7 +313,7 @@ def _build_parser():
     p_sweep.add_argument("--axis", required=True, help="f, K, or mode")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 1,2,4")
-    p_sweep.add_argument("--out", default=None)
+    p_sweep.add_argument("--out", default="runs", help="output directory")
     p_sweep.add_argument("--workers", type=integer, default=1,
                          help="worker processes across seeds")
 
@@ -343,7 +342,7 @@ def _dispatch(args) -> int:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if args.command in ("run", "sweep"):
         config = load_config(args.config)
-        out_dir = Path(args.out) if args.out else Path(config.out_dir)
+        out_dir = Path(args.out)
     if args.command == "run":
         if args.seed is not None:
             config = replace(config, seeds=(args.seed,))

@@ -29,15 +29,9 @@ class ExperimentConfig:
     synthetic_train_per_class: int = 100
     synthetic_test_per_class: int = 20
     synthetic_noise: float = 20.0
-    synthetic_pattern_seed: int = 7
-    synthetic_contrast: float = 25.0
-    # Dark baseline keeps [0,1]-scaled inputs small enough that SGD at the
-    # default learning rate stays stable on a plain ReLU net.
-    synthetic_baseline: float = 32.0
     cifar_train_path: str = ""
     cifar_test_path: str = ""
     image_dir: str = ""
-    image_test_fraction: float = 0.2
     # task layout
     tasks: int = 5
     classes_per_task: int = 2
@@ -50,14 +44,12 @@ class ExperimentConfig:
     replay_batch: int = 100
     replay_units: str = "samples"  # a step replays replay_batch // factor^2 exemplars
     learning_rate: float = 0.1
-    replay_weight: float = 1.0
     hidden_units: int = 128
     embedding_units: int = 64
     # inference
     head: str = "ncm"
     # runs
     seeds: tuple = (0,)
-    out_dir: str = "runs"
 
     def __post_init__(self):
         self.validate()
@@ -73,10 +65,6 @@ class ExperimentConfig:
                 raise ConfigError("cifar_test_path is required when dataset = cifar100")
         if self.dataset == "image_dir" and not self.image_dir:
             raise ConfigError("image_dir is required when dataset = image_dir")
-        if not 0.0 < self.image_test_fraction < 1.0:
-            raise ConfigError(
-                f"image_test_fraction must lie in (0, 1), got {self.image_test_fraction}"
-            )
         for name in ("synthetic_classes", "synthetic_resolution", "synthetic_train_per_class",
                      "synthetic_test_per_class", "tasks", "classes_per_task",
                      "budget_images", "factor", "stream_batch", "hidden_units",
@@ -89,14 +77,6 @@ class ExperimentConfig:
         if not (math.isfinite(self.synthetic_noise) and self.synthetic_noise >= 0):
             raise ConfigError(
                 f"synthetic_noise must be finite and >= 0, got {self.synthetic_noise}")
-        if self.synthetic_pattern_seed < 0:
-            raise ConfigError(
-                f"synthetic_pattern_seed must be >= 0, got {self.synthetic_pattern_seed}")
-        if not math.isfinite(self.synthetic_contrast):
-            raise ConfigError(f"synthetic_contrast must be finite, got {self.synthetic_contrast}")
-        if not 0.0 <= self.synthetic_baseline <= 255.0:
-            raise ConfigError(
-                f"synthetic_baseline must lie in [0, 255], got {self.synthetic_baseline}")
         if self.buffer_mode not in BUFFER_MODES:
             raise ConfigError(f"buffer_mode must be one of {BUFFER_MODES}, got {self.buffer_mode!r}")
         if self.replay_units != "samples":
@@ -109,8 +89,6 @@ class ExperimentConfig:
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ConfigError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}")
-        if not math.isfinite(self.replay_weight):
-            raise ConfigError(f"replay_weight must be finite, got {self.replay_weight}")
         if self.head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.head == "ncm" and self.buffer_mode == "none":

@@ -8,6 +8,8 @@ and on the one type defined here: `Rng`.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .errors import ConfigError, FormatError
@@ -57,24 +59,9 @@ def require_square(pixels):
 # --- PPM (P6) I/O, bit-exact ---
 
 
-def _read_ppm_token(data, pos):
-    """Next whitespace-delimited header token, skipping '#' comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c == b"#":
-            while pos < n and data[pos : pos + 1] not in (b"\n", b"\r"):
-                pos += 1
-        elif c.isspace():
-            pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and not data[pos : pos + 1].isspace() and data[pos : pos + 1] != b"#":
-        pos += 1
-    if start == pos:
-        raise FormatError("malformed header: unexpected end of file")
-    return data[start:pos], pos
+# Whitespace and '#' comments, then a header token; the token may be empty,
+# so every position matches and `match` never backtracks.
+_PPM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 
 def load_ppm(path):
@@ -86,8 +73,11 @@ def load_ppm(path):
     pos = 2
     fields = []
     for name in ("width", "height", "maxval"):
+        match = _PPM_TOKEN.match(data, pos)
+        tok, pos = match.group(1), match.end()
+        if not tok:
+            raise FormatError("malformed header: unexpected end of file")
         try:
-            tok, pos = _read_ppm_token(data, pos)
             if not tok.isdigit():  # int() alone would also take "+1", "0_1" and "-0"
                 raise ValueError(tok)
             fields.append(int(tok))  # ValueError beyond int()'s 4,300-digit limit

@@ -283,6 +283,9 @@ class TestClassIndex:
             for k in range(n_offers):
                 label = int(rng.split(trial, 2, k).integers(0, 5))
                 buf.offer(surrogate(rng.split(trial, 3, k)), label, buf_rng)
+                # the occupied slots are a prefix, which class_slots relies on
+                occupied = buf.occupied_count
+                assert (buf.labels[:occupied] >= 0).all() and (buf.labels[occupied:] == -1).all()
                 slots = {c: s.tolist() for c, s in buf.class_slots().items()}
                 assert slots == self.recompute(buf)
 

@@ -121,6 +121,13 @@ class TestRunCommand:
         assert (out / "seed_7_matrix.csv").exists()
         assert not (out / "seed_0_matrix.csv").exists()
 
+    def test_out_defaults_to_runs(self, tmp_path, config_file, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--config", config_file, "--seed", "0") == 0
+        assert (tmp_path / "runs" / "seed_0_end.csv").exists()
+        assert run_cli("sweep", "--config", config_file, "--axis", "f", "--values", "1") == 0
+        assert (tmp_path / "runs" / "sweep.csv").exists()
+
     def test_manifest_records_config_and_status(self, tmp_path, config_file):
         out = tmp_path / "out"
         run_cli("run", "--config", config_file, "--out", out)
@@ -192,8 +199,7 @@ class TestRunCommand:
 
 # The config fields that only shape a run on a seed's data.
 ARM_FIELDS = {"buffer_mode", "budget_images", "factor", "stream_batch", "replay_batch",
-              "learning_rate", "replay_weight", "hidden_units", "embedding_units", "head",
-              "seeds", "out_dir"}
+              "learning_rate", "hidden_units", "embedding_units", "head", "seeds"}
 
 # A value other than BASE_CONFIG's for every config field; a field added to
 # ExperimentConfig needs one here. The memo test builds the data from
@@ -201,13 +207,12 @@ ARM_FIELDS = {"buffer_mode", "budget_images", "factor", "stream_batch", "replay_
 OTHER_VALUE = {
     "dataset": "image_dir", "synthetic_classes": 7,
     "synthetic_resolution": 8, "synthetic_channels": 1, "synthetic_train_per_class": 21,
-    "synthetic_test_per_class": 6, "synthetic_noise": 21.0, "synthetic_pattern_seed": 8,
-    "synthetic_contrast": 26.0, "synthetic_baseline": 33.0, "cifar_train_path": "train.bin",
-    "cifar_test_path": "test.bin", "image_dir": "images", "image_test_fraction": 0.5,
+    "synthetic_test_per_class": 6, "synthetic_noise": 21.0, "cifar_train_path": "train.bin",
+    "cifar_test_path": "test.bin", "image_dir": "images",
     "tasks": 2, "classes_per_task": 1, "buffer_mode": "full", "budget_images": 9,
     "factor": 4, "stream_batch": 4, "replay_batch": 32, "replay_units": "images",
-    "learning_rate": 0.2, "replay_weight": 0.5, "hidden_units": 16, "embedding_units": 8,
-    "head": "softmax", "seeds": (5,), "out_dir": "elsewhere",
+    "learning_rate": 0.2, "hidden_units": 16, "embedding_units": 8,
+    "head": "softmax", "seeds": (5,),
 }
 
 
@@ -308,10 +313,17 @@ class TestExitCodes:
         assert run_cli("run", "--config", tmp_path / "ghost.cfg",
                        "--out", tmp_path / "o") == 3
 
-    def test_unknown_key_is_2(self, tmp_path):
+    # the deleted config keys, each at the value now fixed: only the key is wrong
+    @pytest.mark.parametrize("line", [
+        "who = knows", "synthetic_pattern_seed = 7", "synthetic_contrast = 25.0",
+        "synthetic_baseline = 32.0", "image_test_fraction = 0.2", "replay_weight = 1.0",
+        "out_dir = runs"], ids=lambda line: line.split()[0])
+    def test_unknown_key_is_2(self, tmp_path, capsys, line):
         path = tmp_path / "bad.cfg"
-        path.write_text("who = knows\n")
+        path.write_text(BASE_CONFIG + line + "\n")
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_workers_below_one_is_2(self, tmp_path, config_file, capsys):
         for command in (("run",), ("sweep", "--axis", "f", "--values", "2")):
@@ -325,12 +337,6 @@ class TestExitCodes:
         path.write_text(BASE_CONFIG.replace("replay_batch = 16", "replay_batch = 3"))
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "replay nothing" in capsys.readouterr().err
-
-    def test_negative_pattern_seed_is_2(self, tmp_path, capsys):
-        path = tmp_path / "exp.cfg"
-        path.write_text(BASE_CONFIG + "synthetic_pattern_seed = -1\n")
-        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
-        assert "pattern_seed" in capsys.readouterr().err
 
     def test_seed_beyond_int64_is_2_before_any_output(self, tmp_path, config_file, capsys):
         path = tmp_path / "exp.cfg"
