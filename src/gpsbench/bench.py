@@ -20,8 +20,8 @@ from . import learner as L
 from .buffer import PixelBudget, ReplayBuffer, draw_replay_batch
 from .config import ExperimentConfig
 from .errors import ConfigError, FormatError, NumericalError
-from .imaging import (DOMAIN_BUFFER, DOMAIN_MODEL_INIT, DOMAIN_REPLAY, DOMAIN_STREAM, Rng,
-                      load_ppm, require_square)
+from .imaging import (DOMAIN_BUFFER, DOMAIN_MODEL_INIT, DOMAIN_REPLAY, DOMAIN_STREAM,
+                      DRAW_CHUNK_VALUES, Rng, load_ppm, require_square)
 from .sampler import gps_sample
 
 CIFAR_RECORD_BYTES = 2 + 32 * 32 * 3
@@ -95,10 +95,6 @@ def class_pattern(config: ExperimentConfig, label) -> np.ndarray:
     return np.clip(np.stack(channels, axis=-1), 0.0, 255.0)
 
 
-# float64 noise values per draw (256 KB); an image larger than this is one draw.
-_NOISE_CHUNK_VALUES = 1 << 15
-
-
 def generate_synthetic(config: ExperimentConfig, rng: Rng) -> Dataset:
     """Seeded noisy samples around each class pattern; train/test drawn separately.
 
@@ -119,7 +115,7 @@ def generate_synthetic(config: ExperimentConfig, rng: Rng) -> Dataset:
     counts = (config.synthetic_train_per_class, config.synthetic_test_per_class)
     splits = [allocate(count) for count in counts]
     patterns = [class_pattern(config, c) for c in range(classes)]
-    rows = max(1, _NOISE_CHUNK_VALUES // patterns[0].size)
+    rows = max(1, DRAW_CHUNK_VALUES // patterns[0].size)
     for (pixels, _), count, noise_rng in zip(splits, counts, (rng.split(0), rng.split(1))):
         # Chunked draws yield the same normals as one draw per image.
         for c, pattern in enumerate(patterns):

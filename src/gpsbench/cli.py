@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -124,6 +123,8 @@ def _execute_runs(configs: list[ExperimentConfig], workers: int):
     seeds = list(configs[0].seeds)
     workers = min(workers, len(seeds))
     if workers > 1:
+        # imported here: concurrent.futures.process loads all of multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             by_seed = list(pool.map(_run_seed, [configs] * len(seeds), seeds))
     else:

@@ -25,6 +25,11 @@ DOMAIN_BUFFER = 4
 DOMAIN_REPLAY = 5
 DOMAIN_STREAM = 6
 
+# float64 values per random draw (256 KB). Larger arrays are drawn in pieces of
+# at most this many values, or one row per draw when a row is larger: successive
+# draws from one generator equal one draw of their concatenated shape.
+DRAW_CHUNK_VALUES = 1 << 15
+
 
 class Rng(np.random.Generator):
     """Deterministic numpy Generator over Philox4x64, split via spawn keys.

@@ -20,7 +20,7 @@ import numpy as np
 
 from .buffer import ReplayBuffer
 from .errors import NumericalError
-from .imaging import Rng
+from .imaging import DRAW_CHUNK_VALUES, Rng
 
 
 @dataclass
@@ -40,7 +40,18 @@ class ModelParams:
         return [self.W1, self.b1, self.W2, self.b2, self.Wc, self.bc]
 
     def all_finite(self):
-        return all(np.isfinite(t).all() for t in self.tensors())
+        """True when no tensor holds a NaN or an infinity, as np.isfinite says,
+        without building a bool mask the size of each tensor.
+
+        The test is exact. A finite sum of squares has only finite terms, since
+        no square is negative and so no infinity can cancel; a NaN or an
+        infinity makes the sum NaN or infinite. A sum that overflows while
+        every entry is finite falls back to np.isfinite, and raises no
+        overflow warning.
+        """
+        with np.errstate(over="ignore"):
+            return all(np.isfinite(np.dot(v, v)) or np.isfinite(v).all()
+                       for v in (t.ravel() for t in self.tensors()))
 
     def copy(self):
         return ModelParams(self.input_side, self.channels, *[t.copy() for t in self.tensors()])
@@ -56,8 +67,16 @@ class TrainStepReport:
 
 
 def _glorot(rng: Rng, fan_in, fan_out, dtype):
+    """rng.uniform(-limit, limit, (fan_in, fan_out)).astype(dtype), drawn in row
+    blocks of at most DRAW_CHUNK_VALUES float64 values, so that no float64 copy
+    of the whole matrix is made."""
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, (fan_in, fan_out)).astype(dtype)
+    W = np.empty((fan_in, fan_out), dtype=dtype)
+    rows = max(1, DRAW_CHUNK_VALUES // fan_out)
+    for start in range(0, fan_in, rows):
+        block = W[start : start + rows]  # a view of W
+        block[...] = rng.uniform(-limit, limit, block.shape)
+    return W
 
 
 def init_params(input_side, channels, hidden_units, embedding_units, num_classes,

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from gpsbench.bench import (
-    _NOISE_CHUNK_VALUES,
     _replay_batch,
     CIFAR_RECORD_BYTES,
     Dataset,
@@ -26,6 +25,7 @@ from gpsbench.imaging import (
     DOMAIN_DATA,
     DOMAIN_STREAM,
     DOMAIN_TASK_SPLIT,
+    DRAW_CHUNK_VALUES,
     Rng,
 )
 from gpsbench.sampler import gps_sample
@@ -69,10 +69,10 @@ DESK_SEED_0_SHA256 = {
 
 def _chunk_rows(resolution, channels):
     """Images per noise draw in generate_synthetic; 0 means one draw per image."""
-    return _NOISE_CHUNK_VALUES // (resolution ** 2 * channels)
+    return DRAW_CHUNK_VALUES // (resolution ** 2 * channels)
 
 
-_ABOVE_CHUNK = math.isqrt(_NOISE_CHUNK_VALUES // 3) + 1  # one 3-channel image is larger
+_ABOVE_CHUNK = math.isqrt(DRAW_CHUNK_VALUES // 3) + 1  # one 3-channel image is larger
 
 
 class TestSyntheticMatchesPerImageDraws:

@@ -2,7 +2,9 @@ import copy
 import hashlib
 import importlib.util
 import json
+import os
 import struct
+import subprocess
 import sys
 import weakref
 from dataclasses import fields, replace
@@ -160,7 +162,7 @@ class TestRunCommand:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("gpsbench.cli.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         assert run_cli("run", "--config", config_file, "--out", tmp_path / "a",
                        "--workers", "8") == 0
         assert run_cli("run", "--config", config_file, "--out", tmp_path / "b",
@@ -170,6 +172,18 @@ class TestRunCommand:
         # two seeds: two workers, not eight; one seed runs without a pool;
         # a sweep makes one pool for all its points
         assert sizes == [2, 2]
+
+    def test_import_loads_no_process_pool(self):
+        # concurrent.futures.process loads all of multiprocessing, which only
+        # --workers > 1 uses; a fresh interpreter sees what the import loads
+        code = ("import sys, gpsbench.cli; print(sorted(set(sys.modules) & "
+                "{'multiprocessing', 'concurrent.futures.process'}))")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
     def test_matrix_with_fractional_accuracies_is_pinned(self, tmp_path):
         # accuracies such as 2/3 and 5/6 pin the float formatting of the CSVs

@@ -6,7 +6,7 @@ import pytest
 import gpsbench.learner as L
 from gpsbench.buffer import PixelBudget, ReplayBuffer
 from gpsbench.errors import NumericalError
-from gpsbench.imaging import Rng
+from gpsbench.imaging import DRAW_CHUNK_VALUES, Rng
 from gpsbench.sampler import gps_sample, upsample
 
 
@@ -162,6 +162,18 @@ class TestGradients:
             L.train_step(params, stream, None, 1.0, 0.1, step=17)
         except NumericalError as exc:
             assert "17" in str(exc)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_update_that_overflows_raises_numerical_error(self):
+        # the loss is finite, so only the check after the update can catch it
+        rng = Rng(12)
+        params = L.init_params(4, 3, 8, 4, 3, rng.split(1))
+        params.W2 *= np.float32(1e18)
+        params.Wc *= np.float32(1e18)
+        stream = tiny_images(rng.split(2), 3, r=4, num_classes=3)
+        with pytest.raises(NumericalError, match=re.escape(
+                "non-finite parameters after update (at training step 5)")):
+            L.train_step(params, stream, None, 1.0, 1e4, step=5)
 
 
 def as_float64(params):
@@ -422,3 +434,35 @@ class TestInit:
         b = L.init_params(4, 3, 8, 4, 5, Rng(9).split(1))
         for ta, tb in zip(a.tensors(), b.tensors()):
             np.testing.assert_array_equal(ta, tb)
+
+    # a row larger than a chunk; rows not a multiple of the rows per chunk
+    # (3,000 rows of 128 in chunks of 256); and one value
+    @pytest.mark.parametrize("shape", [(2, DRAW_CHUNK_VALUES + 1), (3000, 128), (1, 1)],
+                             ids=["row_above_chunk", "partial_last_chunk", "one_value"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_glorot_equals_one_draw(self, shape, dtype):
+        rng, reference = Rng(810).split(1), Rng(810).split(1)
+        W = L._glorot(rng, *shape, dtype)
+        limit = np.sqrt(6.0 / sum(shape))
+        expected = reference.uniform(-limit, limit, shape).astype(dtype)
+        assert W.dtype == dtype
+        np.testing.assert_array_equal(W, expected)
+        np.testing.assert_array_equal(rng.uniform(size=4), reference.uniform(size=4))
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("name", ["W1", "b1", "W2", "b2", "Wc", "bc"])
+    def test_nan_or_infinity_in_any_tensor_is_caught(self, name):
+        params = L.init_params(2, 3, 8, 4, 2, Rng(820).split(1))
+        assert params.all_finite()
+        for value in (np.nan, np.inf, -np.inf):
+            broken = params.copy()
+            getattr(broken, name).flat[-1] = value
+            assert not broken.all_finite(), value
+
+    def test_finite_entries_whose_sum_of_squares_overflows_are_finite(self):
+        params = L.init_params(2, 3, 8, 4, 2, Rng(821).split(1))
+        params.W1[...] = np.float32(2e19)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(params.W1.ravel(), params.W1.ravel()))
+        assert params.all_finite()  # and warns of no overflow, an error under pytest
