@@ -22,6 +22,23 @@ from .buffer import ReplayBuffer
 from .errors import NumericalError
 from .imaging import DRAW_CHUNK_VALUES, Rng
 
+# Bytes of W1's gradient that train_step holds at once: a block of them, the
+# W1 rows it updates and the inputs' columns stay in a 2 MB L2 cache together.
+W1_BLOCK_BYTES = 1 << 18
+
+
+def _finite(t) -> bool:
+    """np.isfinite(t).all(), without building a bool mask the size of t.
+
+    The test is exact. A finite sum of squares has only finite terms, since
+    no square is negative and so no infinity can cancel; a NaN or an
+    infinity makes the sum NaN or infinite. A sum that overflows while
+    every entry is finite falls back to np.isfinite. Call it under
+    np.errstate(over="ignore"), so that such a sum raises no warning.
+    """
+    v = t.ravel()
+    return bool(np.isfinite(np.dot(v, v)) or np.isfinite(v).all())
+
 
 @dataclass
 class ModelParams:
@@ -40,18 +57,9 @@ class ModelParams:
         return [self.W1, self.b1, self.W2, self.b2, self.Wc, self.bc]
 
     def all_finite(self):
-        """True when no tensor holds a NaN or an infinity, as np.isfinite says,
-        without building a bool mask the size of each tensor.
-
-        The test is exact. A finite sum of squares has only finite terms, since
-        no square is negative and so no infinity can cancel; a NaN or an
-        infinity makes the sum NaN or infinite. A sum that overflows while
-        every entry is finite falls back to np.isfinite, and raises no
-        overflow warning.
-        """
+        """True when no tensor holds a NaN or an infinity (see `_finite`)."""
         with np.errstate(over="ignore"):
-            return all(np.isfinite(np.dot(v, v)) or np.isfinite(v).all()
-                       for v in (t.ravel() for t in self.tensors()))
+            return all(_finite(t) for t in self.tensors())
 
     def copy(self):
         return ModelParams(self.input_side, self.channels, *[t.copy() for t in self.tensors()])
@@ -161,6 +169,53 @@ def _replay_factor(params: ModelParams, pixels) -> int:
     return params.input_side // side
 
 
+def _transposed_product(A, B, out):
+    """out[...] = A.T @ B for (n, m) and (n, k) matrices, A a block of columns.
+
+    At n = 1 matmul takes a slow non-BLAS loop, and np.dot calls BLAS; at
+    n > 1 np.dot first copies a block of columns, and matmul does not.
+    """
+    (np.dot if len(A) == 1 else np.matmul)(A.T, B, out=out)
+
+
+def _update_W1(params: ModelParams, X, d_h, Xs, d_hs, f, step_size) -> bool:
+    """W1 -= step_size * (X.T @ d_h + the f x f block repeat of Xs.T @ d_hs),
+    one block of W1's rows at a time; True when every updated row is finite.
+
+    Each block holds whole rows of f x f patches: as many as fit in
+    W1_BLOCK_BYTES of gradient, and at least one. So the gradient, the W1
+    rows it updates and the inputs' columns stay in cache: one pass over W1,
+    and no gradient the size of W1. A block of a product's rows equals those
+    rows of the whole product, and the rest is elementwise, so the update is
+    bit-identical to the unblocked one. Xs is None when no surrogate trains;
+    f is then 1.
+    """
+    W1 = params.W1
+    side = params.input_side // f
+    patch_rows = f * params.input_side * params.channels  # W1 rows per row of patches
+    rows = patch_rows * max(1, W1_BLOCK_BYTES // (patch_rows * W1[0].nbytes))
+    grad = np.empty((min(rows, len(W1)), W1.shape[1]), dtype=W1.dtype)
+    if Xs is not None:
+        grad_s = np.empty((len(grad) // f ** 2, W1.shape[1]), dtype=W1.dtype)
+        width = params.channels * W1.shape[1]  # one pixel's W1 rows, flattened
+    finite = True
+    for r0 in range(0, len(W1), rows):
+        r1 = min(r0 + rows, len(W1))
+        block = grad[:r1 - r0]
+        _transposed_product(X[:, r0:r1], d_h, block)
+        if Xs is not None:
+            # each surrogate input feeds the f x f block of W1 rows it pools
+            s0, s1 = r0 // f ** 2, r1 // f ** 2
+            _transposed_product(Xs[:, s0:s1], d_hs, grad_s[:s1 - s0])
+            blocks = block.reshape(-1, f, side, f, width)  # a view of block
+            blocks += grad_s[:s1 - s0].reshape(-1, 1, side, 1, width)
+        block *= step_size
+        W1[r0:r1] -= block
+        finite = finite and _finite(W1[r0:r1])
+    return finite
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, lr,
                step=None) -> TrainStepReport:
     """One in-place SGD step on the combined stream + weighted replay loss.
@@ -175,19 +230,26 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     rows; with replay_weight == 0 the replay pass is skipped entirely, so
     the update is bit-identical to a stream-only step. A replay side that
     does not divide the model's is a ValueError.
+
+    W1 is updated in cache-sized blocks of rows (`_update_W1`): its gradient,
+    replay block add, update and finiteness check are one pass, with no
+    gradient array the size of W1. The five small tensors take a whole
+    gradient each. Overflow and invalid-value warnings are silenced: the
+    loss check and the parameter check report a divergence as a
+    NumericalError, and every tensor is updated before the second raises.
     """
     stream_pixels, stream_labels = stream_batch
     if not len(stream_labels):
         raise ValueError("stream batch must be non-empty")
     use_replay = (replay_batch is not None and len(replay_batch[1]) > 0
                   and replay_weight != 0.0)
-    pixels, surrogates = stream_pixels, None
+    pixels, Xs, f = stream_pixels, None, 1
     if use_replay:
         f = _replay_factor(params, replay_batch[0])
         if f == 1:
             pixels = np.concatenate([stream_pixels, replay_batch[0]])
         else:
-            surrogates = replay_batch[0]
+            Xs = _to_matrix(params, replay_batch[0], f)
         labels = np.concatenate([stream_labels, replay_batch[1]]).astype(np.intp)
     else:
         labels = np.asarray(stream_labels, dtype=np.intp)
@@ -203,8 +265,7 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
 
     X = _to_matrix(params, pixels)
     first = X @ params.W1
-    if surrogates is not None:
-        Xs = _to_matrix(params, surrogates, f)
+    if Xs is not None:
         first = np.concatenate([first, Xs @ _pooled_W1(params, f)])
     h_pre, h, emb, logits = _forward(params, first)
     losses = _cross_entropy(logits, labels)
@@ -234,22 +295,16 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     db2 = d_emb.sum(axis=0)
     d_h = d_emb @ params.W2.T
     d_h *= h_pre > 0
-    dW1 = X.T @ d_h[:len(X)]
-    if surrogates is not None:
-        # each surrogate input feeds the f x f block of W1 rows it pools
-        side = params.input_side // f
-        blocks = dW1.reshape(side, f, side, f, -1)  # a view of dW1
-        # np.dot: matmul's (n, d).T @ (n, H) takes a slow non-BLAS loop at n = 1
-        blocks += np.dot(Xs.T, d_h[len(X):]).reshape(side, 1, side, 1, -1)
     db1 = d_h.sum(axis=0)
 
-    # scale each gradient in place: the same products without a temporary
     step_size = dtype.type(lr)
-    for param, grad in ((params.W1, dW1), (params.b1, db1), (params.W2, dW2),
-                        (params.b2, db2), (params.Wc, dWc), (params.bc, dbc)):
+    finite = _update_W1(params, X, d_h[:len(X)], Xs, d_h[len(X):], f, step_size)
+    # scale each gradient in place: the same products without a temporary
+    for param, grad in ((params.b1, db1), (params.W2, dW2), (params.b2, db2),
+                        (params.Wc, dWc), (params.bc, dbc)):
         grad *= step_size
         param -= grad
-    if not params.all_finite():
+    if not (finite and all(_finite(t) for t in params.tensors()[1:])):
         raise NumericalError("non-finite parameters after update", step=step)
     return TrainStepReport(combined, stream_loss, replay_loss, n_stream, n_replay)
 

@@ -356,7 +356,6 @@ def test_golden_outputs_of_criterion_10_config(tmp_path, capsys):
     assert got == GOLDEN_SHA256
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
 def test_diverging_run_writes_partial_artifacts(tmp_path):
     config = tmp_path / "exp.cfg"
     config.write_text(CRITERION_10_CONFIG + "learning_rate = 1000000\n")

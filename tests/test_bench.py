@@ -447,7 +447,6 @@ class TestRunOnline:
         # the replay, model and buffer splits, then one per step
         assert len(calls) == result.step_count + 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the divergence is the point
     def test_numerical_failure_is_returned_with_the_partial_run(self):
         result, stream = small_run(seed=16, learning_rate=1e6)
         assert result.failure is not None

@@ -65,6 +65,15 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def fresh_python(*argv):
+    """A new interpreter's completed process, importing this gpsbench."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestRunCommand:
     def test_writes_expected_artifacts(self, tmp_path, config_file, capsys):
         out = tmp_path / "out"
@@ -178,12 +187,8 @@ class TestRunCommand:
         # --workers > 1 uses; a fresh interpreter sees what the import loads
         code = ("import sys, gpsbench.cli; print(sorted(set(sys.modules) & "
                 "{'multiprocessing', 'concurrent.futures.process'}))")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True, timeout=60)
-        assert out.stdout.strip() == "[]"
+        out = fresh_python("-c", code)
+        assert out.returncode == 0 and out.stdout.strip() == "[]"
 
     def test_matrix_with_fractional_accuracies_is_pinned(self, tmp_path):
         # accuracies such as 2/3 and 5/6 pin the float formatting of the CSVs
@@ -326,6 +331,19 @@ class TestExitCodes:
     def test_missing_config_is_3(self, tmp_path):
         assert run_cli("run", "--config", tmp_path / "ghost.cfg",
                        "--out", tmp_path / "o") == 3
+
+    def test_diverging_run_is_4_without_numpy_warnings(self, tmp_path):
+        # a new interpreter, outside pytest's warning filters, prints every
+        # RuntimeWarning to stderr
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG.replace("seeds = 0,1", "seeds = 0")
+                        + "learning_rate = 1000000\n")
+        out = fresh_python("-W", "default", "-m", "gpsbench.cli", "run", "--config", path,
+                           "--out", tmp_path / "o")
+        assert out.returncode == 4
+        assert out.stdout == ("seed 0: FAILED (non-finite training loss (stream=nan, "
+                              "replay=nan) (at training step 2))\n")
+        assert out.stderr == "error: one or more seeds failed; partial artifacts written\n"
 
     # the deleted config keys, each at the value now fixed: only the key is wrong
     @pytest.mark.parametrize("line", [

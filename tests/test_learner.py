@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,7 +151,6 @@ class TestGradients:
         with pytest.raises(ValueError):
             L.train_step(params, bad, None, 1.0, 0.1)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_state_raises_numerical_error(self):
         rng = Rng(11)
         params = L.init_params(2, 3, 8, 4, 2, rng.split(1))
@@ -163,7 +163,6 @@ class TestGradients:
         except NumericalError as exc:
             assert "17" in str(exc)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_update_that_overflows_raises_numerical_error(self):
         # the loss is finite, so only the check after the update can catch it
         rng = Rng(12)
@@ -273,6 +272,132 @@ class TestSurrogateReplay:
             L.train_step(params, stream, replay, 1.0, 0.1)
         for ta, tb in zip(params.tensors(), before.tensors()):
             np.testing.assert_array_equal(ta, tb)
+
+
+def unblocked_update_W1(params, X, d_h, Xs, d_hs, f, step_size):
+    """The W1 update as one whole gradient: X.T @ d_h, the block add of the
+    surrogate gradient, then the scale and the subtraction, each over all of
+    W1; the oracle for `_update_W1`."""
+    dW1 = X.T @ d_h
+    if Xs is not None:
+        side = params.input_side // f
+        blocks = dW1.reshape(side, f, side, f, -1)  # a view of dW1
+        blocks += np.dot(Xs.T, d_hs).reshape(side, 1, side, 1, -1)
+    dW1 *= step_size
+    params.W1 -= dW1
+    return bool(np.isfinite(params.W1).all())
+
+
+def param_bytes(params):
+    return [t.tobytes() for t in params.tensors()]
+
+
+class TestBlockedW1Update:
+    """train_step updates W1 in row blocks, bit-identically to one whole
+    gradient, and holds no gradient the size of W1."""
+
+    # (side, channels, hidden, f); f = 1 replays full-size rows. 20x20x3 at
+    # f = 2 has 10 rows of patches, and 256 KB blocks hold 4 of them.
+    SHAPES = [(8, 1, 16, 1), (8, 3, 16, 2), (16, 3, 32, 4), (20, 3, 128, 2), (12, 1, 24, 2)]
+
+    @pytest.mark.parametrize("block_bytes", [1, L.W1_BLOCK_BYTES],
+                             ids=["one_patch_row", "default"])
+    @pytest.mark.parametrize("side, channels, hidden, f", SHAPES)
+    @pytest.mark.parametrize("replay", ["surrogates", "one_surrogate", "none", "weight_zero"])
+    @pytest.mark.parametrize("n_stream", [1, 7])
+    def test_equals_the_unblocked_update(self, monkeypatch, side, channels, hidden, f,
+                                         replay, n_stream, block_bytes):
+        monkeypatch.setattr(L, "W1_BLOCK_BYTES", block_bytes)
+        rng = Rng(60 + side + channels + f)
+        a = L.init_params(side, channels, hidden, 8, 4, rng.split(1))
+        b = a.copy()
+        for step in range(4):
+            stream = tiny_images(rng.split(2, step), n_stream, r=side, channels=channels,
+                                 num_classes=4)
+            surrogates = tiny_images(rng.split(3, step), 6, r=side // f, channels=channels,
+                                     num_classes=4)
+            batch, weight = {"surrogates": (surrogates, 1.0),
+                             "one_surrogate": ((surrogates[0][:1], surrogates[1][:1]), 1.0),
+                             "none": (None, 1.0), "weight_zero": (surrogates, 0.0)}[replay]
+            L.train_step(a, stream, batch, weight, 0.1)
+            with monkeypatch.context() as m:
+                m.setattr(L, "_update_W1", unblocked_update_W1)
+                L.train_step(b, stream, batch, weight, 0.1)
+            assert param_bytes(a) == param_bytes(b), f"step {step}"
+
+    def test_blocks_hold_whole_patch_rows(self, monkeypatch):
+        # 20x20x3 at f = 2: 120 W1 rows per row of patches, 4 of them per
+        # block; each block is checked for finiteness once it is updated
+        shapes = []
+        finite = L._finite
+
+        def recording_finite(t):
+            shapes.append(t.shape)
+            return finite(t)
+
+        monkeypatch.setattr(L, "_finite", recording_finite)
+        rng = Rng(70)
+        params = L.init_params(20, 3, 128, 8, 4, rng.split(1))
+        L.train_step(params, tiny_images(rng.split(2), 3, r=20, num_classes=4),
+                     tiny_images(rng.split(3), 6, r=10, num_classes=4), 1.0, 0.1)
+        assert shapes == [(480, 128), (480, 128), (240, 128),
+                          (128,), (128, 8), (8,), (8, 4), (4,)]
+
+    def test_overflow_in_a_middle_block_raises_after_every_block_is_updated(
+            self, monkeypatch):
+        # 8x8x1 at f = 2 in blocks of one row of patches: W1 rows 16-31 are
+        # the second of four blocks. The four W1 rows of the surrogate pixel
+        # (1, 0) hold +M, +M, -M, -M, so they pool to exactly 0 and the forward
+        # pass stays finite; the stream rows are 0 there. Each of the four rows
+        # takes the same gradient, so a large enough step overflows one sign.
+        monkeypatch.setattr(L, "W1_BLOCK_BYTES", 1)
+        rng = Rng(80)
+        params = L.init_params(8, 1, 8, 4, 3, rng.split(1))
+        params.W2 *= np.float32(10)
+        params.b1 += np.float32(0.5)  # the surrogates' hidden units are b1 alone
+        stream_pixels = rng.split(2).integers(1, 256, (2, 8, 8, 1)).astype(np.uint8)
+        stream_pixels[:, 2:4, 0:2] = 0
+        stream = stream_pixels, np.array([0, 1])
+        surrogates = np.zeros((4, 4, 4, 1), dtype=np.uint8)
+        surrogates[:, 1, 0] = 255
+        replay = surrogates, np.array([2, 2, 2, 2])
+        patch = [16, 17, 24, 25]
+        params.W1[patch] = 0
+        probe = params.copy()
+        L.train_step(probe, stream, replay, 100.0, 1.0)
+        gradients = [t - u for t, u in zip(params.tensors(), probe.tensors())]
+        step_size = 2.5e38 / np.abs(gradients[0][patch]).max()
+        assert max(np.abs(g).max() for g in gradients) * step_size < 3e38
+        params.W1[patch] = np.float32(1e38) * np.array([1, 1, -1, -1], np.float32)[:, None]
+        oracle = params.copy()
+        with pytest.raises(NumericalError, match=re.escape(
+                "non-finite parameters after update (at training step 9)")):
+            L.train_step(params, stream, replay, 100.0, step_size, step=9)
+        bad_rows = np.flatnonzero(~np.isfinite(params.W1).all(axis=1))
+        assert len(bad_rows) and set(bad_rows) <= set(patch)
+        assert all(np.isfinite(t).all() for t in params.tensors()[1:])
+        monkeypatch.setattr(L, "_update_W1", unblocked_update_W1)
+        with pytest.raises(NumericalError):
+            L.train_step(oracle, stream, replay, 100.0, step_size, step=9)
+        assert param_bytes(params) == param_bytes(oracle)
+
+    def test_peak_memory_is_below_one_W1(self):
+        # wide-gps's shapes: 32x32x3 input, 128 hidden units, 10 stream rows
+        # and 100 surrogates at f = 2
+        rng = Rng(90)
+        params = L.init_params(32, 3, 128, 64, 10, rng.split(1))
+        stream = tiny_images(rng.split(2), 10, r=32, num_classes=10)
+        replay = tiny_images(rng.split(3), 100, r=16, num_classes=10)
+        L.train_step(params, stream, replay, 1.0, 0.1)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            L.train_step(params, stream, replay, 1.0, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rise, limit = peak - entry, params.W1.nbytes
+        assert rise < limit
 
 
 def filled_buffer(seed, mode="gps", r=8, f=2, budget=4, classes=3,
