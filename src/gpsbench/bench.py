@@ -197,7 +197,8 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
 
     A task whose classes have no test image is a FormatError.
     """
-    classes = np.unique(dataset.train_labels).tolist()
+    # not np.unique: without return_index it imports all of numpy.ma
+    classes = sorted(set(dataset.train_labels.tolist()))
     needed = task_count * classes_per_task
     if needed > len(classes):
         raise ConfigError(

@@ -120,8 +120,11 @@ def _pooled_W1(params: ModelParams, factor) -> np.ndarray:
     It is the first layer for surrogates of side s = input_side / factor:
         upsample(x, f).reshape(n, -1) @ W1 == x.reshape(n, -1) @ W1p
     up to float rounding, since pixel repetition makes each block one value.
-    At factor 1 it equals W1.
+    At factor 1 it is W1 itself, not a copy, so a full-resolution buffer's
+    prototypes cost no W1-sized temporary.
     """
+    if factor == 1:
+        return params.W1
     side = params.input_side // factor
     W1p = params.W1.reshape(side, factor, side, factor, -1).sum(axis=(1, 3))
     return W1p.reshape(side * side * params.channels, -1)
@@ -316,7 +319,7 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
     Exemplars are embedded at their own side s = input_side / f, f the
     buffer's factor, through W1 pooled over each f x f block (`_pooled_W1`):
     the embedding of their upsampled images up to float rounding, at 1/f^2
-    of the first layer's work; at f = 1 the pooled W1 equals W1. Exemplars
+    of the first layer's work; at f = 1 the pooled W1 is W1 itself. Exemplars
     that do not upsample to the model input are a ValueError.
     """
     class_slots = buf.class_slots()

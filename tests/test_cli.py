@@ -190,6 +190,24 @@ class TestRunCommand:
         out = fresh_python("-c", code)
         assert out.returncode == 0 and out.stdout.strip() == "[]"
 
+    def test_run_loads_no_numpy_module(self):
+        # np.unique without return_index imports all of numpy.ma (2 MB of
+        # RSS); a run of each arm and head must load no numpy module that
+        # `import gpsbench.cli` has not
+        code = """\
+import sys, gpsbench.cli as cli
+from gpsbench.config import parse_config
+before = set(sys.modules)
+for mode, head in (("gps", "ncm"), ("full", "ncm"), ("none", "softmax")):
+    text = sys.argv[1].replace("buffer_mode = gps", f"buffer_mode = {mode}")
+    cli.run_one_seed(parse_config(f"{text}head = {head}\\n"), 0)
+print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] == "numpy"))
+"""
+        out = fresh_python("-c", code, BASE_CONFIG)
+        assert out.returncode == 0, out.stderr
+        loaded = out.stdout.strip()
+        assert loaded == "[]", f"a run loaded numpy modules (numpy.ma must not load): {loaded}"
+
     def test_matrix_with_fractional_accuracies_is_pinned(self, tmp_path):
         # accuracies such as 2/3 and 5/6 pin the float formatting of the CSVs
         path = tmp_path / "exp.cfg"

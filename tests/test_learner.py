@@ -518,6 +518,26 @@ class TestNcm:
             direct = L.embed_batch(params, buf.slab[buf.labels == label]).mean(axis=0)
             assert np.array_equal(mean, direct)
 
+    def test_factor_one_pooled_W1_is_W1(self):
+        params = L.init_params(8, 3, 16, 8, 3, Rng(722))
+        assert np.shares_memory(L._pooled_W1(params, 1), params.W1)
+
+    def test_full_buffer_prototypes_copy_no_W1(self):
+        # desk's shapes: 32x32x3 input, 128 hidden units, a full buffer of
+        # 20 images; the first layer takes W1 itself, not a pooled copy
+        params = L.init_params(32, 3, 128, 64, 10, Rng(723))
+        buf = filled_buffer(724, mode="full", r=32, budget=20, classes=10)
+        L.ncm_prototypes(params, buf)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            L.ncm_prototypes(params, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rise, limit = peak - entry, params.W1.nbytes
+        assert rise < limit
+
     @pytest.mark.parametrize("resolution, f", [(16, 1), (16, 2), (30, 4)])
     def test_buffer_must_upsample_to_the_model_side(self, resolution, f):
         params = L.init_params(32, 3, 128, 64, 3, Rng(730))
