@@ -32,16 +32,11 @@ _HEADER = struct.Struct("<4sHHIIBQ")
 
 @dataclass(frozen=True)
 class PixelBudget:
-    """Memory budget expressed as K reference images of resolution r."""
+    """Memory budget expressed as K reference images of resolution r. Plain
+    data: `_geometry` checks it when a buffer is built or restored."""
 
     image_count: int
     resolution: int
-
-    def __post_init__(self):
-        if self.image_count < 1:
-            raise ConfigError(f"budget image count must be >= 1, got {self.image_count}")
-        if self.resolution < 1:
-            raise ConfigError(f"budget resolution must be >= 1, got {self.resolution}")
 
     @property
     def capacity_pixels(self):
@@ -50,6 +45,8 @@ class PixelBudget:
 
 def _geometry(budget: PixelBudget, factor: int, channels: int):
     """(exemplar side, slot count) of a buffer; ConfigError if impossible."""
+    if budget.image_count < 1:
+        raise ConfigError(f"budget image count must be >= 1, got {budget.image_count}")
     if channels not in (1, 3):
         raise ConfigError(f"channel count must be 1 or 3, got {channels}")
     return grid_side(factor, budget.resolution), budget.image_count * factor ** 2
@@ -139,10 +136,10 @@ class ReplayBuffer:
         return fill + len(evicted), evicted
 
     def class_slots(self):
-        """{class: its occupied slot indices, ascending}, ascending by class."""
-        by_class = np.argsort(self.labels[: self.occupied_count], kind="stable")
-        classes, starts = np.unique(self.labels[by_class], return_index=True)
-        return dict(zip(classes.tolist(), np.split(by_class, starts[1:])))
+        """{class: its occupied slot indices, ascending}, ascending by class:
+        one pass over the labels per class, with no sort of the slots."""
+        labels = self.labels[: self.occupied_count]
+        return {c: np.flatnonzero(labels == c) for c in sorted(set(labels.tolist()))}
 
     def class_counts(self):
         """{class: exemplar count}, ascending by class."""
@@ -174,8 +171,8 @@ class ReplayBuffer:
             raise FormatError(
                 f"unsupported snapshot version {version}: expected {SNAPSHOT_VERSION}"
             )
+        budget = PixelBudget(image_count, resolution)
         try:
-            budget = PixelBudget(image_count, resolution)
             side, slot_count = _geometry(budget, factor, channels)
         except ConfigError as exc:
             raise FormatError(f"invalid snapshot header: {exc}") from None

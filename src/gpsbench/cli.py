@@ -87,22 +87,30 @@ def run_one_seed(config: ExperimentConfig, seed: int):
             "snapshot": None if result.buf is None else result.buf.snapshot()}
 
 
-def _write_matrix_csvs(out_dir: Path, record):
-    seed = record["seed"]
-    suffix = "" if record["status"] == "ok" else ".partial"
-    matrix_path = out_dir / f"seed_{seed}_matrix{suffix}.csv"
-    with open(matrix_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,i,a\n")
-        for t, i, a in record["entries"]:
-            fh.write(f"{t},{i},{a!r}\n")
-    if record["end_row"] is not None:
-        end_path = out_dir / f"seed_{seed}_end.csv"
-        with open(end_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("task_i,a_N_i\n")
-            for i, a in enumerate(record["end_row"]):
-                fh.write(f"{i},{a!r}\n")
-    if record["snapshot"] is not None:
-        (out_dir / f"seed_{seed}_buffer.gpsb").write_bytes(record["snapshot"])
+def _write_csv(path: Path, header, rows):
+    """A header line, then one line per row: strings as they are, every other
+    value by repr, which writes a Python float exactly. Rows hold Python
+    numbers (`.tolist()`, `float()`): a numpy scalar's repr names its type."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
+
+
+def _write_records(out_dir: Path, records):
+    """Write each record's CSVs and snapshot into out_dir, making it if need
+    be; returns the a_end of every run that finished, in seed order."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for r in records:
+        seed = r["seed"]
+        suffix = "" if r["status"] == "ok" else ".partial"
+        _write_csv(out_dir / f"seed_{seed}_matrix{suffix}.csv", "t,i,a", r["entries"])
+        if r["end_row"] is not None:
+            _write_csv(out_dir / f"seed_{seed}_end.csv", "task_i,a_N_i",
+                       enumerate(r["end_row"]))
+        if r["snapshot"] is not None:
+            (out_dir / f"seed_{seed}_buffer.gpsb").write_bytes(r["snapshot"])
+    return [r["a_end"] for r in records if r["status"] == "ok"]
 
 
 def _summary_stats(a_ends):
@@ -143,21 +151,16 @@ def _require_out_dir(out_dir: Path):
 def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
     _require_out_dir(out_dir)
     [records] = _execute_runs([config], workers)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for record in records:
-        _write_matrix_csvs(out_dir, record)
-    ok = [r for r in records if r["status"] == "ok"]
-    a_ends = [r["a_end"] for r in ok]
+    a_ends = _write_records(out_dir, records)
     if a_ends:
         mean, std = _summary_stats(a_ends)
-        with open(out_dir / "summary.csv", "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("n_seeds,mean_a_end,std_a_end\n")
-            fh.write(f"{len(a_ends)},{mean!r},{std!r}\n")
+        _write_csv(out_dir / "summary.csv", "n_seeds,mean_a_end,std_a_end",
+                   [(len(a_ends), mean, std)])
     manifest = {
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "config": asdict(config),
-        "status": "ok" if len(ok) == len(records) else "numerical_failure",
+        "status": "ok" if len(a_ends) == len(records) else "numerical_failure",
         "runs": [
             {"seed": r["seed"], "status": r["status"], "a_end": r["a_end"],
              "failure": r["failure"]}
@@ -175,7 +178,7 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
             print(f"{label}: FAILED ({r['failure']})")
     if a_ends:
         print(f"summary: mean a_end = {mean:.4f} +- {std:.4f} over {len(a_ends)} seeds")
-    if len(ok) != len(records):
+    if len(a_ends) != len(records):
         raise NumericalError("one or more seeds failed; partial artifacts written")
     return 0
 
@@ -214,23 +217,17 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
     rows = []
     failure = None
     for (_, value), records in zip(points, point_records):
-        point_dir = out_dir / f"{axis_field}_{value}"
-        point_dir.mkdir(parents=True, exist_ok=True)
-        for record in records:
-            _write_matrix_csvs(point_dir, record)
+        a_ends = _write_records(out_dir / f"{axis_field}_{value}", records)
         bad = [r["seed"] for r in records if r["status"] != "ok"]
         if bad:
             failure = failure or f"sweep point {axis_field}={value} failed on seed {bad[0]}"
             continue
-        mean, std = _summary_stats([r["a_end"] for r in records])
+        mean, std = _summary_stats(a_ends)
         rows.append((value, mean, std))
         print(f"{axis_field} = {value}: mean a_end = {mean:.4f} +- {std:.4f}")
     if failure:
         raise NumericalError(failure)
-    with open(out_dir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{axis_field},mean_a_end,std_a_end\n")
-        for value, mean, std in rows:
-            fh.write(f"{value},{mean!r},{std!r}\n")
+    _write_csv(out_dir / "sweep.csv", f"{axis_field},mean_a_end,std_a_end", rows)
     return 0
 
 
@@ -301,22 +298,22 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment config across its seeds")
-    p_run.add_argument("--config", required=True, help="path to the experiment config")
+    runs = argparse.ArgumentParser(add_help=False)  # what run and sweep share
+    runs.add_argument("--config", required=True, help="path to the experiment config")
+    runs.add_argument("--out", default="runs", help="output directory")
+    runs.add_argument("--workers", type=integer, default=1,
+                      help="worker processes across seeds")
+
+    p_run = sub.add_parser("run", parents=[runs],
+                           help="run an experiment config across its seeds")
     p_run.add_argument("--seed", type=integer, default=None,
                        help="override the config's seed list with one seed")
-    p_run.add_argument("--out", default="runs", help="output directory")
-    p_run.add_argument("--workers", type=integer, default=1,
-                       help="worker processes across seeds")
 
-    p_sweep = sub.add_parser("sweep", help="run one config over an axis of values")
-    p_sweep.add_argument("--config", required=True)
+    p_sweep = sub.add_parser("sweep", parents=[runs],
+                             help="run one config over an axis of values")
     p_sweep.add_argument("--axis", required=True, help="f, K, or mode")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values, e.g. 1,2,4")
-    p_sweep.add_argument("--out", default="runs", help="output directory")
-    p_sweep.add_argument("--workers", type=integer, default=1,
-                         help="worker processes across seeds")
 
     p_comp = sub.add_parser("compress", help="compress one PPM image into a surrogate")
     p_comp.add_argument("input", help="square binary PPM file")

@@ -56,6 +56,10 @@ class ExperimentConfig:
 
     def validate(self):
         """Raise a ConfigError naming the first bad key; return self."""
+        for f in fields(self):  # first, so that no check below meets a wrong type
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _TYPES[f.type]):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.dataset not in DATASET_KINDS:
             raise ConfigError(f"dataset must be one of {DATASET_KINDS}, got {self.dataset!r}")
         if self.dataset == "cifar100":
@@ -97,8 +101,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be a non-empty list of integers")
         for s in self.seeds:
             # numpy takes any size; the bound keeps a seed a signed 64-bit integer
-            if not 0 <= s < 2 ** 63:
-                raise ConfigError(f"seeds must lie in [0, 2^63), got {s}")
+            if isinstance(s, bool) or not isinstance(s, int) or not 0 <= s < 2 ** 63:
+                raise ConfigError(f"seeds must be integers in [0, 2^63), got {s!r}")
         if len(set(self.seeds)) != len(self.seeds):
             # a repeated seed rewrites its own files yet counts twice in the summary
             raise ConfigError(f"seeds must not repeat, got {list(self.seeds)}")
@@ -127,6 +131,8 @@ def _parse_value(name, kind, raw):
 
 
 _KIND = {"int": int, "float": float, "str": str, "tuple": tuple}
+# The types a field of each kind takes in code; a bool, though an int, is none.
+_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": (tuple, list)}
 
 
 def parse_config(text) -> ExperimentConfig:

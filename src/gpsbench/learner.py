@@ -56,11 +56,6 @@ class ModelParams:
     def tensors(self):
         return [self.W1, self.b1, self.W2, self.b2, self.Wc, self.bc]
 
-    def all_finite(self):
-        """True when no tensor holds a NaN or an infinity (see `_finite`)."""
-        with np.errstate(over="ignore"):
-            return all(_finite(t) for t in self.tensors())
-
     def copy(self):
         return ModelParams(self.input_side, self.channels, *[t.copy() for t in self.tensors()])
 
@@ -142,10 +137,6 @@ def _forward(params: ModelParams, first):
 
 def embed_batch(params: ModelParams, pixels) -> np.ndarray:
     return _forward(params, _to_matrix(params, pixels) @ params.W1)[2]
-
-
-def logits_batch(params: ModelParams, pixels) -> np.ndarray:
-    return _forward(params, _to_matrix(params, pixels) @ params.W1)[3]
 
 
 def softmax(logits):
@@ -350,4 +341,4 @@ def classify_batch(prototypes, params: ModelParams, pixels) -> np.ndarray:
 
 def softmax_classify_batch(params: ModelParams, pixels) -> np.ndarray:
     """Argmax-logit labels; ties go to the smallest class id."""
-    return np.argmax(logits_batch(params, pixels), axis=1)
+    return np.argmax(_forward(params, _to_matrix(params, pixels) @ params.W1)[3], axis=1)

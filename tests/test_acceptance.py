@@ -10,6 +10,10 @@ and the no-buffer control ~0.20, so the sign test (7) and the 15-point gap
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,6 +358,74 @@ def test_golden_outputs_of_criterion_10_config(tmp_path, capsys):
             data = (out / name).read_bytes()
         got[name] = hashlib.sha256(data).hexdigest()
     assert got == GOLDEN_SHA256
+
+
+# The summary and sweep tables of the criterion-10 config: a sweep value is
+# written as it is, an a_end by repr.
+TABLES = {
+    ("run",): "n_seeds,mean_a_end,std_a_end\n2,1.0,0.0\n",
+    ("sweep", "--axis", "mode", "--values", "gps,full"):
+        "buffer_mode,mean_a_end,std_a_end\ngps,1.0,0.0\nfull,0.8333333333333334,0.0\n",
+    ("sweep", "--axis", "f", "--values", "1,2"):
+        "factor,mean_a_end,std_a_end\n1,0.8333333333333334,0.0\n2,1.0,0.0\n",
+}
+
+
+@pytest.mark.parametrize("argv", TABLES, ids=["summary", "sweep_mode", "sweep_f"])
+def test_summary_and_sweep_tables_of_criterion_10_config(tmp_path, argv):
+    config = tmp_path / "exp.cfg"
+    config.write_text(CRITERION_10_CONFIG)
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--config", str(config), "--out", str(out)]) == 0
+    table = out / ("summary.csv" if argv == ("run",) else "sweep.csv")
+    assert table.read_bytes() == TABLES[argv].encode()
+
+
+# Runs the criterion-10 config as `gps run` does and prints to stderr a hash
+# of every seed's trained parameters.
+KERNEL_CHILD = """
+import hashlib, sys
+import gpsbench.cli as cli
+params, run_online = hashlib.sha256(), cli.run_online
+def recording(stream, config, rng):
+    result = run_online(stream, config, rng)
+    for t in result.params.tensors():
+        params.update(t.tobytes())
+    return result
+cli.run_online = recording
+code = cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(params.hexdigest(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_accuracy_outputs_are_exact_across_blas_kernels(tmp_path):
+    # OpenBLAS picks its kernels by CPU; OPENBLAS_CORETYPE=Nehalem forces the
+    # SSE ones. Training floats differ between kernels, yet every accuracy
+    # entry, snapshot and printed line must not.
+    config = tmp_path / "exp.cfg"
+    config.write_text(CRITERION_10_CONFIG)
+    src = str(Path(L.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    runs = []
+    for coretype in ({}, {"OPENBLAS_CORETYPE": "Nehalem"}):
+        out = tmp_path / f"out{len(runs)}"
+        child = subprocess.run([sys.executable, "-c", KERNEL_CHILD, str(config), str(out)],
+                               env={**env, **coretype}, capture_output=True, timeout=120)
+        assert child.returncode == 0, child.stderr.decode()
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        runs.append((files, child.stdout, child.stderr.split()[-1]))
+    (files, stdout, params), (nehalem_files, nehalem_stdout, nehalem_params) = runs
+    assert sorted(files) == [*(f"seed_{s}_{name}" for s in (0, 1)
+                               for name in ("buffer.gpsb", "end.csv", "matrix.csv")),
+                             "summary.csv"]
+    assert files == nehalem_files
+    assert stdout == nehalem_stdout
+    if params == nehalem_params:
+        pytest.skip("OPENBLAS_CORETYPE=Nehalem trained the same parameters as the "
+                    "default kernel: numpy's BLAS ignores it, or this CPU's default "
+                    "kernel gives the same floats, so one kernel was seen")
 
 
 def test_diverging_run_writes_partial_artifacts(tmp_path):

@@ -561,6 +561,19 @@ class TestExperimentConfig:
                 with pytest.raises(ConfigError, match=f"^{key} must be finite"):
                     parse_config(f"{key} = {bad}\n")
 
+    # a config built in code: seed True would write seed_True_* files, factor
+    # 2.5 fail deep in a run, hidden_units "8" fail comparing a str with 1
+    @pytest.mark.parametrize("key, value", [("seeds", (True,)), ("factor", 2.5),
+                                            ("hidden_units", "8")],
+                             ids=["bool_seed", "float_factor", "str_hidden_units"])
+    def test_wrong_type_in_code_is_config_error_naming_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            ExperimentConfig(**{key: value})
+
+    def test_int_for_a_float_and_a_seed_list_are_taken_in_code(self):
+        config = ExperimentConfig(learning_rate=1, seeds=[0, 1])
+        assert (config.learning_rate, list(config.seeds)) == (1, [0, 1])
+
     def test_non_finite_floats_rejected_in_code(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="learning_rate"):

@@ -524,6 +524,15 @@ class TestExitCodes:
         assert "has no test images of its classes" in capsys.readouterr().err
         assert not list(out.glob("seed_*"))
 
+    def test_budget_of_no_images_is_rejected(self, tmp_path, capsys):
+        # the budget is plain data: the buffer checks it when built or restored
+        with pytest.raises(errors.ConfigError, match="budget image count"):
+            ReplayBuffer(PixelBudget(0, 8))
+        path = tmp_path / "empty.gpsb"
+        path.write_bytes(struct.pack("<4sHHIIBQ", b"GPSB", 4, 2, 0, 16, 3, 0))
+        assert run_cli("inspect-buffer", path) == 3
+        assert "budget image count" in capsys.readouterr().err
+
     def test_malformed_snapshot_is_3(self, tmp_path):
         path = tmp_path / "junk.gpsb"
         path.write_bytes(b"JUNKJUNKJUNK")
