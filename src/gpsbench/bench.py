@@ -11,6 +11,7 @@ sets seen so far.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +67,15 @@ def average_end_accuracy(matrix: np.ndarray) -> float:
     return float(np.mean(end_row))
 
 
+@contextmanager
+def _allocating(what):
+    """Report a MemoryError or ValueError in the block as a ConfigError."""
+    try:
+        yield
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"{what} cannot be allocated: {exc}") from None
+
+
 # --- dataset construction ---
 
 
@@ -106,11 +116,8 @@ def generate_synthetic(config: ExperimentConfig, rng: Rng) -> Dataset:
 
     def allocate(count):
         size = (classes * count, *shape)
-        try:
+        with _allocating(f"synthetic split of shape {size}"):
             return (np.empty(size, dtype=np.uint8), np.repeat(np.arange(classes), count))
-        except (MemoryError, ValueError) as exc:
-            raise ConfigError(
-                f"synthetic split of shape {size} cannot be allocated: {exc}") from None
 
     counts = (config.synthetic_train_per_class, config.synthetic_test_per_class)
     splits = [allocate(count) for count in counts]
@@ -231,17 +238,6 @@ class RunResult:
     failure: str | None = None  # the message of the NumericalError that ended the run
 
 
-def _replay_batch(buf, config, replay_rng):
-    """(pixels, labels) of one replay batch, or None without a buffer.
-
-    The pixels are the drawn surrogates as stored; `train_step` trains them
-    at their own side."""
-    if buf is None:
-        return None
-    slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
-    return buf.slab[slots], buf.labels[slots]
-
-
 def _evaluate_row(matrix, t, stream, params, buf, config):
     ds = stream.dataset
     if config.head == "ncm":
@@ -272,34 +268,32 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
     resolution = require_square(ds.train_pixels[0])
     channels = ds.train_pixels.shape[3]
     num_classes = max(max(cs) for cs in stream.class_sets) + 1
-    try:
+    with _allocating(f"a model for {num_classes} classes"):
         params = L.init_params(resolution, channels, config.hidden_units,
                                config.embedding_units, num_classes,
                                rng.split(DOMAIN_MODEL_INIT))
-    except (MemoryError, ValueError) as exc:
-        raise ConfigError(
-            f"a model for {num_classes} classes cannot be allocated: {exc}") from None
     buf = None
     if config.buffer_mode != "none":
         # a full buffer is the factor-1 buffer, whatever `factor` says
         factor = config.factor if config.buffer_mode == "gps" else 1
         buffer_rng = rng.split(DOMAIN_BUFFER)
-        try:
+        with _allocating(f"a buffer of budget_images = {config.budget_images}"):
             buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
                                factor=factor, channels=channels)
-        except (MemoryError, ValueError) as exc:
-            raise ConfigError(f"a buffer of budget_images = {config.budget_images} "
-                              f"cannot be allocated: {exc}") from None
         if resolution % factor:
             raise ConfigError(
                 f"factor {factor} must divide resolution {resolution} for replay training")
     result = RunResult(np.full((len(stream.train_tasks),) * 2, np.nan), params, buf, 0)
     replay_rng = rng.split(DOMAIN_REPLAY)
+    replay = None
     for t, task in enumerate(stream.train_tasks):
         for start in range(0, len(task), config.stream_batch):
             batch = task[start : start + config.stream_batch]
             pixels, labels = ds.train_pixels[batch], ds.train_labels[batch]
-            replay = _replay_batch(buf, config, replay_rng)
+            if buf is not None:
+                # replay_batch counts stored samples, f^2 per surrogate
+                slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
+                replay = buf.slab[slots], buf.labels[slots]
             step = result.step_count
             try:
                 L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate,

@@ -2,13 +2,15 @@
 
 Subcommands: run, sweep, compress, reconstruct, inspect-buffer.
 Exit codes: 0 success, 1 other package error, 2 config error, 3 data/format
-error or a path that cannot be read or written, 4 numerical failure.
+error or a path that cannot be read or written, 4 numerical failure, 141
+(128 + SIGPIPE) a stdout that its reader closed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, fields, replace
@@ -358,10 +360,16 @@ def _dispatch(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        try:
+            return _dispatch(args)
+        finally:  # a closed reader shows here, not at exit, whatever ended the command
+            sys.stdout.flush()
     except GpsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # the reader closed stdout: end as SIGPIPE ends a tool
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # no error at exit
+        return 141  # 128 + SIGPIPE
     except OSError as exc:  # a missing, unreadable or directory path
         print(f"error: {exc}", file=sys.stderr)
         return FormatError.exit_code

@@ -52,7 +52,8 @@ class ExperimentConfig:
     seeds: tuple = (0,)
 
     def __post_init__(self):
-        self.validate()
+        # a tuple, as parse_config builds it, so that equal configs hash equal
+        object.__setattr__(self, "seeds", tuple(self.validate().seeds))
 
     def validate(self):
         """Raise a ConfigError naming the first bad key; return self."""

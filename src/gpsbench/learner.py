@@ -139,18 +139,12 @@ def embed_batch(params: ModelParams, pixels) -> np.ndarray:
     return _forward(params, _to_matrix(params, pixels) @ params.W1)[2]
 
 
-def softmax(logits):
-    """Row-wise stable softmax."""
-    z = logits - logits.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _cross_entropy(logits, labels):
-    """Per-row -log softmax(logits)[label], numerically stable."""
+def _softmax_cross_entropy(logits, labels):
+    """(softmax, -log softmax[label]) of each row, from one stable shift and exp."""
     z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    return log_norm - z[np.arange(len(labels)), labels]
+    e = np.exp(z)
+    norm = e.sum(axis=1, keepdims=True)
+    return np.divide(e, norm, out=e), np.log(norm[:, 0]) - z[np.arange(len(labels)), labels]
 
 
 def _replay_factor(params: ModelParams, pixels) -> int:
@@ -262,7 +256,7 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     if Xs is not None:
         first = np.concatenate([first, Xs @ _pooled_W1(params, f)])
     h_pre, h, emb, logits = _forward(params, first)
-    losses = _cross_entropy(logits, labels)
+    d_logits, losses = _softmax_cross_entropy(logits, labels)
     stream_loss = float(losses[:n_stream].mean())
     replay_loss = float(losses[n_stream:].mean()) if use_replay else 0.0
     combined = stream_loss + float(replay_weight) * replay_loss
@@ -272,15 +266,12 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
             step=step,
         )
 
-    # d(combined)/d(logits): softmax minus one-hot, row-weighted so that each
-    # term contributes the mean over its own batch.
-    weights = np.empty(len(labels), dtype=dtype)
-    weights[:n_stream] = dtype.type(1.0) / dtype.type(n_stream)
-    if n_replay:
-        weights[n_stream:] = dtype.type(replay_weight) / dtype.type(n_replay)
-    d_logits = softmax(logits)
+    # d(combined)/d(logits): softmax minus one-hot, each batch's rows scaled
+    # so that its term contributes the mean over the batch.
     d_logits[np.arange(len(labels)), labels] -= 1
-    d_logits *= weights[:, None]
+    d_logits[:n_stream] *= dtype.type(1.0) / dtype.type(n_stream)
+    if n_replay:
+        d_logits[n_stream:] *= dtype.type(replay_weight) / dtype.type(n_replay)
 
     dWc = emb.T @ d_logits
     dbc = d_logits.sum(axis=0)

@@ -6,8 +6,9 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+import gpsbench.bench as bench
+import gpsbench.learner as L
 from gpsbench.bench import (
-    _replay_batch,
     CIFAR_RECORD_BYTES,
     Dataset,
     average_end_accuracy,
@@ -318,19 +319,31 @@ def small_run(**kwargs):
 
 
 class TestReplayBatch:
-    def test_rows_are_the_drawn_slots(self):
+    def test_rows_are_the_drawn_slots(self, monkeypatch):
         # replay_batch counts stored samples: 12 samples at f = 2 are 3 rows,
         # each a stored surrogate at its own side
-        rng = Rng(8)
-        buf = ReplayBuffer(PixelBudget(5, 8), factor=2)
-        labels = np.arange(buf.slot_count) % 3
-        buf.offer(rng.split(1).integers(0, 256, (len(labels), 4, 4, 3)).astype(np.uint8), labels,
-                  rng.split(0))
-        pixels, drawn = _replay_batch(buf, ExperimentConfig(replay_batch=12), rng.split(2))
-        slots = draw_replay_batch(buf, 3, rng.split(2))
-        assert pixels.shape == (3, 4, 4, 3)
-        np.testing.assert_array_equal(pixels, buf.slab[slots])
-        np.testing.assert_array_equal(drawn, buf.labels[slots])
+        draws, replayed = [], []
+        train_step = L.train_step
+
+        def draw(buf, n, rng):
+            slots = draw_replay_batch(buf, n, rng)
+            draws.append((buf, n, slots))
+            return slots
+
+        def step(params, stream_batch, replay_batch, *args, **kwargs):
+            buf, _, slots = draws[-1]
+            pixels, labels = replay_batch
+            assert pixels.shape[1:] == (4, 4, 3)
+            np.testing.assert_array_equal(pixels, buf.slab[slots])
+            np.testing.assert_array_equal(labels, buf.labels[slots])
+            replayed.append(len(labels))
+            return train_step(params, stream_batch, replay_batch, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "draw_replay_batch", draw)
+        monkeypatch.setattr(L, "train_step", step)
+        small_run(seed=8, replay_batch=12)
+        assert {n for _, n, _ in draws} == {12 // 4}
+        assert len(replayed) == len(draws) and 3 in replayed
 
     def test_class_below_factor_squared_is_replayed(self):
         # class 9 holds 3 surrogates at f = 2, too few to tile one image;
@@ -343,9 +356,8 @@ class TestReplayBatch:
         assert buf.class_counts() == {1: buf.slot_count - 3, 9: 3}
         replayed = set()
         for trial in range(20):
-            pixels, drawn = _replay_batch(buf, ExperimentConfig(replay_batch=16),
-                                          rng.split(2, trial))
-            for image, label in zip(pixels, drawn):
+            slots = draw_replay_batch(buf, 16 // 4, rng.split(2, trial))
+            for image, label in zip(buf.slab[slots], buf.labels[slots]):
                 if label == 9:
                     replayed.update(k for k in range(3) if np.array_equal(image, surrogates[k]))
         assert replayed == {0, 1, 2}
@@ -569,6 +581,15 @@ class TestExperimentConfig:
     def test_wrong_type_in_code_is_config_error_naming_the_key(self, key, value):
         with pytest.raises(ConfigError, match=f"^{key} must be"):
             ExperimentConfig(**{key: value})
+
+    def test_seed_list_in_code_hashes_like_the_parsed_config(self):
+        assert hash(ExperimentConfig(seeds=[0, 1])) == hash(parse_config("seeds = 0,1\n"))
+
+    def test_seed_list_in_code_equals_the_parsed_config(self):
+        assert ExperimentConfig(seeds=[0, 1]) == parse_config("seeds = 0,1\n")
+
+    def test_seed_list_replaced_in_code_is_stored_as_a_tuple(self):
+        assert replace(ExperimentConfig(), seeds=[3]).seeds == (3,)
 
     def test_int_for_a_float_and_a_seed_list_are_taken_in_code(self):
         config = ExperimentConfig(learning_rate=1, seeds=[0, 1])

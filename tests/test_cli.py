@@ -65,12 +65,16 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def child_env():
+    """The environment of a new interpreter that imports this gpsbench."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
 def fresh_python(*argv):
     """A new interpreter's completed process, importing this gpsbench."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, *map(str, argv)], env=env,
+    return subprocess.run([sys.executable, *map(str, argv)], env=child_env(),
                           capture_output=True, text=True, timeout=60)
 
 
@@ -422,6 +426,36 @@ class TestExitCodes:
         for out in (path, path / "below"):
             assert run_cli(*command, "--config", config_file, "--out", out) == 3
             assert f"{path} is not a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_141_with_nothing_on_stderr(self, tmp_path, unbuffered):
+        # 128 + SIGPIPE, as a Unix tool ends when its reader goes away, also
+        # when the command fails after printing; an unbuffered stdout fails
+        # at the first print, a buffered one when it is flushed
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        path, diverging, out = tmp_path / "exp.cfg", tmp_path / "div.cfg", tmp_path / "o"
+        path.write_text(BASE_CONFIG.replace("seeds = 0,1", "seeds = 0"))
+        diverging.write_text(path.read_text() + "learning_rate = 1000000\n")
+        for argv in (("run", "--config", path, "--out", out),
+                     ("inspect-buffer", out / "seed_0_buffer.gpsb"),
+                     ("run", "--config", diverging, "--out", tmp_path / "d")):
+            read_end, write_end = os.pipe()
+            os.close(read_end)  # the reader is gone before the command starts
+            try:
+                child = subprocess.run(
+                    [sys.executable, "-m", "gpsbench.cli", *map(str, argv)], env=env,
+                    stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60)
+            finally:
+                os.close(write_end)
+            assert (child.returncode, child.stderr) == (141, "")
+        # run writes every file before it prints
+        assert sorted(p.name for p in out.iterdir()) == [
+            "manifest.json", "seed_0_buffer.gpsb", "seed_0_end.csv", "seed_0_matrix.csv",
+            "summary.csv"]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
 
     def test_unallocatable_synthetic_dataset_is_2(self, tmp_path, capsys):
         # petabytes, and 10^19 images of 10^12 classes: numpy refuses both

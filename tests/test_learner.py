@@ -20,11 +20,11 @@ def tiny_images(rng, count, r=1, channels=3, num_classes=2):
 
 def combined_loss(params, stream, replay, lam):
     X = L._to_matrix(params, stream[0])
-    ls = L._cross_entropy(L._forward(params, X @ params.W1)[3], stream[1])
+    ls = L._softmax_cross_entropy(L._forward(params, X @ params.W1)[3], stream[1])[1]
     total = float(ls.mean())
     if replay is not None and lam != 0.0:
         Xr = L._to_matrix(params, replay[0])
-        lr = L._cross_entropy(L._forward(params, Xr @ params.W1)[3], replay[1])
+        lr = L._softmax_cross_entropy(L._forward(params, Xr @ params.W1)[3], replay[1])[1]
         total += lam * float(lr.mean())
     return total
 
@@ -197,7 +197,7 @@ def concatenated_step(params, stream, replay, lam, lr):
     weights = np.empty(len(labels), dtype=dtype)
     weights[:n_stream] = dtype.type(1.0) / dtype.type(n_stream)
     weights[n_stream:] = dtype.type(lam) / dtype.type(n_replay)
-    d_logits = L.softmax(logits)
+    d_logits = L._softmax_cross_entropy(logits, labels)[0]
     d_logits[np.arange(len(labels)), labels] -= 1
     d_logits *= weights[:, None]
     d_emb = d_logits @ params.Wc.T
@@ -560,9 +560,45 @@ class TestSoftmaxHead:
     def test_softmax_rows_sum_to_one(self):
         rng = Rng(601)
         logits = rng.standard_normal((6, 4)) * 30
-        p = L.softmax(logits)
+        p = L._softmax_cross_entropy(logits, np.arange(6) % 4)[0]
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
         assert (p >= 0).all()
+
+
+def two_pass_softmax(logits):
+    """The softmax of the two-pass step, kept as the reference."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def two_pass_cross_entropy(logits, labels):
+    """The cross-entropy of the two-pass step, kept as the reference."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(z).sum(axis=1))
+    return log_norm - z[np.arange(len(labels)), labels]
+
+
+class TestSoftmaxCrossEntropy:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_two_pass_formulas_bit_for_bit(self, dtype):
+        rng = Rng(602)
+        cases = [rng.split(k).standard_normal((7, 5)) * 30 for k in range(30)]
+        cases.append(np.full((1, 5), 2.5))  # equal logits
+        # spans of 1000: beyond -745 every exp but the largest's underflows to
+        # 0, in float64 as in float32
+        cases.append(np.array([[500.0, -500, -300, -250, -400],
+                               [-900, -1000, 100, -800, -700]]))
+        for k, logits in enumerate(cases):
+            logits = logits.astype(dtype)
+            labels = rng.split(100, k).integers(0, 5, len(logits))
+            probs, losses = L._softmax_cross_entropy(logits, labels)
+            for got, want in ((probs, two_pass_softmax(logits)),
+                              (losses, two_pass_cross_entropy(logits, labels))):
+                assert got.dtype == want.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+            assert np.isfinite(losses).all()
+        assert (probs == 0).sum() == 8  # the underflowed exps
 
 
 class TestInit:
