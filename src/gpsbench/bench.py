@@ -235,7 +235,7 @@ class RunResult:
     params: L.ModelParams
     buf: ReplayBuffer | None
     step_count: int
-    failure: str | None = None  # the message of the NumericalError that ended the run
+    failure: str | None = None  # the ending NumericalError's message and step
 
 
 def _evaluate_row(matrix, t, stream, params, buf, config):
@@ -262,7 +262,7 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
     upsampled full-resolution row), then (at factor > 1) compress the whole
     mini-batch with one `gps_sample` call on `rng.split(DOMAIN_STREAM, step)`, and offer it with
     one `buf.offer` call, which decides for its images in stream order. A
-    NumericalError from a step ends the run; its message is the `failure`.
+    NumericalError from a step ends the run; its message and the step are the `failure`.
     """
     ds = stream.dataset
     resolution = require_square(ds.train_pixels[0])
@@ -296,10 +296,9 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
                 replay = buf.slab[slots], buf.labels[slots]
             step = result.step_count
             try:
-                L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate,
-                             step=step)
+                L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate)
             except NumericalError as exc:
-                result.failure = str(exc)
+                result.failure = f"{exc} (at training step {step})"
                 return result
             result.step_count += 1
             if buf is None:

@@ -79,9 +79,9 @@ def run_one_seed(config: ExperimentConfig, seed: int):
     result = run_online(stream, config, Rng(seed))
     matrix = result.matrix
     filled = ~np.isnan(matrix)
-    complete = filled[-1].all()
+    complete = result.failure is None
     return {"seed": seed, "failure": result.failure,
-            "status": "ok" if result.failure is None else "numerical_failure",
+            "status": "ok" if complete else "numerical_failure",
             "entries": [(t, i, a) for (t, i), a in
                         zip(np.argwhere(filled).tolist(), matrix[filled].tolist())],
             "end_row": matrix[-1].tolist() if complete else None,
@@ -185,7 +185,9 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
     return 0
 
 
-_SWEEP_AXES = {"f": "factor", "k": "budget_images", "mode": "buffer_mode"}
+# sweep axis -> (config field, the buffer modes whose runs ignore that field)
+_SWEEP_AXES = {"f": ("factor", ("full", "none")), "k": ("budget_images", ("none",)),
+               "mode": ("buffer_mode", ())}
 
 
 def _sweep_point(config: ExperimentConfig, axis_field: str, raw_value: str):
@@ -204,7 +206,10 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
     axis_key = axis.strip().lower()
     if axis_key not in _SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}: expected f, K, or mode")
-    axis_field = _SWEEP_AXES[axis_key]
+    axis_field, ignored_by = _SWEEP_AXES[axis_key]
+    if config.buffer_mode in ignored_by:
+        raise ConfigError(f"sweep axis {axis!r} sets {axis_field}, which a run at "
+                          f"buffer_mode = {config.buffer_mode} ignores")
     if not values:
         raise ConfigError("sweep needs at least one value")
     points = [_sweep_point(config, axis_field, raw) for raw in values]

@@ -158,7 +158,7 @@ def parse_config(text) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # drops a byte-order mark
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from None

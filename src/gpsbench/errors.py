@@ -27,8 +27,3 @@ class NumericalError(GpsError):
     """Training produced a non-finite value."""
 
     exit_code = 4
-
-    def __init__(self, message, step=None):
-        if step is not None:
-            message = f"{message} (at training step {step})"
-        super().__init__(message)

@@ -204,8 +204,8 @@ def _update_W1(params: ModelParams, X, d_h, Xs, d_hs, f, step_size) -> bool:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, lr,
-               step=None) -> TrainStepReport:
+def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight,
+               lr) -> TrainStepReport:
     """One in-place SGD step on the combined stream + weighted replay loss.
 
     Both batches are (pixels, labels) pairs. Stream pixels are at the model's
@@ -262,9 +262,7 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
     combined = stream_loss + float(replay_weight) * replay_loss
     if not np.isfinite(combined):
         raise NumericalError(
-            f"non-finite training loss (stream={stream_loss}, replay={replay_loss})",
-            step=step,
-        )
+            f"non-finite training loss (stream={stream_loss}, replay={replay_loss})")
 
     # d(combined)/d(logits): softmax minus one-hot, each batch's rows scaled
     # so that its term contributes the mean over the batch.
@@ -290,7 +288,7 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight, l
         grad *= step_size
         param -= grad
     if not (finite and all(_finite(t) for t in params.tensors()[1:])):
-        raise NumericalError("non-finite parameters after update", step=step)
+        raise NumericalError("non-finite parameters after update")
     return TrainStepReport(combined, stream_loss, replay_loss, n_stream, n_replay)
 
 

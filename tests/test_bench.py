@@ -484,6 +484,7 @@ BAD_VALUES = [
     ("replay_batch", -1),
     ("learning_rate", math.nan),
     ("head", "other"),
+    ("buffer_mode", "other"),
 ]
 
 
@@ -497,6 +498,15 @@ class TestExperimentConfig:
             replace(ExperimentConfig(), **{key: value})
         for error in (parsed.value, replaced.value):
             assert str(error).startswith(key), str(error)
+
+    @pytest.mark.parametrize("text, key", [
+        ("dataset = cifar100\n", "cifar_train_path"),
+        ("dataset = cifar100\ncifar_train_path = train.bin\n", "cifar_test_path"),
+        ("dataset = image_dir\n", "image_dir"),
+    ], ids=["cifar_train_path", "cifar_test_path", "image_dir"])
+    def test_dataset_without_its_source_names_the_missing_key(self, text, key):
+        with pytest.raises(ConfigError, match=f"^{key} is required when dataset = "):
+            parse_config(text)
 
     def test_training_defaults(self):
         config = ExperimentConfig()

@@ -143,6 +143,20 @@ class TestRunCommand:
         assert run_cli("sweep", "--config", config_file, "--axis", "f", "--values", "1") == 0
         assert (tmp_path / "runs" / "sweep.csv").exists()
 
+    def test_config_with_byte_order_mark_runs_as_without(self, tmp_path, config_file, capsys):
+        marked = tmp_path / "marked.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + config_file.read_bytes())
+        outputs = []
+        for path in (config_file, marked):
+            out = tmp_path / path.stem
+            assert run_cli("run", "--config", path, "--out", out) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["timestamp"]
+            files = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".json"}
+            outputs.append((files, manifest, capsys.readouterr()))
+        assert len(outputs[0][0]) == 7
+        assert outputs[0] == outputs[1]
+
     def test_manifest_records_config_and_status(self, tmp_path, config_file):
         out = tmp_path / "out"
         run_cli("run", "--config", config_file, "--out", out)
@@ -663,6 +677,18 @@ class TestReconstructAndInspect:
         assert "class -1 holds 0 exemplars" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_reconstruct_without_a_class_of_f_squared_exemplars_is_3(self, tmp_path, capsys):
+        # factor 2 tiles 4 exemplars, and the one class holds 3
+        buf, buf_rng = ReplayBuffer(PixelBudget(4, 8), factor=2), Rng(0)
+        for k in range(3):
+            buf.offer(np.full((4, 4, 3), k, dtype=np.uint8), 0, buf_rng)
+        snap = tmp_path / "b.gpsb"
+        snap.write_bytes(buf.snapshot())
+        out = tmp_path / "r.ppm"
+        assert run_cli("reconstruct", snap, "--out", out) == 3
+        assert capsys.readouterr().err.startswith("error: no class holds 4 exemplars")
+        assert not out.exists()
+
     def test_reconstruct_at_factor_one_writes_a_stored_image(self, tmp_path, capsys):
         buf, buf_rng = ReplayBuffer(PixelBudget(3, 8)), Rng(0)
         images = [Rng(1).split(k).integers(0, 256, (8, 8, 3)).astype(np.uint8)
@@ -730,6 +756,28 @@ class TestSweep:
         assert run_cli("sweep", "--config", config_file, "--axis", axis,
                        "--values", values, "--out", out) == 2
         assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    # full replays at factor 1, and none keeps no buffer
+    @pytest.mark.parametrize("mode, axis", [("full", "f"), ("none", "f"), ("none", "K")])
+    def test_axis_the_buffer_mode_ignores_is_2_before_any_output(self, tmp_path, capsys,
+                                                                  mode, axis):
+        config = tmp_path / "exp.cfg"
+        config.write_text(BASE_CONFIG.replace("buffer_mode = gps",
+                                              f"buffer_mode = {mode}\nhead = softmax"))
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--config", config, "--axis", axis,
+                       "--values", "1,2", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep axis {axis!r} sets ")
+        assert f"buffer_mode = {mode} ignores" in err
+        assert not out.exists()
+
+    def test_no_value_is_2_before_any_output(self, tmp_path, config_file, capsys):
+        out = tmp_path / "s"
+        assert run_cli("sweep", "--config", config_file, "--axis", "f",
+                       "--values", ",", "--out", out) == 2
+        assert capsys.readouterr().err.startswith("error: sweep needs at least one value")
         assert not out.exists()
 
     def test_builds_each_seed_once(self, tmp_path, config_file, builds):
@@ -837,6 +885,25 @@ class TestImageDirDataset:
         )
         assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
         assert "mixed image sizes" in capsys.readouterr().err
+
+    # class directory -> its .ppm file count; class 1 is the bad one
+    @pytest.mark.parametrize("tree, message", [
+        ({}, "image_dir {root} contains no class subdirectories"),
+        ({"0": 5, "1": 0}, "class directory {root}/1 holds no .ppm files"),
+        ({"0": 5, "1": 1}, "class 1: 1 images cannot support a test split"),
+    ], ids=["no_class_dirs", "no_ppm_files", "one_image"])
+    def test_tree_without_train_and_test_images_is_2(self, tmp_path, capsys, tree, message):
+        root = tmp_path / "data"
+        root.mkdir()
+        for name, count in tree.items():
+            (root / name).mkdir()
+            (root / name / "notes.txt").write_text("not an image\n")
+            for k in range(count):
+                save_ppm(root / name / f"{k}.ppm", np.zeros((8, 8, 3), dtype=np.uint8))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"dataset = image_dir\nimage_dir = {root}\n")
+        assert run_cli("run", "--config", cfg, "--out", tmp_path / "o") == 2
+        assert capsys.readouterr().err.startswith("error: " + message.format(root=root))
 
     def test_non_numeric_class_dir_is_2(self, tmp_path, capsys):
         # beside a valid class "1": int() would take "-1" (then fail in numpy),

@@ -151,17 +151,19 @@ class TestGradients:
         with pytest.raises(ValueError):
             L.train_step(params, bad, None, 1.0, 0.1)
 
+    def test_empty_stream_batch_rejected(self):
+        params = L.init_params(2, 3, 8, 4, 2, Rng(13).split(1))
+        empty = np.zeros((0, 2, 2, 3), dtype=np.uint8), np.zeros(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="^stream batch must be non-empty"):
+            L.train_step(params, empty, None, 1.0, 0.1)
+
     def test_non_finite_state_raises_numerical_error(self):
         rng = Rng(11)
         params = L.init_params(2, 3, 8, 4, 2, rng.split(1))
         params.W1[0, 0] = np.inf
         stream = tiny_images(rng.split(2), 2, r=2)
-        with pytest.raises(NumericalError):
-            L.train_step(params, stream, None, 1.0, 0.1, step=17)
-        try:
-            L.train_step(params, stream, None, 1.0, 0.1, step=17)
-        except NumericalError as exc:
-            assert "17" in str(exc)
+        with pytest.raises(NumericalError, match="non-finite training loss"):
+            L.train_step(params, stream, None, 1.0, 0.1)
 
     def test_update_that_overflows_raises_numerical_error(self):
         # the loss is finite, so only the check after the update can catch it
@@ -170,9 +172,8 @@ class TestGradients:
         params.W2 *= np.float32(1e18)
         params.Wc *= np.float32(1e18)
         stream = tiny_images(rng.split(2), 3, r=4, num_classes=3)
-        with pytest.raises(NumericalError, match=re.escape(
-                "non-finite parameters after update (at training step 5)")):
-            L.train_step(params, stream, None, 1.0, 1e4, step=5)
+        with pytest.raises(NumericalError, match="^non-finite parameters after update$"):
+            L.train_step(params, stream, None, 1.0, 1e4)
 
 
 def as_float64(params):
@@ -370,15 +371,14 @@ class TestBlockedW1Update:
         assert max(np.abs(g).max() for g in gradients) * step_size < 3e38
         params.W1[patch] = np.float32(1e38) * np.array([1, 1, -1, -1], np.float32)[:, None]
         oracle = params.copy()
-        with pytest.raises(NumericalError, match=re.escape(
-                "non-finite parameters after update (at training step 9)")):
-            L.train_step(params, stream, replay, 100.0, step_size, step=9)
+        with pytest.raises(NumericalError, match="^non-finite parameters after update$"):
+            L.train_step(params, stream, replay, 100.0, step_size)
         bad_rows = np.flatnonzero(~np.isfinite(params.W1).all(axis=1))
         assert len(bad_rows) and set(bad_rows) <= set(patch)
         assert all(np.isfinite(t).all() for t in params.tensors()[1:])
         monkeypatch.setattr(L, "_update_W1", unblocked_update_W1)
         with pytest.raises(NumericalError):
-            L.train_step(oracle, stream, replay, 100.0, step_size, step=9)
+            L.train_step(oracle, stream, replay, 100.0, step_size)
         assert param_bytes(params) == param_bytes(oracle)
 
     def test_peak_memory_is_below_one_W1(self):

@@ -310,6 +310,11 @@ class TestGridConcat:
         with pytest.raises(ValueError):
             grid_concat(parts, 2)
 
+    def test_factor_below_one_rejected(self):
+        for factor in (0, -1):
+            with pytest.raises(ValueError, match="^factor must be >= 1"):
+                grid_concat([constant_sample(5)], factor)
+
     def test_mixed_shapes_rejected(self):
         parts = [constant_sample(5, side=2) for _ in range(3)]
         parts.append(constant_sample(5, side=3))
