@@ -231,39 +231,25 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
 
 @dataclass
 class RunResult:
+    """A run's whole state between tasks. `buffer_rng` (None without a buffer)
+    and `replay_rng` are the generators that every offer and every replay draw
+    continue from task to task."""
+
     matrix: np.ndarray  # (T, T) float64; NaN where no entry is written
     params: L.ModelParams
     buf: ReplayBuffer | None
     step_count: int
     failure: str | None = None  # the ending NumericalError's message and step
+    buffer_rng: np.random.Generator | None = None
+    replay_rng: np.random.Generator | None = None
 
 
-def _evaluate_row(matrix, t, stream, params, buf, config):
-    ds = stream.dataset
-    if config.head == "ncm":
-        prototypes = L.ncm_prototypes(params, buf)
-    for i in range(t + 1):
-        test = stream.test_tasks[i]
-        if config.head == "ncm":
-            preds = L.classify_batch(prototypes, params, ds.test_pixels[test])
-        else:
-            preds = L.softmax_classify_batch(params, ds.test_pixels[test])
-        matrix[t, i] = np.mean(preds == ds.test_labels[test])
-
-
-def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResult:
-    """Single pass over the task stream with the model and buffer the config
-    describes; returns the accuracy matrix, the model, the buffer and counters.
-
-    The model is built on `rng.split(DOMAIN_MODEL_INIT)`, and every `buf.offer`
-    draws from the one generator `rng.split(DOMAIN_BUFFER)`. Per mini-batch: draw
-    replay_batch // factor^2 stored surrogates, take one SGD step on stream +
-    replay with the surrogates at their own resolution (each trains as its
-    upsampled full-resolution row), then (at factor > 1) compress the whole
-    mini-batch with one `gps_sample` call on `rng.split(DOMAIN_STREAM, step)`, and offer it with
-    one `buf.offer` call, which decides for its images in stream order. A
-    NumericalError from a step ends the run; its message and the step are the `failure`.
-    """
+def start_run(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResult:
+    """The state of a run before its first task: the model the config
+    describes on `rng.split(DOMAIN_MODEL_INIT)`, its buffer (None at
+    buffer_mode = none) with the offer generator `rng.split(DOMAIN_BUFFER)`,
+    the replay generator `rng.split(DOMAIN_REPLAY)`, split in that order, and
+    an all-NaN accuracy matrix."""
     ds = stream.dataset
     resolution = require_square(ds.train_pixels[0])
     channels = ds.train_pixels.shape[3]
@@ -272,7 +258,7 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
         params = L.init_params(resolution, channels, config.hidden_units,
                                config.embedding_units, num_classes,
                                rng.split(DOMAIN_MODEL_INIT))
-    buf = None
+    buf = buffer_rng = None
     if config.buffer_mode != "none":
         # a full buffer is the factor-1 buffer, whatever `factor` says
         factor = config.factor if config.buffer_mode == "gps" else 1
@@ -283,28 +269,62 @@ def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunRes
         if resolution % factor:
             raise ConfigError(
                 f"factor {factor} must divide resolution {resolution} for replay training")
-    result = RunResult(np.full((len(stream.train_tasks),) * 2, np.nan), params, buf, 0)
-    replay_rng = rng.split(DOMAIN_REPLAY)
+    return RunResult(np.full((len(stream.train_tasks),) * 2, np.nan), params, buf, 0,
+                     None, buffer_rng, rng.split(DOMAIN_REPLAY))
+
+
+def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rng: Rng, t):
+    """Train task t's mini-batches, then fill row t of the matrix by
+    evaluating on every task seen so far.
+
+    Per mini-batch: draw replay_batch // factor^2 stored surrogates, take one
+    SGD step on stream + replay with the surrogates at their own resolution
+    (each trains as its upsampled full-resolution row), then (at factor > 1)
+    compress the whole mini-batch with one `gps_sample` call on
+    `rng.split(DOMAIN_STREAM, step)`, and offer it with one `buf.offer` call,
+    which decides for its images in stream order. A NumericalError from a
+    step sets `failure` to its message and the step, and returns with row t
+    unwritten.
+    """
+    ds, params, buf = stream.dataset, result.params, result.buf
+    task = stream.train_tasks[t]
     replay = None
-    for t, task in enumerate(stream.train_tasks):
-        for start in range(0, len(task), config.stream_batch):
-            batch = task[start : start + config.stream_batch]
-            pixels, labels = ds.train_pixels[batch], ds.train_labels[batch]
-            if buf is not None:
-                # replay_batch counts stored samples, f^2 per surrogate
-                slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, replay_rng)
-                replay = buf.slab[slots], buf.labels[slots]
-            step = result.step_count
-            try:
-                L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate)
-            except NumericalError as exc:
-                result.failure = f"{exc} (at training step {step})"
-                return result
-            result.step_count += 1
-            if buf is None:
-                continue
-            if buf.factor > 1:  # factor 1 keeps every pixel
-                pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
-            buf.offer(pixels, labels, buffer_rng)
-        _evaluate_row(result.matrix, t, stream, params, buf, config)
+    for start in range(0, len(task), config.stream_batch):
+        batch = task[start : start + config.stream_batch]
+        pixels, labels = ds.train_pixels[batch], ds.train_labels[batch]
+        if buf is not None:
+            # replay_batch counts stored samples, f^2 per surrogate
+            slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, result.replay_rng)
+            replay = buf.slab[slots], buf.labels[slots]
+        step = result.step_count
+        try:
+            L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate)
+        except NumericalError as exc:
+            result.failure = f"{exc} (at training step {step})"
+            return
+        result.step_count += 1
+        if buf is None:
+            continue
+        if buf.factor > 1:  # factor 1 keeps every pixel
+            pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
+        buf.offer(pixels, labels, result.buffer_rng)
+    if config.head == "ncm":
+        prototypes = L.ncm_prototypes(params, buf)
+    for i in range(t + 1):
+        test = stream.test_tasks[i]
+        if config.head == "ncm":
+            preds = L.classify_batch(prototypes, params, ds.test_pixels[test])
+        else:
+            preds = L.softmax_classify_batch(params, ds.test_pixels[test])
+        result.matrix[t, i] = np.mean(preds == ds.test_labels[test])
+
+
+def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResult:
+    """Single pass over the task stream with the model and buffer the config
+    describes: `start_run`, then one `run_task` per task until one fails."""
+    result = start_run(stream, config, rng)
+    for t in range(len(stream.train_tasks)):
+        run_task(result, stream, config, rng, t)
+        if result.failure is not None:
+            break
     return result

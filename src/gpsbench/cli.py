@@ -101,10 +101,13 @@ def _write_csv(path: Path, header, rows):
 
 def _write_records(out_dir: Path, records):
     """Write each record's CSVs and snapshot into out_dir, making it if need
-    be; returns the a_end of every run that finished, in seed order."""
+    be, in place of every file an earlier run wrote for that seed; returns
+    the a_end of every run that finished, in seed order."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for r in records:
         seed = r["seed"]
+        for name in ("matrix.csv", "matrix.partial.csv", "end.csv", "buffer.gpsb"):
+            (out_dir / f"seed_{seed}_{name}").unlink(missing_ok=True)
         suffix = "" if r["status"] == "ok" else ".partial"
         _write_csv(out_dir / f"seed_{seed}_matrix{suffix}.csv", "t,i,a", r["entries"])
         if r["end_row"] is not None:
@@ -154,6 +157,7 @@ def cmd_run(config: ExperimentConfig, out_dir: Path, workers: int = 1) -> int:
     _require_out_dir(out_dir)
     [records] = _execute_runs([config], workers)
     a_ends = _write_records(out_dir, records)
+    (out_dir / "summary.csv").unlink(missing_ok=True)
     if a_ends:
         mean, std = _summary_stats(a_ends)
         _write_csv(out_dir / "summary.csv", "n_seeds,mean_a_end,std_a_end",
@@ -232,6 +236,7 @@ def cmd_sweep(config: ExperimentConfig, axis: str, values: list[str], out_dir: P
         mean, std = _summary_stats(a_ends)
         rows.append((value, mean, std))
         print(f"{axis_field} = {value}: mean a_end = {mean:.4f} +- {std:.4f}")
+    (out_dir / "sweep.csv").unlink(missing_ok=True)
     if failure:
         raise NumericalError(failure)
     _write_csv(out_dir / "sweep.csv", f"{axis_field},mean_a_end,std_a_end", rows)

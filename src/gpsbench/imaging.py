@@ -39,7 +39,8 @@ class Rng(np.random.Generator):
     state from the parent, so splitting order never perturbs draws. Draws
     are numpy's own `Generator` methods; no file stores a generator's state.
     numpy pickles and copies a Generator as a plain one, which loses
-    `split`; nothing copies an Rng (workers get configs and seeds).
+    `split`: a copied `RunResult` holds its two generators as plain
+    Generators, which is all their draws need (workers get configs and seeds).
     """
 
     def __init__(self, seed, _spawn_key=()):

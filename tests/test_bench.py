@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 import re
@@ -16,7 +17,9 @@ from gpsbench.bench import (
     generate_synthetic,
     load_cifar100,
     run_online,
+    run_task,
     split_tasks,
+    start_run,
 )
 from gpsbench.buffer import PixelBudget, ReplayBuffer, draw_replay_batch
 from gpsbench.cli import run_one_seed
@@ -470,6 +473,60 @@ class TestRunOnline:
         assert not np.isnan(np.tril(result.matrix[:failed_task])).any()
         # the failing step offers nothing
         assert result.buf.seen_count == 5 * result.step_count
+
+
+def outcome(result):
+    """What a run leaves, as comparable values: the matrix and parameter
+    bytes, the buffer snapshot, the step count and the failure."""
+    return (result.matrix.tobytes(), b"".join(t.tobytes() for t in result.params.tensors()),
+            None if result.buf is None else result.buf.snapshot(), result.step_count,
+            result.failure)
+
+
+ARMS = {"gps": {}, "full": dict(mode="full", factor=1),
+        "none": dict(mode="none", head="softmax", replay_batch=0)}
+
+
+class TestRunState:
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_copy_at_every_task_boundary_continues_to_the_same_bytes(self, arm):
+        # what a checkpoint at a task boundary must hold: a deep copy, whose
+        # generators are plain numpy Generators, runs on to run_online's bytes
+        stream, cfg, root = small_setup(seed=18, classes=6, tasks=3, **ARMS[arm])
+        expected = outcome(run_online(stream, cfg, root))
+        assert expected[-1] is None
+        tasks = len(stream.train_tasks)
+        result = start_run(stream, cfg, root)
+        for boundary in range(tasks):
+            resumed = copy.deepcopy(result)
+            for t in range(boundary, tasks):
+                run_task(resumed, stream, cfg, root, t)
+            assert outcome(resumed) == expected, boundary
+            run_task(result, stream, cfg, root, boundary)
+        # start_run, then run_task over every t, is run_online; and the
+        # copies shared no state with the run they were taken from
+        assert outcome(result) == expected
+
+    def test_failing_task_is_the_last_task_run(self, monkeypatch):
+        # lr 100 diverges in task 1 of 3: row 0 is written, row 1 is not
+        stream, cfg, root = small_setup(seed=17, classes=6, tasks=3, learning_rate=100.0)
+        result = start_run(stream, cfg, root)
+        for t in range(3):
+            run_task(result, stream, cfg, root, t)
+            if result.failure is not None:
+                break
+        assert t == 1 and result.failure.endswith(f"(at training step {result.step_count})")
+        assert not np.isnan(result.matrix[0, 0]) and np.isnan(result.matrix[1:]).all()
+        calls = []
+        recorded = bench.run_task
+
+        def recording(result, stream, config, rng, t):
+            calls.append(t)
+            return recorded(result, stream, config, rng, t)
+
+        monkeypatch.setattr(bench, "run_task", recording)
+        assert outcome(run_online(stream, cfg, root)) == outcome(result)
+        assert calls == [0, 1]
 
 
 # one bad value per key that the library once checked under another name

@@ -130,6 +130,30 @@ class TestRunCommand:
                      "seed_0_end.csv", "seed_0_buffer.gpsb"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    # the second command's seeds now fail, now fail at every sweep point, or
+    # now keep no buffer; whatever it writes, it leaves nothing of the first
+    @pytest.mark.parametrize("argv, second, code", [
+        (("run",), BASE_CONFIG + "learning_rate = 1000000\n", 4),
+        (("sweep", "--axis", "f", "--values", "1,2"),
+         BASE_CONFIG + "learning_rate = 1000000\n", 4),
+        (("run",), BASE_CONFIG.replace("buffer_mode = gps", "buffer_mode = none\nhead = softmax"),
+         0),
+    ], ids=["run_now_fails", "sweep_now_fails", "run_without_buffer"])
+    def test_rerun_into_out_replaces_every_file_of_its_seeds(self, tmp_path, config_file,
+                                                             argv, second, code):
+        second_config = tmp_path / "second.cfg"
+        second_config.write_text(second)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert run_cli(*argv, "--config", config_file, "--out", out) == 0
+        for target in (out, fresh):
+            assert run_cli(*argv, "--config", second_config, "--out", target) == code
+
+        def files(root):  # the manifest differs only in its timestamp
+            return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+                    if p.is_file() and p.name != "manifest.json"}
+
+        assert files(out) == files(fresh)
+
     def test_seed_override(self, tmp_path, config_file):
         out = tmp_path / "out"
         run_cli("run", "--config", config_file, "--out", out, "--seed", "7")
@@ -935,6 +959,22 @@ class TestImageDirDataset:
         assert "2147483648 classes" in capsys.readouterr().err
 
 
+# sha256 of each benchmark workload run's accuracy entries (as JSON) and
+# buffer snapshot at the config's first seed, 0, recorded when the run became
+# state advanced one task at a time. Each run takes its own path: the f = 1 NCM
+# prototypes (desk full), the softmax head (desk finetune), W1 updated in
+# several row blocks (wide-gps) and one replay row per step (stream-gps). A
+# change to a random stream or to a run's arithmetic shows up here and must
+# update these on purpose; they held on four OpenBLAS kernels.
+WORKLOAD_SHA256 = {
+    "desk/finetune": "1fdeb2fcf3d757f1e781837b3226a06b39e8ac46c490201482ac5c6b6c5988d2",
+    "desk/full": "8515e703b77bbe305f5128f0256d090a082d7d7f117412a6c5bf65088a6e51bd",
+    "desk/gps": "e2c9b73466865ac619b0056aabdc3254d6844787d9721656db96f1d9ca98386e",
+    "wide-gps/gps": "e629052e8c82efd85d76881d99c74a11453ef728eeb510d82bf35c374998865e",
+    "stream-gps/gps": "a096aac6b80b69d204a8538e3d7a5d246aa4c54f39f68879bf5f916028e78ade",
+}
+
+
 class TestBenchmarkContract:
     """What benchmarks/ reads of the library: the tracer's hook targets and
     the record that `run_one_seed` returns."""
@@ -977,7 +1017,11 @@ class TestBenchmarkContract:
         measure = importlib.import_module("measure")
         for name in ("measure", "tracer"):  # dropped from sys.modules after the test
             monkeypatch.setitem(sys.modules, name, sys.modules[name])
+        got = {}
         for workload in ("desk", "wide-gps", "stream-gps"):
             for arm, config in measure.load_workload(workload):
                 record = cli.run_one_seed(config, config.seeds[0])
                 assert measure.check_run(config, record) == [], (workload, arm)
+                data = json.dumps(record["entries"]).encode() + (record["snapshot"] or b"")
+                got[f"{workload}/{arm}"] = hashlib.sha256(data).hexdigest()
+        assert got == WORKLOAD_SHA256
