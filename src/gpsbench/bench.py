@@ -239,7 +239,7 @@ class RunResult:
     params: L.ModelParams
     buf: ReplayBuffer | None
     step_count: int
-    failure: str | None = None  # the ending NumericalError's message and step
+    failure: str | None = None  # the ending NumericalError's message and where
     buffer_rng: np.random.Generator | None = None
     replay_rng: np.random.Generator | None = None
 
@@ -284,7 +284,10 @@ def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rn
     `rng.split(DOMAIN_STREAM, step)`, and offer it with one `buf.offer` call,
     which decides for its images in stream order. A NumericalError from a
     step sets `failure` to its message and the step, and returns with row t
-    unwritten.
+    unwritten. The row is computed whole before it is written: a
+    NumericalError from the evaluation (non-finite logits or NCM distances)
+    sets `failure` to its message and "(in the evaluation after task t)",
+    and row t stays NaN too.
     """
     ds, params, buf = stream.dataset, result.params, result.buf
     task = stream.train_tasks[t]
@@ -308,15 +311,17 @@ def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rn
         if buf.factor > 1:  # factor 1 keeps every pixel
             pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
         buf.offer(pixels, labels, result.buffer_rng)
-    if config.head == "ncm":
-        prototypes = L.ncm_prototypes(params, buf)
-    for i in range(t + 1):
-        test = stream.test_tasks[i]
+    tests = stream.test_tasks[:t + 1]
+    try:
         if config.head == "ncm":
-            preds = L.classify_batch(prototypes, params, ds.test_pixels[test])
+            prototypes = L.ncm_prototypes(params, buf)
+            preds = [L.classify_batch(prototypes, params, ds.test_pixels[test]) for test in tests]
         else:
-            preds = L.softmax_classify_batch(params, ds.test_pixels[test])
-        result.matrix[t, i] = np.mean(preds == ds.test_labels[test])
+            preds = [L.softmax_classify_batch(params, ds.test_pixels[test]) for test in tests]
+    except NumericalError as exc:
+        result.failure = f"{exc} (in the evaluation after task {t})"
+        return
+    result.matrix[t, :t + 1] = [np.mean(p == ds.test_labels[test]) for p, test in zip(preds, tests)]
 
 
 def run_online(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResult:

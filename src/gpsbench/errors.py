@@ -24,6 +24,6 @@ class FormatError(GpsError):
 
 
 class NumericalError(GpsError):
-    """Training produced a non-finite value."""
+    """Training or evaluation produced a non-finite value."""
 
     exit_code = 4

@@ -4,7 +4,10 @@ The network is a two-layer MLP: pixels in [0,1] -> hidden (ReLU) ->
 embedding (affine) -> class logits (affine). Training takes one SGD step on
    mean_ce(stream batch) + replay_weight * mean_ce(replay batch)
 per call. Inference offers the softmax head or nearest-class-mean over
-buffered exemplars, embedded at their own resolution (see ncm_prototypes).
+buffered exemplars, embedded at their own resolution (see ncm_prototypes);
+NCM stops at the embedding and computes no logits. Training and inference
+alike report a non-finite loss, parameter, logit or NCM distance as a
+NumericalError, with numpy's overflow and invalid-value warnings silenced.
 
 Batches are (n, side, side, C) uint8 pixel arrays; a labeled batch is a
 (pixels, labels) pair. Stream and test batches are at the model's side;
@@ -125,18 +128,17 @@ def _pooled_W1(params: ModelParams, factor) -> np.ndarray:
     return W1p.reshape(side * side * params.channels, -1)
 
 
-def _forward(params: ModelParams, first):
-    """(hidden pre-activation, hidden, embeddings, logits) from the first
-    layer's product `first`, bias not yet added."""
+def _embed(params: ModelParams, first):
+    """(hidden pre-activation, hidden, embeddings) from the first layer's
+    product `first`, bias not yet added: the network up to the embedding.
+    The classifier head is applied only by train_step and the softmax head."""
     h_pre = first + params.b1
     h = np.maximum(h_pre, 0)
-    emb = h @ params.W2 + params.b2
-    logits = emb @ params.Wc + params.bc
-    return h_pre, h, emb, logits
+    return h_pre, h, h @ params.W2 + params.b2
 
 
 def embed_batch(params: ModelParams, pixels) -> np.ndarray:
-    return _forward(params, _to_matrix(params, pixels) @ params.W1)[2]
+    return _embed(params, _to_matrix(params, pixels) @ params.W1)[2]
 
 
 def _softmax_cross_entropy(logits, labels):
@@ -255,7 +257,8 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight,
     first = X @ params.W1
     if Xs is not None:
         first = np.concatenate([first, Xs @ _pooled_W1(params, f)])
-    h_pre, h, emb, logits = _forward(params, first)
+    h_pre, h, emb = _embed(params, first)
+    logits = emb @ params.Wc + params.bc
     d_logits, losses = _softmax_cross_entropy(logits, labels)
     stream_loss = float(losses[:n_stream].mean())
     replay_loss = float(losses[n_stream:].mean()) if use_replay else 0.0
@@ -292,6 +295,7 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight,
     return TrainStepReport(combined, stream_loss, replay_loss, n_stream, n_replay)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
     """(labels, means): the buffered class ids, ascending, and an
     (n_classes, d) array whose row k is the mean embedding of class labels[k].
@@ -307,7 +311,7 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
         raise ValueError("cannot build prototypes from an empty buffer")
     f = buf.factor
     W1p = _pooled_W1(params, f)
-    means = [_forward(params, _to_matrix(params, buf.slab[slots], f) @ W1p)[2].mean(axis=0)
+    means = [_embed(params, _to_matrix(params, buf.slab[slots], f) @ W1p)[2].mean(axis=0)
              for slots in class_slots.values()]
     return np.array(list(class_slots)), np.stack(means)
 
@@ -316,18 +320,28 @@ def classify_embedding(labels, means, embeddings) -> np.ndarray:
     """Label of the Euclidean-nearest mean for each row of an (n, d) matrix.
 
     `labels` must ascend, as `ncm_prototypes` returns them, so that argmin
-    sends distance ties to the smallest class id.
+    sends distance ties to the smallest class id. A non-finite squared
+    distance, from a non-finite embedding or mean or from an overflow, is a
+    NumericalError: argmin over it would pick a class by its tie rule.
     """
     d2 = ((embeddings[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
+    if not _finite(d2):
+        raise NumericalError("non-finite NCM distances")
     return labels[np.argmin(d2, axis=1)]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def classify_batch(prototypes, params: ModelParams, pixels) -> np.ndarray:
     """NCM labels for an (n, side, side, C) batch; `prototypes` is the
     (labels, means) pair that `ncm_prototypes` returns."""
     return classify_embedding(*prototypes, embed_batch(params, pixels))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def softmax_classify_batch(params: ModelParams, pixels) -> np.ndarray:
-    """Argmax-logit labels; ties go to the smallest class id."""
-    return np.argmax(_forward(params, _to_matrix(params, pixels) @ params.W1)[3], axis=1)
+    """Argmax-logit labels; ties go to the smallest class id. A non-finite
+    logit is a NumericalError."""
+    logits = embed_batch(params, pixels) @ params.Wc + params.bc
+    if not _finite(logits):
+        raise NumericalError("non-finite logits")
+    return np.argmax(logits, axis=1)

@@ -148,11 +148,11 @@ def _numeric_gradients(params, stream, replay, lam, eps):
     def loss(p):
         X = L._to_matrix(p, stream[0])
         value = float(L._softmax_cross_entropy(
-            L._forward(p, X @ p.W1)[3], stream[1])[1].mean())
+            L._embed(p, X @ p.W1)[2] @ p.Wc + p.bc, stream[1])[1].mean())
         if replay is not None and lam != 0.0:
             Xr = L._to_matrix(p, replay[0])
             value += lam * float(L._softmax_cross_entropy(
-                L._forward(p, Xr @ p.W1)[3], replay[1])[1].mean())
+                L._embed(p, Xr @ p.W1)[2] @ p.Wc + p.bc, replay[1])[1].mean())
         return value
 
     grads = {}

@@ -2,6 +2,7 @@ import copy
 import hashlib
 import math
 import re
+import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -319,6 +320,61 @@ def small_setup(seed=0, mode="gps", head="ncm", factor=2, replay_batch=16,
 def small_run(**kwargs):
     stream, cfg, root = small_setup(**kwargs)
     return run_online(stream, cfg, root), stream
+
+
+# (arm, learning rate, seed, failure) of small_setup(classes=6, tasks=3) runs
+# at the edge of divergence; each ends ok, or fails as listed
+EDGE_RUNS = [
+    ("gps", 10.0, 0, None),
+    ("full", 10.0, 0, None),
+    ("none", 10.0, 0, None),
+    # these two warned from the logits that NCM evaluation once computed
+    ("full", 10.0, 5, None),
+    ("gps", 10.0, 13, None),
+    # finite embeddings near 5e25, whose squared distances all overflow
+    ("gps", 10.0, 11, "non-finite NCM distances (in the evaluation after task 2)"),
+    ("none", 30.0, 6, "non-finite logits (in the evaluation after task 2)"),
+    ("none", 30.0, 11, "non-finite logits (in the evaluation after task 2)"),
+    ("gps", 100.0, 0, "non-finite NCM distances (in the evaluation after task 0)"),
+    ("full", 100.0, 0, "non-finite NCM distances (in the evaluation after task 0)"),
+    ("none", 100.0, 7, "non-finite logits (in the evaluation after task 1)"),
+    ("gps", 10.0, 1, "non-finite parameters after update (at training step 9)"),
+]
+
+
+class TestEvaluation:
+    @pytest.mark.parametrize("arm, lr, seed, failure", EDGE_RUNS,
+                             ids=[f"{arm}-lr{lr:g}-seed{seed}" for arm, lr, seed, _ in EDGE_RUNS])
+    def test_run_ends_ok_without_warnings_or_fails_as_listed(self, arm, lr, seed, failure):
+        stream, cfg, root = small_setup(seed=seed, classes=6, tasks=3, learning_rate=lr,
+                                        **ARMS[arm])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_online(stream, cfg, root)
+        assert result.failure == failure
+        steps_per_task = len(stream.train_tasks[0]) // 5
+        if failure is None:
+            failed_task = 3
+        elif evaluation := re.search(r"in the evaluation after task (\d)\)$", failure):
+            failed_task = int(evaluation[1])
+            # every step of the task trained before its evaluation failed
+            assert result.step_count == (failed_task + 1) * steps_per_task
+        else:
+            failed_task = result.step_count // steps_per_task
+        assert not np.isnan(np.tril(result.matrix)[:failed_task]).any()
+        assert np.isnan(result.matrix[failed_task:]).all()
+
+    def test_ncm_never_reads_the_classifier_head(self):
+        result, stream = small_run(seed=0, classes=6, tasks=3)
+        params, pixels = result.params, stream.dataset.test_pixels
+        expected = L.classify_batch(L.ncm_prototypes(params, result.buf), params, pixels)
+        params.Wc[...] = np.inf
+        params.bc[...] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prototypes = L.ncm_prototypes(params, result.buf)
+            np.testing.assert_array_equal(L.classify_batch(prototypes, params, pixels),
+                                          expected)
 
 
 class TestReplayBatch:

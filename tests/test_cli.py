@@ -405,6 +405,22 @@ class TestExitCodes:
                               "replay=nan) (at training step 2))\n")
         assert out.stderr == "error: one or more seeds failed; partial artifacts written\n"
 
+    def test_run_whose_evaluation_overflows_is_4(self, tmp_path, capsys):
+        # both seeds train every step, then their softmax logits overflow in
+        # the evaluation after the last task
+        path = tmp_path / "exp.cfg"
+        path.write_text("synthetic_classes = 6\nsynthetic_resolution = 8\n"
+                        "synthetic_train_per_class = 10\nsynthetic_test_per_class = 4\n"
+                        "tasks = 3\nclasses_per_task = 2\nbuffer_mode = none\n"
+                        "head = softmax\nstream_batch = 5\nhidden_units = 16\n"
+                        "embedding_units = 8\nlearning_rate = 30.0\nseeds = 6,11\n")
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 4
+        assert capsys.readouterr().out == "".join(
+            f"seed {seed}: FAILED (non-finite logits (in the evaluation after task 2))\n"
+            for seed in (6, 11))
+        rows = (tmp_path / "o" / "seed_6_matrix.partial.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == ["t", "0", "1", "1"]
+
     # the deleted config keys, each at the value now fixed: only the key is wrong
     @pytest.mark.parametrize("line", [
         "who = knows", "synthetic_pattern_seed = 7", "synthetic_contrast = 25.0",

@@ -20,11 +20,11 @@ def tiny_images(rng, count, r=1, channels=3, num_classes=2):
 
 def combined_loss(params, stream, replay, lam):
     X = L._to_matrix(params, stream[0])
-    ls = L._softmax_cross_entropy(L._forward(params, X @ params.W1)[3], stream[1])[1]
+    ls = L._softmax_cross_entropy(L._embed(params, X @ params.W1)[2] @ params.Wc + params.bc, stream[1])[1]
     total = float(ls.mean())
     if replay is not None and lam != 0.0:
         Xr = L._to_matrix(params, replay[0])
-        lr = L._softmax_cross_entropy(L._forward(params, Xr @ params.W1)[3], replay[1])[1]
+        lr = L._softmax_cross_entropy(L._embed(params, Xr @ params.W1)[2] @ params.Wc + params.bc, replay[1])[1]
         total += lam * float(lr.mean())
     return total
 
