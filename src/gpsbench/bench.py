@@ -4,8 +4,9 @@ and evaluation metrics.
 A class-incremental stream is an ordered list of tasks with disjoint class
 sets; the runner visits every stream item exactly once, mixes each incoming
 mini-batch with a replay batch, trains, then compresses the mini-batch with
-one sampling draw and offers it to the buffer with one reservoir call. After
-each task it fills one row of the accuracy matrix by evaluating on all test
+one sampling draw and offers it to the buffer with one reservoir call. A
+task's sampling draws continue one generator keyed by the task. After each
+task it fills one row of the accuracy matrix by evaluating on all test
 sets seen so far.
 """
 
@@ -280,18 +281,22 @@ def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rn
     Per mini-batch: draw replay_batch // factor^2 stored surrogates, take one
     SGD step on stream + replay with the surrogates at their own resolution
     (each trains as its upsampled full-resolution row), then (at factor > 1)
-    compress the whole mini-batch with one `gps_sample` call on
-    `rng.split(DOMAIN_STREAM, step)`, and offer it with one `buf.offer` call,
-    which decides for its images in stream order. A NumericalError from a
-    step sets `failure` to its message and the step, and returns with row t
-    unwritten. The row is computed whole before it is written: a
-    NumericalError from the evaluation (non-finite logits or NCM distances)
-    sets `failure` to its message and "(in the evaluation after task t)",
-    and row t stays NaN too.
+    compress the whole mini-batch with one `gps_sample` call, and offer it
+    with one `buf.offer` call, which decides for its images in stream order.
+    The task's `gps_sample` calls draw in turn from one generator,
+    `rng.split(DOMAIN_STREAM, t)`, so a task's offsets depend on the seed and
+    t alone. A NumericalError from a step sets `failure` to its message and
+    the step, and returns with row t unwritten. The row is computed whole
+    before it is written: a NumericalError from the evaluation (non-finite
+    logits or NCM distances) sets `failure` to its message and "(in the
+    evaluation after task t)", and row t stays NaN too.
     """
     ds, params, buf = stream.dataset, result.params, result.buf
     task = stream.train_tasks[t]
     replay = None
+    # one sampler generator per task, which each mini-batch's draw continues;
+    # factor 1 keeps every pixel
+    sampler = rng.split(DOMAIN_STREAM, t) if buf is not None and buf.factor > 1 else None
     for start in range(0, len(task), config.stream_batch):
         batch = task[start : start + config.stream_batch]
         pixels, labels = ds.train_pixels[batch], ds.train_labels[batch]
@@ -299,17 +304,16 @@ def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rn
             # replay_batch counts stored samples, f^2 per surrogate
             slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, result.replay_rng)
             replay = buf.slab[slots], buf.labels[slots]
-        step = result.step_count
         try:
             L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate)
         except NumericalError as exc:
-            result.failure = f"{exc} (at training step {step})"
+            result.failure = f"{exc} (at training step {result.step_count})"
             return
         result.step_count += 1
         if buf is None:
             continue
-        if buf.factor > 1:  # factor 1 keeps every pixel
-            pixels = gps_sample(pixels, buf.factor, rng.split(DOMAIN_STREAM, step))
+        if sampler is not None:
+            pixels = gps_sample(pixels, buf.factor, sampler)
         buf.offer(pixels, labels, result.buffer_rng)
     tests = stream.test_tasks[:t + 1]
     try:

@@ -50,7 +50,7 @@ class Rng(np.random.Generator):
             np.random.SeedSequence(self.seed, spawn_key=self.spawn_key)))
 
     def split(self, *path):
-        """Child generator for the given purpose path, e.g. split(DOMAIN_STREAM, step)."""
+        """Child generator for the given purpose path, e.g. split(DOMAIN_STREAM, task)."""
         return Rng(self.seed, self.spawn_key + tuple(int(p) for p in path))
 
 

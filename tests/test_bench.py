@@ -27,7 +27,10 @@ from gpsbench.cli import run_one_seed
 from gpsbench.config import ExperimentConfig, parse_config
 from gpsbench.errors import ConfigError, FormatError
 from gpsbench.imaging import (
+    DOMAIN_BUFFER,
     DOMAIN_DATA,
+    DOMAIN_MODEL_INIT,
+    DOMAIN_REPLAY,
     DOMAIN_STREAM,
     DOMAIN_TASK_SPLIT,
     DRAW_CHUNK_VALUES,
@@ -338,7 +341,9 @@ EDGE_RUNS = [
     ("gps", 100.0, 0, "non-finite NCM distances (in the evaluation after task 0)"),
     ("full", 100.0, 0, "non-finite NCM distances (in the evaluation after task 0)"),
     ("none", 100.0, 7, "non-finite logits (in the evaluation after task 1)"),
-    ("gps", 10.0, 1, "non-finite parameters after update (at training step 9)"),
+    ("gps", 10.0, 1, "non-finite NCM distances (in the evaluation after task 1)"),
+    # a training failure in an arm that draws no GPS offsets
+    ("full", 10.0, 2, "non-finite parameters after update (at training step 6)"),
 ]
 
 
@@ -489,21 +494,24 @@ class TestRunOnline:
 
     def test_buffer_holds_one_batched_draw_per_step(self):
         # 10 images of budget at factor 2 give 40 slots for 40 stream items,
-        # so nothing is evicted and slot k holds stream item k
+        # so nothing is evicted and slot k holds stream item k. Each task's
+        # batches draw in turn from one generator: a sampler that restarted
+        # at every batch would repeat the first batch's offsets.
         result, stream = small_run(seed=13, budget_images=10)
         buf, ds = result.buf, stream.dataset
-        batches = [task[start : start + 5] for task in stream.train_tasks
-                   for start in range(0, len(task), 5)]
+        expected, batches = [], []
+        for t, task in enumerate(stream.train_tasks):
+            sampler = Rng(13).split(DOMAIN_STREAM, t)
+            for start in range(0, len(task), 5):
+                batches.append(task[start : start + 5])
+                expected.append(gps_sample(ds.train_pixels[batches[-1]], 2, sampler))
         assert result.step_count == len(batches) == 8
-        expected = np.concatenate([
-            gps_sample(ds.train_pixels[batch], 2, Rng(13).split(DOMAIN_STREAM, step))
-            for step, batch in enumerate(batches)
-        ])
+        expected = np.concatenate(expected)
         assert buf.seen_count == buf.slot_count == len(expected)
         np.testing.assert_array_equal(buf.slab, expected)
         np.testing.assert_array_equal(buf.labels, ds.train_labels[np.concatenate(batches)])
 
-    def test_rng_splits_grow_with_steps_not_items(self, monkeypatch):
+    def test_rng_splits_grow_with_tasks_not_steps(self, monkeypatch):
         stream, cfg, root = small_setup(seed=14)
         calls = []
         split = Rng.split
@@ -515,8 +523,15 @@ class TestRunOnline:
         monkeypatch.setattr(Rng, "split", counting_split)
         result = run_online(stream, cfg, root)
         assert sum(len(task) for task in stream.train_tasks) == 5 * result.step_count == 40
-        # the replay, model and buffer splits, then one per step
-        assert len(calls) == result.step_count + 3
+        # the model, buffer and replay generators, then one sampler per task
+        start = [(DOMAIN_MODEL_INIT,), (DOMAIN_BUFFER,), (DOMAIN_REPLAY,)]
+        assert calls == start + [(DOMAIN_STREAM, t) for t in range(len(stream.train_tasks))]
+        # full and none draw no offsets, and none has no buffer generator
+        for arm, expected in (("full", start), ("none", [start[0], start[2]])):
+            stream, cfg, root = small_setup(seed=14, **ARMS[arm])
+            calls.clear()
+            run_online(stream, cfg, root)
+            assert calls == expected, arm
 
     def test_numerical_failure_is_returned_with_the_partial_run(self):
         result, stream = small_run(seed=16, learning_rate=1e6)

@@ -45,12 +45,12 @@ PINNED_CONFIG = (BASE_CONFIG.replace("synthetic_test_per_class = 5",
                                      "synthetic_test_per_class = 3\nsynthetic_noise = 60")
                  .replace("seeds = 0,1", "seeds = 0"))
 
-# sha256 of PINNED_CONFIG's seed 0 CSVs; the matrix reads 1, 1, 1, 1/2, 2/3, 1.
-# Re-recorded when gps replay changed from tiling f^2 surrogates per row to
-# upsampling one surrogate per row, which moves every gps run at f >= 2.
+# sha256 of PINNED_CONFIG's seed 0 CSVs; the matrix reads 1, 1, 1, 5/6, 5/6, 5/6.
+# Re-recorded when the GPS sampler generator became one per task instead of
+# one per step, which moves every gps run at f >= 2.
 PINNED_SHA256 = {
-    "seed_0_matrix.csv": "39a370be563a58cc662c4587c7eba5f9d306843b6a07fc859960f4452a70b4ae",
-    "seed_0_end.csv": "5784517c5d2115f0e59109a063187dbf15057c1c0be7aeb2d7b08f291567436d",
+    "seed_0_matrix.csv": "9707ad7d93ac9ac37d00a0098572a1f60065699e86eacb75e4e9c933b7eb79c7",
+    "seed_0_end.csv": "826b98e0d1943883ce514bdb71e8a489b311ff904050447e41b602b31e181741",
 }
 
 
@@ -976,18 +976,20 @@ class TestImageDirDataset:
 
 
 # sha256 of each benchmark workload run's accuracy entries (as JSON) and
-# buffer snapshot at the config's first seed, 0, recorded when the run became
-# state advanced one task at a time. Each run takes its own path: the f = 1 NCM
-# prototypes (desk full), the softmax head (desk finetune), W1 updated in
-# several row blocks (wide-gps) and one replay row per step (stream-gps). A
-# change to a random stream or to a run's arithmetic shows up here and must
-# update these on purpose; they held on four OpenBLAS kernels.
+# buffer snapshot at the config's first seed, 0. The gps entries were
+# re-recorded when the GPS sampler generator became one per task; the full
+# and finetune entries, which draw no offsets, did not change. Each run takes
+# its own path: the f = 1 NCM prototypes (desk full), the softmax head (desk
+# finetune), W1 updated in several row blocks (wide-gps) and one replay row
+# per step (stream-gps). A change to a random stream or to a run's arithmetic
+# shows up here and must update these on purpose; they held on four OpenBLAS
+# kernels.
 WORKLOAD_SHA256 = {
     "desk/finetune": "1fdeb2fcf3d757f1e781837b3226a06b39e8ac46c490201482ac5c6b6c5988d2",
     "desk/full": "8515e703b77bbe305f5128f0256d090a082d7d7f117412a6c5bf65088a6e51bd",
-    "desk/gps": "e2c9b73466865ac619b0056aabdc3254d6844787d9721656db96f1d9ca98386e",
-    "wide-gps/gps": "e629052e8c82efd85d76881d99c74a11453ef728eeb510d82bf35c374998865e",
-    "stream-gps/gps": "a096aac6b80b69d204a8538e3d7a5d246aa4c54f39f68879bf5f916028e78ade",
+    "desk/gps": "0ec4473262a75c31e58e87933ddbd2a1a978cf40efef9a0f37650ce51cd082b8",
+    "wide-gps/gps": "ace7d6795bdde56eb9db83ee738903a2363e87de6071de8894e1a369654eabd6",
+    "stream-gps/gps": "333cf43ed78c7d66efa6e3b8a13f4d51d4a0f8585139e78fbfc8dce2c028077e",
 }
 
 
