@@ -5,8 +5,9 @@ A class-incremental stream is an ordered list of tasks with disjoint class
 sets; the runner visits every stream item exactly once, mixes each incoming
 mini-batch with a replay batch, trains, then compresses the mini-batch with
 one sampling draw and offers it to the buffer with one reservoir call. A
-task's sampling draws continue one generator keyed by the task. After each
-task it fills one row of the accuracy matrix by evaluating on all test
+task's sampling, offer and replay draws each continue one generator keyed
+by (seed, domain, task), so a run between tasks holds no generator. After
+each task it fills one row of the accuracy matrix by evaluating on all test
 sets seen so far.
 """
 
@@ -232,25 +233,20 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
 
 @dataclass
 class RunResult:
-    """A run's whole state between tasks. `buffer_rng` (None without a buffer)
-    and `replay_rng` are the generators that every offer and every replay draw
-    continue from task to task."""
+    """A run's whole state between tasks: every draw of a task is keyed by
+    the seed and the task, so no generator outlives one."""
 
     matrix: np.ndarray  # (T, T) float64; NaN where no entry is written
     params: L.ModelParams
     buf: ReplayBuffer | None
     step_count: int
     failure: str | None = None  # the ending NumericalError's message and where
-    buffer_rng: np.random.Generator | None = None
-    replay_rng: np.random.Generator | None = None
 
 
 def start_run(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResult:
     """The state of a run before its first task: the model the config
-    describes on `rng.split(DOMAIN_MODEL_INIT)`, its buffer (None at
-    buffer_mode = none) with the offer generator `rng.split(DOMAIN_BUFFER)`,
-    the replay generator `rng.split(DOMAIN_REPLAY)`, split in that order, and
-    an all-NaN accuracy matrix."""
+    describes on `rng.split(DOMAIN_MODEL_INIT)`, its empty buffer (None at
+    buffer_mode = none) and an all-NaN accuracy matrix."""
     ds = stream.dataset
     resolution = require_square(ds.train_pixels[0])
     channels = ds.train_pixels.shape[3]
@@ -259,19 +255,17 @@ def start_run(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResu
         params = L.init_params(resolution, channels, config.hidden_units,
                                config.embedding_units, num_classes,
                                rng.split(DOMAIN_MODEL_INIT))
-    buf = buffer_rng = None
+    buf = None
     if config.buffer_mode != "none":
         # a full buffer is the factor-1 buffer, whatever `factor` says
         factor = config.factor if config.buffer_mode == "gps" else 1
-        buffer_rng = rng.split(DOMAIN_BUFFER)
         with _allocating(f"a buffer of budget_images = {config.budget_images}"):
             buf = ReplayBuffer(PixelBudget(config.budget_images, resolution),
                                factor=factor, channels=channels)
         if resolution % factor:
             raise ConfigError(
                 f"factor {factor} must divide resolution {resolution} for replay training")
-    return RunResult(np.full((len(stream.train_tasks),) * 2, np.nan), params, buf, 0,
-                     None, buffer_rng, rng.split(DOMAIN_REPLAY))
+    return RunResult(np.full((len(stream.train_tasks),) * 2, np.nan), params, buf, 0)
 
 
 def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rng: Rng, t):
@@ -283,26 +277,31 @@ def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rn
     (each trains as its upsampled full-resolution row), then (at factor > 1)
     compress the whole mini-batch with one `gps_sample` call, and offer it
     with one `buf.offer` call, which decides for its images in stream order.
-    The task's `gps_sample` calls draw in turn from one generator,
-    `rng.split(DOMAIN_STREAM, t)`, so a task's offsets depend on the seed and
-    t alone. A NumericalError from a step sets `failure` to its message and
-    the step, and returns with row t unwritten. The row is computed whole
-    before it is written: a NumericalError from the evaluation (non-finite
-    logits or NCM distances) sets `failure` to its message and "(in the
-    evaluation after task t)", and row t stays NaN too.
+    A run with a buffer splits one generator per task for each kind of draw,
+    which the task's mini-batches continue in turn: `rng.split(DOMAIN_BUFFER,
+    t)` for `offer`, `rng.split(DOMAIN_REPLAY, t)` for the replay draw and, at
+    factor > 1, `rng.split(DOMAIN_STREAM, t)` for `gps_sample`. So every draw
+    of task t depends on the seed, the domain and t alone.
+
+    A NumericalError from a step sets `failure` to its message and the step,
+    and returns with row t unwritten. The row is computed whole before it is
+    written: a NumericalError from the evaluation (non-finite logits or NCM
+    distances) sets `failure` to its message and "(in the evaluation after
+    task t)", and row t stays NaN too.
     """
     ds, params, buf = stream.dataset, result.params, result.buf
     task = stream.train_tasks[t]
-    replay = None
-    # one sampler generator per task, which each mini-batch's draw continues;
-    # factor 1 keeps every pixel
-    sampler = rng.split(DOMAIN_STREAM, t) if buf is not None and buf.factor > 1 else None
+    replay = sampler = None
+    if buf is not None:
+        offers, draws = rng.split(DOMAIN_BUFFER, t), rng.split(DOMAIN_REPLAY, t)
+        if buf.factor > 1:  # factor 1 keeps every pixel
+            sampler = rng.split(DOMAIN_STREAM, t)
     for start in range(0, len(task), config.stream_batch):
         batch = task[start : start + config.stream_batch]
         pixels, labels = ds.train_pixels[batch], ds.train_labels[batch]
         if buf is not None:
             # replay_batch counts stored samples, f^2 per surrogate
-            slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, result.replay_rng)
+            slots = draw_replay_batch(buf, config.replay_batch // buf.factor ** 2, draws)
             replay = buf.slab[slots], buf.labels[slots]
         try:
             L.train_step(params, (pixels, labels), replay, 1.0, config.learning_rate)
@@ -314,7 +313,7 @@ def run_task(result: RunResult, stream: TaskStream, config: ExperimentConfig, rn
             continue
         if sampler is not None:
             pixels = gps_sample(pixels, buf.factor, sampler)
-        buf.offer(pixels, labels, result.buffer_rng)
+        buf.offer(pixels, labels, offers)
     tests = stream.test_tasks[:t + 1]
     try:
         if config.head == "ncm":

@@ -37,10 +37,9 @@ class Rng(np.random.Generator):
     Equal (seed, key path) always yields the same draw sequence, on any
     platform. `split` derives an independent child stream without consuming
     state from the parent, so splitting order never perturbs draws. Draws
-    are numpy's own `Generator` methods; no file stores a generator's state.
-    numpy pickles and copies a Generator as a plain one, which loses
-    `split`: a copied `RunResult` holds its two generators as plain
-    Generators, which is all their draws need (workers get configs and seeds).
+    are numpy's own `Generator` methods; no file stores a generator's state,
+    and none outlives a task: a run keys each task's draws by (seed, domain,
+    task), so its state between tasks holds no generator.
     """
 
     def __init__(self, seed, _spawn_key=()):

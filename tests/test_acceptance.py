@@ -333,12 +333,14 @@ def test_criterion_10_determinism(tmp_path):
 # path moved from per-image objects to arrays. A change to any random stream
 # or to the arithmetic of a run shows up here and must update these on
 # purpose. The matrices are all 1.0 on this small config, so the buffer
-# report (per-class exemplar counts) pins the random streams as well.
+# report (per-class exemplar counts) pins the random streams as well. The
+# buffer reports were re-recorded when the offer and replay generators
+# became one per task instead of one per run.
 GOLDEN_SHA256 = {
     "seed_0_matrix.csv": "b2ceac3c77174a5e272f223be10f0990cc6b5a0235e1e2640e812418aea667ed",
     "seed_1_matrix.csv": "b2ceac3c77174a5e272f223be10f0990cc6b5a0235e1e2640e812418aea667ed",
-    "seed_0_buffer.gpsb": "346b93069f409f10fc7de36ffe48d0a6243be1860828d6f6fbbfa7493c29d3bd",
-    "seed_1_buffer.gpsb": "289a4d9a20b30d480aa5d4de38e90d567da9dd9c5f9f6a627b9dc2cb39a03014",
+    "seed_0_buffer.gpsb": "17b5df2f7be1c4f51a56e49442d859808fb44abfaaa5e0aaae54a58ddbbf672d",
+    "seed_1_buffer.gpsb": "ad62a76c422896246c4c6d4cc01fb3e1043a19b20e745abe90f87a623c938c6f",
 }
 
 

@@ -13,6 +13,7 @@ import gpsbench.learner as L
 from gpsbench.bench import (
     CIFAR_RECORD_BYTES,
     Dataset,
+    RunResult,
     average_end_accuracy,
     class_pattern,
     generate_synthetic,
@@ -334,15 +335,16 @@ EDGE_RUNS = [
     # these two warned from the logits that NCM evaluation once computed
     ("full", 10.0, 5, None),
     ("gps", 10.0, 13, None),
-    # finite embeddings near 5e25, whose squared distances all overflow
-    ("gps", 10.0, 11, "non-finite NCM distances (in the evaluation after task 2)"),
     ("none", 30.0, 6, "non-finite logits (in the evaluation after task 2)"),
     ("none", 30.0, 11, "non-finite logits (in the evaluation after task 2)"),
+    ("none", 100.0, 7, "non-finite logits (in the evaluation after task 1)"),
+    # finite embeddings near 2.5e23, whose squared distances all overflow
     ("gps", 100.0, 0, "non-finite NCM distances (in the evaluation after task 0)"),
     ("full", 100.0, 0, "non-finite NCM distances (in the evaluation after task 0)"),
-    ("none", 100.0, 7, "non-finite logits (in the evaluation after task 1)"),
+    # finite embeddings near 3e20, most of whose squared distances overflow
     ("gps", 10.0, 1, "non-finite NCM distances (in the evaluation after task 1)"),
-    # a training failure in an arm that draws no GPS offsets
+    # training failures in an arm that draws GPS offsets and in one that draws none
+    ("gps", 10.0, 11, "non-finite parameters after update (at training step 10)"),
     ("full", 10.0, 2, "non-finite parameters after update (at training step 6)"),
 ]
 
@@ -511,6 +513,37 @@ class TestRunOnline:
         np.testing.assert_array_equal(buf.slab, expected)
         np.testing.assert_array_equal(buf.labels, ds.train_labels[np.concatenate(batches)])
 
+    def test_buffer_and_replay_follow_the_per_task_generators(self, monkeypatch):
+        # 2 images of budget at factor 2 give 8 slots for 40 stream items, so
+        # offers evict. Criterion 3 drives offer with its own generator; this
+        # rebuilds the run's buffer and replay draws from (seed, domain, t).
+        draws = []
+
+        def draw(buf, n, rng):
+            draws.append(draw_replay_batch(buf, n, rng))
+            return draws[-1]
+
+        monkeypatch.setattr(bench, "draw_replay_batch", draw)
+        result, stream = small_run(seed=15, budget_images=2)
+        ds, root = stream.dataset, Rng(15)
+        buf = ReplayBuffer(PixelBudget(2, 8), factor=2)
+        expected, evicted = [], []
+        for t, task in enumerate(stream.train_tasks):
+            sampler, offers = root.split(DOMAIN_STREAM, t), root.split(DOMAIN_BUFFER, t)
+            replay = root.split(DOMAIN_REPLAY, t)
+            for start in range(0, len(task), 5):
+                batch = task[start : start + 5]
+                expected.append(draw_replay_batch(buf, 16 // 4, replay))
+                surrogates = gps_sample(ds.train_pixels[batch], 2, sampler)
+                evicted += buf.offer(surrogates, ds.train_labels[batch], offers)[1]
+        assert evicted and buf.seen_count == 40 > buf.slot_count == 8
+        np.testing.assert_array_equal(result.buf.slab, buf.slab)
+        np.testing.assert_array_equal(result.buf.labels, buf.labels)
+        assert result.buf.seen_count == buf.seen_count
+        assert len(draws) == len(expected) == 8 and any(len(slots) for slots in expected)
+        for got, want in zip(draws, expected):
+            np.testing.assert_array_equal(got, want)
+
     def test_rng_splits_grow_with_tasks_not_steps(self, monkeypatch):
         stream, cfg, root = small_setup(seed=14)
         calls = []
@@ -523,11 +556,16 @@ class TestRunOnline:
         monkeypatch.setattr(Rng, "split", counting_split)
         result = run_online(stream, cfg, root)
         assert sum(len(task) for task in stream.train_tasks) == 5 * result.step_count == 40
-        # the model, buffer and replay generators, then one sampler per task
-        start = [(DOMAIN_MODEL_INIT,), (DOMAIN_BUFFER,), (DOMAIN_REPLAY,)]
-        assert calls == start + [(DOMAIN_STREAM, t) for t in range(len(stream.train_tasks))]
-        # full and none draw no offsets, and none has no buffer generator
-        for arm, expected in (("full", start), ("none", [start[0], start[2]])):
+
+        def per_task(*domains):
+            return [(DOMAIN_MODEL_INIT,)] + [
+                (domain, t) for t in range(len(stream.train_tasks)) for domain in domains]
+
+        # the model generator, then per task the offer, replay and sampler ones
+        assert calls == per_task(DOMAIN_BUFFER, DOMAIN_REPLAY, DOMAIN_STREAM)
+        # full draws no offsets, and none, without a buffer, splits the model's only
+        for arm, expected in (("full", per_task(DOMAIN_BUFFER, DOMAIN_REPLAY)),
+                              ("none", per_task())):
             stream, cfg, root = small_setup(seed=14, **ARMS[arm])
             calls.clear()
             run_online(stream, cfg, root)
@@ -558,25 +596,44 @@ ARMS = {"gps": {}, "full": dict(mode="full", factor=1),
         "none": dict(mode="none", head="softmax", replay_batch=0)}
 
 
+def from_bytes(result):
+    """A run's state rebuilt from what has a byte format: the matrix, each
+    tensor's bytes, the buffer's GPSB snapshot and the step count."""
+    p = result.params
+    tensors = [np.frombuffer(t.tobytes(), t.dtype).reshape(t.shape).copy() for t in p.tensors()]
+    return RunResult(result.matrix.copy(), L.ModelParams(p.input_side, p.channels, *tensors),
+                     None if result.buf is None else ReplayBuffer.restore(result.buf.snapshot()),
+                     result.step_count)
+
+
 class TestRunState:
-    @pytest.mark.parametrize("arm", ARMS)
-    def test_copy_at_every_task_boundary_continues_to_the_same_bytes(self, arm):
-        # what a checkpoint at a task boundary must hold: a deep copy, whose
-        # generators are plain numpy Generators, runs on to run_online's bytes
+    def continues_from_every_task_boundary(self, arm, rebuild):
+        """Rebuild the state at each task boundary and run it on: it ends in
+        run_online's bytes."""
         stream, cfg, root = small_setup(seed=18, classes=6, tasks=3, **ARMS[arm])
         expected = outcome(run_online(stream, cfg, root))
         assert expected[-1] is None
         tasks = len(stream.train_tasks)
         result = start_run(stream, cfg, root)
         for boundary in range(tasks):
-            resumed = copy.deepcopy(result)
+            resumed = rebuild(result)
             for t in range(boundary, tasks):
                 run_task(resumed, stream, cfg, root, t)
             assert outcome(resumed) == expected, boundary
             run_task(result, stream, cfg, root, boundary)
         # start_run, then run_task over every t, is run_online; and the
-        # copies shared no state with the run they were taken from
+        # rebuilt states shared no state with the run they were taken from
         assert outcome(result) == expected
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_copy_at_every_task_boundary_continues_to_the_same_bytes(self, arm):
+        self.continues_from_every_task_boundary(arm, copy.deepcopy)
+
+    @pytest.mark.parametrize("arm", ARMS)
+    def test_state_rebuilt_from_bytes_at_every_task_boundary_continues_to_the_same_bytes(
+            self, arm):
+        # the state between tasks holds no generator: its bytes are all of it
+        self.continues_from_every_task_boundary(arm, from_bytes)
 
     def test_failing_task_is_the_last_task_run(self, monkeypatch):
         # lr 100 diverges in task 1 of 3: row 0 is written, row 1 is not

@@ -45,12 +45,12 @@ PINNED_CONFIG = (BASE_CONFIG.replace("synthetic_test_per_class = 5",
                                      "synthetic_test_per_class = 3\nsynthetic_noise = 60")
                  .replace("seeds = 0,1", "seeds = 0"))
 
-# sha256 of PINNED_CONFIG's seed 0 CSVs; the matrix reads 1, 1, 1, 5/6, 5/6, 5/6.
-# Re-recorded when the GPS sampler generator became one per task instead of
-# one per step, which moves every gps run at f >= 2.
+# sha256 of PINNED_CONFIG's seed 0 CSVs; the matrix reads 1, 5/6, 1, 1/2, 5/6, 1.
+# Re-recorded when the offer and replay generators became one per task
+# instead of one per run, which moves every run with a buffer.
 PINNED_SHA256 = {
-    "seed_0_matrix.csv": "9707ad7d93ac9ac37d00a0098572a1f60065699e86eacb75e4e9c933b7eb79c7",
-    "seed_0_end.csv": "826b98e0d1943883ce514bdb71e8a489b311ff904050447e41b602b31e181741",
+    "seed_0_matrix.csv": "85fe029abcd4f861ad55e078c30eb1d693bc252b8f2d0b6adb20890daa5bc198",
+    "seed_0_end.csv": "ce9ab13481479c9ad90565fe2c5ded533cb291acb86e00b5b0ca0c02f7a1bbe5",
 }
 
 
@@ -976,20 +976,21 @@ class TestImageDirDataset:
 
 
 # sha256 of each benchmark workload run's accuracy entries (as JSON) and
-# buffer snapshot at the config's first seed, 0. The gps entries were
-# re-recorded when the GPS sampler generator became one per task; the full
-# and finetune entries, which draw no offsets, did not change. Each run takes
-# its own path: the f = 1 NCM prototypes (desk full), the softmax head (desk
-# finetune), W1 updated in several row blocks (wide-gps) and one replay row
-# per step (stream-gps). A change to a random stream or to a run's arithmetic
-# shows up here and must update these on purpose; they held on four OpenBLAS
-# kernels.
+# buffer snapshot at the config's first seed, 0. The gps and full entries
+# were re-recorded when the offer and replay generators became one per task
+# instead of one per run; the finetune entry, which has no buffer and draws
+# neither, did not change. Each run takes its own path: the f = 1 NCM
+# prototypes (desk full), the softmax head (desk finetune), W1 updated in
+# several row blocks (wide-gps) and one replay row per step (stream-gps). A
+# change to a random stream or to a run's arithmetic shows up here and must
+# update these on purpose; they held on four OpenBLAS kernels (SkylakeX,
+# Haswell, SandyBridge and Nehalem).
 WORKLOAD_SHA256 = {
     "desk/finetune": "1fdeb2fcf3d757f1e781837b3226a06b39e8ac46c490201482ac5c6b6c5988d2",
-    "desk/full": "8515e703b77bbe305f5128f0256d090a082d7d7f117412a6c5bf65088a6e51bd",
-    "desk/gps": "0ec4473262a75c31e58e87933ddbd2a1a978cf40efef9a0f37650ce51cd082b8",
-    "wide-gps/gps": "ace7d6795bdde56eb9db83ee738903a2363e87de6071de8894e1a369654eabd6",
-    "stream-gps/gps": "333cf43ed78c7d66efa6e3b8a13f4d51d4a0f8585139e78fbfc8dce2c028077e",
+    "desk/full": "fe64056bda6ec4e982793f9e74fad01c239953b8ce8863dfa623e20df0064b3a",
+    "desk/gps": "58415f8f9a0e4abbfbe5e1c392d7ba98c8ad16175ffd3947d2c3995a5e67e169",
+    "wide-gps/gps": "642b5885fd3e9f66850fdc6bf25769a7849deada456ec2a376dc470c6bf92c69",
+    "stream-gps/gps": "221af96eaa2c85af720d7b1cf006467204f3d68d302e439321bcd4b9bea916bb",
 }
 
 
