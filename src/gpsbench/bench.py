@@ -50,13 +50,12 @@ class TaskStream:
     """Ordered tasks with mutually disjoint class sets and per-task test sets.
 
     Tasks are index vectors into the dataset's train and test arrays, so
-    each pixel is stored once; train indices are in stream order.
+    each pixel and label is stored once; train indices are in stream order.
     """
 
     dataset: Dataset
     train_tasks: list[np.ndarray]
     test_tasks: list[np.ndarray]
-    class_sets: list[frozenset[int]]
 
 
 def average_end_accuracy(matrix: np.ndarray) -> float:
@@ -130,7 +129,8 @@ def generate_synthetic(config: ExperimentConfig, rng: Rng) -> Dataset:
         for c, pattern in enumerate(patterns):
             for start in range(c * count, (c + 1) * count, rows):
                 noisy = noise_rng.standard_normal((min(rows, (c + 1) * count - start), *shape))
-                noisy *= config.synthetic_noise
+                with np.errstate(over="ignore"):  # an overflow is +-inf, clipped to 255 or 0
+                    noisy *= config.synthetic_noise
                 noisy += pattern
                 np.clip(np.rint(noisy, out=noisy), 0, 255, out=noisy)
                 pixels[start : start + len(noisy)] = noisy
@@ -204,7 +204,8 @@ def load_image_dir(root, rng: Rng) -> Dataset:
 def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> TaskStream:
     """Assign classes to tasks by seeded shuffle; shuffle within-task sample order.
 
-    A task whose classes have no test image is a FormatError.
+    Classes are drawn from the train labels, so a task's train indices hold
+    all its classes; a task whose classes have no test image is a FormatError.
     """
     # not np.unique: without return_index it imports all of numpy.ma
     classes = sorted(set(dataset.train_labels.tolist()))
@@ -215,7 +216,7 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
             f"dataset has {len(classes)}"
         )
     order = rng.permutation(classes).tolist()
-    train_tasks, test_tasks, class_sets = [], [], []
+    train_tasks, test_tasks = [], []
     for t in range(task_count):
         chosen = order[t * classes_per_task : (t + 1) * classes_per_task]
         train = np.flatnonzero(np.isin(dataset.train_labels, chosen))
@@ -224,8 +225,7 @@ def split_tasks(dataset: Dataset, task_count, classes_per_task, rng: Rng) -> Tas
         if not len(test):
             raise FormatError(f"task {t} has no test images of its classes {sorted(chosen)}")
         test_tasks.append(test)
-        class_sets.append(frozenset(chosen))
-    return TaskStream(dataset, train_tasks, test_tasks, class_sets)
+    return TaskStream(dataset, train_tasks, test_tasks)
 
 
 # --- the online protocol ---
@@ -245,12 +245,13 @@ class RunResult:
 
 def start_run(stream: TaskStream, config: ExperimentConfig, rng: Rng) -> RunResult:
     """The state of a run before its first task: the model the config
-    describes on `rng.split(DOMAIN_MODEL_INIT)`, its empty buffer (None at
-    buffer_mode = none) and an all-NaN accuracy matrix."""
+    describes, with an output for each class id up to the tasks' largest
+    train label, on `rng.split(DOMAIN_MODEL_INIT)`; its empty buffer (None at
+    buffer_mode = none); and an all-NaN accuracy matrix."""
     ds = stream.dataset
     resolution = require_square(ds.train_pixels[0])
     channels = ds.train_pixels.shape[3]
-    num_classes = max(max(cs) for cs in stream.class_sets) + 1
+    num_classes = max(int(ds.train_labels[task].max()) for task in stream.train_tasks) + 1
     with _allocating(f"a model for {num_classes} classes"):
         params = L.init_params(resolution, channels, config.hidden_units,
                                config.embedding_units, num_classes,

@@ -94,29 +94,28 @@ class ReplayBuffer:
     def offer(self, pixels: np.ndarray, labels, rng: Rng):
         """Reservoir update over (..., s, s, C) exemplars in stream order.
 
-        `labels` has shape pixels.shape[:-3], so one (s, s, C) exemplar takes
-        one label. The first slot_count items ever offered always land; item
-        n+1 is kept with probability slot_count / (n+1), replacing a uniformly
-        random slot, both drawn from `rng`. Returns (accepted count, evicted
-        labels in stream order). Bad input leaves the buffer and `rng` untouched.
+        `labels` is an integer array of shape pixels.shape[:-3], or one
+        integer for one (s, s, C) exemplar; a list or tuple is a ValueError.
+        The first slot_count items ever offered always land; item n+1 is kept
+        with probability slot_count / (n+1), replacing a uniformly random
+        slot, both drawn from `rng`. Returns (accepted count, evicted labels
+        in stream order). Bad input leaves the buffer and `rng` untouched.
         """
         shape = self.slab.shape[1:]
         if pixels.shape[-3:] != shape or pixels.dtype != np.uint8:
             raise ValueError(f"exemplars must be (..., {', '.join(map(str, shape))}) uint8, "
                              f"got {pixels.shape} {pixels.dtype}")
+        if isinstance(labels, (list, tuple)):
+            raise ValueError(f"labels must be an integer array or one integer, got {labels!r}")
         given, labels = labels, np.asarray(labels)
         if labels.shape != pixels.shape[:-3]:
             raise ValueError(f"labels of shape {labels.shape} do not match exemplars "
                              f"of shape {pixels.shape}")
         items, labels = pixels.reshape((-1, *shape)), labels.ravel()
         values = labels.tolist()
-        # int32 label field, and -1 marks an empty slot; np.asarray turns a
-        # bool among ints in a list into an int, so a list is looked through
+        # int32 label field, and -1 marks an empty slot
         if values and (labels.dtype.kind not in "iu"
-                       or not 0 <= min(values) <= max(values) < 2 ** 31
-                       or isinstance(given, (list, tuple)) and any(
-                           isinstance(v, (bool, np.bool_))
-                           for v in np.ravel(np.array(given, dtype=object)))):
+                       or not 0 <= min(values) <= max(values) < 2 ** 31):
             raise ValueError(f"labels must be integers in [0, 2^31), got {given!r}")
         seen, n, slot_count = self.seen_count, len(values), self.slot_count
         self.seen_count = seen + n

@@ -51,14 +51,14 @@ ARM_FIELDS = frozenset({
     "learning_rate", "hidden_units", "embedding_units", "head", "seeds",
 })
 
-# At most one entry: data key -> (dataset, stream).
+# At most one entry: data key -> stream.
 _seed_data_memo = {}
 
 
 def seed_data(config: ExperimentConfig, seed: int):
-    """The seed's (dataset, stream), read-only. Runs that differ only in
-    ARM_FIELDS share it: it is built once per process until a run on other
-    data replaces it (an image_dir tree is read once)."""
+    """The seed's task stream, read-only; its `dataset` holds the data. Runs
+    that differ only in ARM_FIELDS share it: it is built once per process
+    until a run on other data replaces it (an image_dir tree is read once)."""
     key = (seed, *(getattr(config, f.name) for f in fields(config)
                    if f.name not in ARM_FIELDS))
     if key not in _seed_data_memo:
@@ -69,14 +69,13 @@ def seed_data(config: ExperimentConfig, seed: int):
                              root.split(DOMAIN_TASK_SPLIT))
         for array in (*vars(dataset).values(), *stream.train_tasks, *stream.test_tasks):
             array.flags.writeable = False
-        _seed_data_memo[key] = dataset, stream
+        _seed_data_memo[key] = stream
     return _seed_data_memo[key]
 
 
 def run_one_seed(config: ExperimentConfig, seed: int):
     """Execute one seeded run; returns a dict of everything the writer needs."""
-    _, stream = seed_data(config, seed)
-    result = run_online(stream, config, Rng(seed))
+    result = run_online(seed_data(config, seed), config, Rng(seed))
     matrix = result.matrix
     filled = ~np.isnan(matrix)
     complete = result.failure is None

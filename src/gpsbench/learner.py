@@ -175,10 +175,10 @@ def _update_W1(params: ModelParams, X, d_h, Xs, d_hs, f, step_size) -> bool:
     Each block holds whole rows of f x f patches: as many as fit in
     W1_BLOCK_BYTES of gradient, and at least one. So the gradient, the W1
     rows it updates and the inputs' columns stay in cache: one pass over W1,
-    and no gradient the size of W1. A block of a product's rows equals those
-    rows of the whole product, and the rest is elementwise, so the update is
-    bit-identical to the unblocked one. Xs is None when no surrogate trains;
-    f is then 1.
+    and no gradient the size of W1. The rest is elementwise, so the update is
+    bit-identical to the unblocked one where BLAS gives a block of rows the
+    values of the whole product's rows (OpenBLAS's Haswell kernel does not at
+    8 or 64 float32 rows). Xs is None when no surrogate trains; f is then 1.
     """
     W1 = params.W1
     side = params.input_side // f

@@ -131,7 +131,7 @@ class TestItemValidation:
             buf.offer(np.zeros((8, 8, 3), dtype=np.uint8), label, buf_rng)
         with pytest.raises(ValueError, match="label"):
             buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), np.array([label] * 3), buf_rng)
-        with pytest.raises(ValueError, match="label"):  # np.asarray would promote True to 1
+        with pytest.raises(ValueError, match="label"):  # a list, whatever it holds
             buf.offer(np.zeros((3, 8, 8, 3), dtype=np.uint8), [0, label, 1], buf_rng)
         assert buf.seen_count == 0
 
@@ -148,6 +148,7 @@ class TestItemValidation:
         (np.zeros((3, 8, 8, 3), dtype=np.uint8), 0),
         (np.zeros((3, 8, 8, 3), dtype=np.float32), np.array([0, 1, 2])),
         (np.zeros((3, 8, 8, 1), dtype=np.uint8), np.array([0, 1, 2])),
+        (np.zeros((3, 8, 8, 3), dtype=np.uint8), [0, 1, 2]),  # labels come as an array
     ])
     def test_rejected_batch_changes_nothing(self, pixels, labels):
         # buffer both in its fill phase and past it, where offers draw
@@ -255,7 +256,8 @@ class TestBatchOffer:
         for seen in (0, 10):
             (a, a_rng), = self.buffers(1, 2, seen, count=1)
             before = a.snapshot(), rng_state(a_rng)
-            assert a.offer(np.zeros((0, 4, 4, 3), dtype=np.uint8), [], a_rng) == (0, [])
+            assert a.offer(np.zeros((0, 4, 4, 3), dtype=np.uint8), np.zeros(0, dtype=np.int64),
+                           a_rng) == (0, [])
             assert (a.snapshot(), rng_state(a_rng)) == before
 
     def test_leading_axes_are_stream_order(self):
@@ -453,7 +455,7 @@ class TestDrawReplayBatch:
         rng, side = Rng(0), 8 // factor
         for occupied in range(4 * factor ** 2 + 1):
             buf = ReplayBuffer(PixelBudget(4, 8), factor=factor)
-            buf.offer(np.zeros((occupied, side, side, 3), dtype=np.uint8), [0] * occupied,
+            buf.offer(np.zeros((occupied, side, side, 3), dtype=np.uint8), np.zeros(occupied, int),
                       rng.split(0, occupied))
             assert buf.occupied_count == occupied
             for n in (0, 1, 2, 5):

@@ -331,8 +331,8 @@ class TestSeedData:
             assert shared[key] == fresh[key]
 
     def test_data_is_read_only(self):
-        dataset, stream = cli.seed_data(parse_config(BASE_CONFIG), 0)
-        arrays = [*vars(dataset).values(), *stream.train_tasks, *stream.test_tasks]
+        stream = cli.seed_data(parse_config(BASE_CONFIG), 0)
+        arrays = [*vars(stream.dataset).values(), *stream.train_tasks, *stream.test_tasks]
         assert len(arrays) == 4 + 2 * 3
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
@@ -551,7 +551,7 @@ class TestExitCodes:
         paths = {"cfg": config_file, "ppm": tmp_path / "in.ppm", "gpsb": tmp_path / "in.gpsb"}
         save_ppm(paths["ppm"], np.zeros((8, 8, 3), dtype=np.uint8))
         buf = ReplayBuffer(PixelBudget(1, 8), factor=2)
-        buf.offer(np.zeros((4, 4, 4, 3), dtype=np.uint8), [10] * 4, Rng(0))
+        buf.offer(np.zeros((4, 4, 4, 3), dtype=np.uint8), np.full(4, 10), Rng(0))
         paths["gpsb"].write_bytes(buf.snapshot())
         out = tmp_path / "o"
         try:
@@ -570,7 +570,7 @@ class TestExitCodes:
             save_ppm(path, np.zeros((8, 8, 3), dtype=np.uint8))
         else:
             buf = ReplayBuffer(PixelBudget(1, 8), factor=2)
-            buf.offer(np.zeros((4, 4, 4, 3), dtype=np.uint8), [0] * 4, Rng(0))
+            buf.offer(np.zeros((4, 4, 4, 3), dtype=np.uint8), np.zeros(4, int), Rng(0))
             path.write_bytes(buf.snapshot())
         out = tmp_path / "o.ppm"
         assert run_cli(command, path, "--seed", "-1", "--out", out) == 2

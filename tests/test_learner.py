@@ -295,7 +295,10 @@ def param_bytes(params):
 
 class TestBlockedW1Update:
     """train_step updates W1 in row blocks, bit-identically to one whole
-    gradient, and holds no gradient the size of W1."""
+    gradient, and holds no gradient the size of W1. Bit-identity rests on
+    BLAS giving a block of rows the values of those rows of the whole
+    product: under OPENBLAS_CORETYPE=Haswell, 8-row blocks (8x8x1 at f = 1,
+    one_patch_row) with 8 or 13 input rows differ, so those cases fail."""
 
     # (side, channels, hidden, f); f = 1 replays full-size rows. 20x20x3 at
     # f = 2 has 10 rows of patches, and 256 KB blocks hold 4 of them.
