@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .errors import ConfigError
 
 DATASET_KINDS = ("synthetic", "cifar100", "image_dir")
@@ -91,9 +93,10 @@ class ExperimentConfig:
         if self.buffer_mode == "gps" and 0 < self.replay_batch < self.factor ** 2:
             raise ConfigError(f"replay_batch {self.replay_batch} < factor^2 would replay "
                               f"nothing in gps mode; use 0 or >= {self.factor ** 2}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(
-                f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        with np.errstate(over="ignore"):  # the model is float32; past its range, inf
+            if not 0 < np.float32(self.learning_rate) < np.inf:  # 0 would train nothing
+                raise ConfigError(f"learning_rate must be finite and > 0 in float32, "
+                                  f"got {self.learning_rate}")
         if self.head not in HEADS:
             raise ConfigError(f"head must be one of {HEADS}, got {self.head!r}")
         if self.head == "ncm" and self.buffer_mode == "none":

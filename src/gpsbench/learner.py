@@ -9,10 +9,10 @@ NCM stops at the embedding and computes no logits. Training and inference
 alike report a non-finite loss, parameter, logit or NCM distance as a
 NumericalError, with numpy's overflow and invalid-value warnings silenced.
 
-Batches are (n, side, side, C) uint8 pixel arrays; a labeled batch is a
-(pixels, labels) pair. Stream and test batches are at the model's side;
-replay batches may hold surrogates of side input_side / f, which train at
-that resolution as their pixel-repeated upsampling would (see train_step).
+Batches are (n, s, s, C) uint8 pixel arrays, checked by one rule before
+any product (`_input_factor`): s = input_side / f, with f = 1 for stream and
+test batches, the buffer's factor for NCM exemplars, and any f for replay
+surrogates, which train as their upsampling would (see train_step).
 """
 
 from __future__ import annotations
@@ -99,13 +99,19 @@ def init_params(input_side, channels, hidden_units, embedding_units, num_classes
     )
 
 
-def _to_matrix(params: ModelParams, pixels, factor=1) -> np.ndarray:
-    """Flatten an (n, s, s, C) batch, s = input_side // factor, into an
-    (n, s * s * C) matrix of [0,1] reals."""
-    side = params.input_side // factor
-    if pixels.shape[1:] != (side, side, params.channels):
-        raise ValueError(f"input images of shape {pixels.shape[1:]} at factor {factor} do "
-                         f"not match model input {(params.input_side,) * 2 + (params.channels,)}")
+def _input_factor(params: ModelParams, pixels, factor=None) -> int:
+    """f of an (n, s, s, C) batch of side s = input_side / f; only `factor`, if given."""
+    side = pixels.shape[1] if pixels.ndim == 4 else 0
+    if (pixels.shape[1:] != (side, side, params.channels) or not side
+            or params.input_side % side or factor not in (None, params.input_side // side)):
+        at = "" if factor is None else f" at factor {factor}"
+        raise ValueError(f"images of shape {pixels.shape[1:]}{at} do not match model "
+                         f"input {(params.input_side,) * 2 + (params.channels,)}")
+    return params.input_side // side
+
+
+def _to_matrix(params: ModelParams, pixels) -> np.ndarray:
+    """An (n, s, s, C) batch, unchecked, as an (n, s * s * C) matrix of [0,1] reals."""
     dtype = params.W1.dtype
     X = pixels.reshape(len(pixels), -1).astype(dtype)
     X /= dtype.type(255)
@@ -138,6 +144,7 @@ def _embed(params: ModelParams, first):
 
 
 def embed_batch(params: ModelParams, pixels) -> np.ndarray:
+    _input_factor(params, pixels, 1)
     return _embed(params, _to_matrix(params, pixels) @ params.W1)[2]
 
 
@@ -147,16 +154,6 @@ def _softmax_cross_entropy(logits, labels):
     e = np.exp(z)
     norm = e.sum(axis=1, keepdims=True)
     return np.divide(e, norm, out=e), np.log(norm[:, 0]) - z[np.arange(len(labels)), labels]
-
-
-def _replay_factor(params: ModelParams, pixels) -> int:
-    """f for an (n, s, s, C) replay batch whose side s is input_side / f."""
-    side = pixels.shape[1] if pixels.ndim == 4 else 0
-    if (pixels.shape[1:] != (side, side, params.channels) or not side
-            or params.input_side % side):
-        raise ValueError(f"replay images of shape {pixels.shape[1:]} do not upsample to "
-                         f"model input {(params.input_side,) * 2 + (params.channels,)}")
-    return params.input_side // side
 
 
 def _transposed_product(A, B, out):
@@ -218,8 +215,8 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight,
     Rows at the model's side (the stream, and replay at f = 1) share one
     first-layer product each way. `replay_batch` may be None or hold no
     rows; with replay_weight == 0 the replay pass is skipped entirely, so
-    the update is bit-identical to a stream-only step. A replay side that
-    does not divide the model's is a ValueError.
+    the update is bit-identical to a stream-only step. A stream side other
+    than the model's, or a replay side not dividing it, is a ValueError.
 
     W1 is updated in cache-sized blocks of rows (`_update_W1`): its gradient,
     replay block add, update and finiteness check are one pass, with no
@@ -231,15 +228,16 @@ def train_step(params: ModelParams, stream_batch, replay_batch, replay_weight,
     stream_pixels, stream_labels = stream_batch
     if not len(stream_labels):
         raise ValueError("stream batch must be non-empty")
+    _input_factor(params, stream_pixels, 1)
     use_replay = (replay_batch is not None and len(replay_batch[1]) > 0
                   and replay_weight != 0.0)
     pixels, Xs, f = stream_pixels, None, 1
     if use_replay:
-        f = _replay_factor(params, replay_batch[0])
+        f = _input_factor(params, replay_batch[0])
         if f == 1:
             pixels = np.concatenate([stream_pixels, replay_batch[0]])
         else:
-            Xs = _to_matrix(params, replay_batch[0], f)
+            Xs = _to_matrix(params, replay_batch[0])
         labels = np.concatenate([stream_labels, replay_batch[1]]).astype(np.intp)
     else:
         labels = np.asarray(stream_labels, dtype=np.intp)
@@ -303,15 +301,14 @@ def ncm_prototypes(params: ModelParams, buf: ReplayBuffer):
     Exemplars are embedded at their own side s = input_side / f, f the
     buffer's factor, through W1 pooled over each f x f block (`_pooled_W1`):
     the embedding of their upsampled images up to float rounding, at 1/f^2
-    of the first layer's work; at f = 1 the pooled W1 is W1 itself. Exemplars
-    that do not upsample to the model input are a ValueError.
+    of the first layer's work; at f = 1 the pooled W1 is W1 itself. A slab
+    whose side is not input_side / f is a ValueError, checked once per call.
     """
     class_slots = buf.class_slots()
     if not class_slots:
         raise ValueError("cannot build prototypes from an empty buffer")
-    f = buf.factor
-    W1p = _pooled_W1(params, f)
-    means = [_embed(params, _to_matrix(params, buf.slab[slots], f) @ W1p)[2].mean(axis=0)
+    W1p = _pooled_W1(params, _input_factor(params, buf.slab, buf.factor))
+    means = [_embed(params, _to_matrix(params, buf.slab[slots]) @ W1p)[2].mean(axis=0)
              for slots in class_slots.values()]
     return np.array(list(class_slots)), np.stack(means)
 

@@ -802,6 +802,20 @@ class TestExperimentConfig:
         config = ExperimentConfig(learning_rate=1, seeds=[0, 1])
         assert (config.learning_rate, list(config.seeds)) == (1, [0, 1])
 
+    # 1e-50 rounds to 0 in the model's float32, so a run would train nothing;
+    # 1e39 rounds to inf. Neither may warn: Tier-1 turns warnings into errors.
+    @pytest.mark.parametrize("value", [1e-50, 1e39])
+    def test_rate_that_float32_rounds_to_zero_or_inf_rejected(self, value):
+        with pytest.raises(ConfigError, match="^learning_rate must be finite and > 0"):
+            parse_config(f"learning_rate = {value!r}\n")
+        with pytest.raises(ConfigError, match="^learning_rate"):
+            ExperimentConfig(learning_rate=value)
+
+    def test_float32_extremes_are_rates(self):
+        finfo = np.finfo(np.float32)
+        for value in (float(finfo.smallest_subnormal), float(finfo.max)):
+            assert ExperimentConfig(learning_rate=value).learning_rate == value
+
     def test_non_finite_floats_rejected_in_code(self):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ConfigError, match="learning_rate"):

@@ -446,6 +446,14 @@ class TestExitCodes:
         assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
         assert "replay nothing" in capsys.readouterr().err
 
+    def test_rate_that_float32_rounds_to_zero_is_2_before_any_output(self, tmp_path, capsys):
+        # at the model's float32 the step is 0: every parameter would keep its bytes
+        path = tmp_path / "exp.cfg"
+        path.write_text(BASE_CONFIG + "learning_rate = 1e-50\n")
+        assert run_cli("run", "--config", path, "--out", tmp_path / "o") == 2
+        assert "learning_rate must be finite and > 0 in float32" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_seed_beyond_int64_is_2_before_any_output(self, tmp_path, config_file, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text(BASE_CONFIG.replace("seeds = 0,1", f"seeds = 0,{2 ** 63}"))

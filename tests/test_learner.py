@@ -274,6 +274,18 @@ class TestSurrogateReplay:
         for ta, tb in zip(params.tensors(), before.tensors()):
             np.testing.assert_array_equal(ta, tb)
 
+    def test_stream_off_the_model_side_fails_before_the_concatenation(self):
+        # a full-size replay batch would be concatenated with the stream
+        rng = Rng(51)
+        params = L.init_params(32, 3, 8, 4, 2, rng.split(1))
+        stream = tiny_images(rng.split(2), 2, r=16)
+        replay = tiny_images(rng.split(3), 3, r=32)
+        before = param_bytes(params)
+        with pytest.raises(ValueError, match=re.escape("(16, 16, 3)") + ".*do not match "
+                           "model input " + re.escape("(32, 32, 3)")):
+            L.train_step(params, stream, replay, 1.0, 0.1)
+        assert param_bytes(params) == before
+
 
 def unblocked_update_W1(params, X, d_h, Xs, d_hs, f, step_size):
     """The W1 update as one whole gradient: X.T @ d_h, the block add of the
@@ -541,12 +553,15 @@ class TestNcm:
         rise, limit = peak - entry, params.W1.nbytes
         assert rise < limit
 
-    @pytest.mark.parametrize("resolution, f", [(16, 1), (16, 2), (30, 4)])
+    # (32, 3): a side-10 slab at the buffer's own factor, yet 10 does not divide 32
+    @pytest.mark.parametrize("resolution, f", [(16, 1), (16, 2), (30, 4), (32, 3)])
     def test_buffer_must_upsample_to_the_model_side(self, resolution, f):
         params = L.init_params(32, 3, 128, 64, 3, Rng(730))
         buf = filled_buffer(731, r=resolution, f=f)
+        slab, before = buf.slab.tobytes(), param_bytes(params)
         with pytest.raises(ValueError, match="do not match model input"):
             L.ncm_prototypes(params, buf)
+        assert (buf.slab.tobytes(), param_bytes(params)) == (slab, before)
 
 
 class TestSoftmaxHead:
